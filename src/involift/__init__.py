@@ -18,12 +18,12 @@ from .boolfn import (
 from .lifting import (
     ClassicalTrace,
     DEFAULT_WIDTH_CAP,
+    LiftingCheckFailed,
     Perm,
     PipelineSpec,
     RegisterLayout,
-    forward_perm,
+    apply_word,
     layout,
-    lift,
     pipeline_from_steps,
     random_pipeline,
     run_classical,
@@ -70,6 +70,7 @@ from .quantum import (
     QState,
     RepresentationReport,
     apply,
+    apply_steps,
     basis_state,
     marginal_distribution,
     measure,

@@ -4,7 +4,8 @@ This is the only module that touches files.  Pipeline documents are strict
 JSON (unknown fields rejected) with case-insensitive hex truth tables;
 reports are JSON with sorted keys, so identical invocations produce
 byte-identical files.  Exit status: 0 on success, 1 on validation or usage
-errors, 2 when a computation hit a configured cap or bound.
+errors or a failed internal check, 2 when a computation hit a configured
+cap or bound.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .coxeter import (
     verify_pipeline,
     _presentation_for_steps,
 )
-from .lifting import PipelineSpec, Perm, forward_perm, layout, run_classical, step_involution
+from .lifting import LiftingCheckFailed, PipelineSpec, apply_word, layout, run_classical, step_involution
 from .permgroup import (
     ClosureCapExceeded,
     DEFAULT_ELEMENT_CAP,
@@ -35,10 +36,9 @@ from .permgroup import (
     element_order_histogram,
     is_dihedral_8,
     nondegeneracy_defects,
-    perm_compose,
     perm_order,
 )
-from .quantum import PermUnitary, apply, basis_state, marginal_distribution, measure, uniform_superposition
+from .quantum import apply_steps, basis_state, marginal_distribution, measure, uniform_superposition
 
 FORMAT_VERSION = 1
 REPORT_VERSION = 1
@@ -164,16 +164,6 @@ def _step_index(symbol: str, n_steps: int) -> int:
         if 1 <= index <= n_steps:
             return index
     raise ValueError(f"unknown word symbol {symbol!r} (use f1..f{n_steps})")
-
-
-def _word_perm(pipeline: PipelineSpec, symbols: Sequence[str]) -> tuple[Perm, list[str]]:
-    """Resolve word symbols and compose them; the rightmost symbol applies
-    first (functional composition order)."""
-    indices = [_step_index(s, pipeline.n_steps) for s in symbols]
-    acc = Perm.identity(pipeline.total_width)
-    for index in indices:
-        acc = perm_compose(acc, step_involution(pipeline, index))
-    return acc, [f"f{index}" for index in indices]
 
 
 def _matrix_rows(orders) -> list[list[object]]:
@@ -329,12 +319,10 @@ def _cmd_run(args, pipeline: PipelineSpec):
     x = _parse_hex(args.input, "--input")
     trace = run_classical(pipeline, x)
     lay = layout(pipeline)
-    final = forward_perm(pipeline)(x)
-    # the reversed word f1 f2 .. fn inverts the forward composition
-    reverse = Perm.identity(pipeline.total_width)
-    for i in range(1, pipeline.n_steps + 1):
-        reverse = perm_compose(reverse, step_involution(pipeline, i))
-    restored = lay.unpack_registers(reverse(final))
+    # the reversed word f1 f2 .. fn (step n applied first) undoes the forward run
+    restored = lay.unpack_registers(
+        apply_word(pipeline, range(1, pipeline.n_steps + 1), lay.pack_registers(trace.registers))
+    )
     initial = (x,) + (0,) * pipeline.n_steps
     restoration_ok = restored == initial
     print(f"input: 0x{_hex(x)}")
@@ -356,14 +344,15 @@ def _cmd_run(args, pipeline: PipelineSpec):
 
 def _cmd_qrun(args, pipeline: PipelineSpec):
     lay = layout(pipeline)
-    perm, word = _word_perm(pipeline, args.word)
+    indices = [_step_index(s, pipeline.n_steps) for s in args.word]
+    word = [f"f{i}" for i in indices]
     if len(args.input) != len(lay.widths):
         raise ValueError(f"--input needs {len(lay.widths)} register values, got {len(args.input)}")
     values = [_parse_hex(v, f"--input register {i}") for i, v in enumerate(args.input)]
     state = basis_state(lay, values)
     if args.superpose is not None:
         state = uniform_superposition(lay, args.superpose, state)
-    state = apply(PermUnitary(perm), state)
+    state = apply_steps(pipeline, indices, state)
     result = measure(state, lay, args.measure, seed=args.seed, shots=args.shots)
     distribution = marginal_distribution(state, lay, args.measure)
     print(f"word: {' '.join(word)} (rightmost symbol applied first)")
@@ -460,6 +449,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ClosureCapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except LiftingCheckFailed as e:
+        print(f"error: internal check failed: {e}", file=sys.stderr)
+        return 1
     if args.json:
         report = {
             "report_version": REPORT_VERSION,

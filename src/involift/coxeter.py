@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .lifting import PipelineSpec, step_involution
+from .lifting import LiftingCheckFailed, PipelineSpec, step_involution
 from .permgroup import (
     DEFAULT_ELEMENT_CAP,
     closure,
@@ -382,7 +382,7 @@ def verify_pipeline(
     checks = check_relations(gens, presentation)
     relations_hold = all(c.holds for c in checks)
     if not relations_hold:
-        raise RuntimeError("a claimed relation failed on lifted involutions; lifting is broken")
+        raise LiftingCheckFailed("a claimed relation failed on lifted involutions; lifting is broken")
     abstract = todd_coxeter(presentation, coset_cap)
     product_orders = tuple(
         tuple(perm_order(perm_compose(gens[i], gens[j])) for j in range(n)) for i in range(n)

@@ -152,47 +152,40 @@ def layout(pipeline: PipelineSpec) -> RegisterLayout:
     return RegisterLayout.from_widths(pipeline.widths)
 
 
-def lift(f: BoolFunc) -> Perm:
-    """General-inversion embedding of f: (x, y) maps to (x, y XOR f(x)).
-
-    The input bits sit in the low ``arity_in`` positions and the output
-    register above them.  The result is an involution on arity_in +
-    arity_out bits.
-    """
-    width = f.arity_in + f.arity_out
-    if width > DEFAULT_WIDTH_CAP:
-        raise ValueError(f"lifted width {width} exceeds the cap of {DEFAULT_WIDTH_CAP}")
-    in_mask = (1 << f.arity_in) - 1
-    table = f.table
-    shift = f.arity_in
-    return Perm(width, tuple(s ^ (table[s & in_mask] << shift) for s in range(1 << width)))
+def _step_params(pipeline: PipelineSpec, lay: RegisterLayout, step: int) -> tuple[tuple[int, ...], int, int, int]:
+    """Table, source offset, source mask and destination offset of step i
+    (1-based): the lifted step maps s to s ^ (table[(s >> src) & mask] << dst)."""
+    if not 1 <= step <= pipeline.n_steps:
+        raise ValueError(f"step {step} out of range 1..{pipeline.n_steps}")
+    f = pipeline.steps[step - 1]
+    return f.table, lay.offsets[step - 1], (1 << f.arity_in) - 1, lay.offsets[step]
 
 
 def step_involution(pipeline: PipelineSpec, step: int) -> Perm:
     """Pipeline-wide involution of step i (1-based): register i picks up
     f_i(register i-1) by XOR, every other register is untouched."""
-    if not 1 <= step <= pipeline.n_steps:
-        raise ValueError(f"step {step} out of range 1..{pipeline.n_steps}")
     lay = layout(pipeline)
-    f = pipeline.steps[step - 1]
-    src_off = lay.offsets[step - 1]
-    dst_off = lay.offsets[step]
-    src_mask = (1 << f.arity_in) - 1
-    table = f.table
+    table, src, mask, dst = _step_params(pipeline, lay, step)
     return Perm(
         lay.total_width,
-        tuple(s ^ (table[(s >> src_off) & src_mask] << dst_off) for s in range(1 << lay.total_width)),
+        tuple(s ^ (table[(s >> src) & mask] << dst) for s in range(1 << lay.total_width)),
     )
 
 
-def forward_perm(pipeline: PipelineSpec) -> Perm:
-    """Composition of all step involutions, step 1 applied first."""
-    size = 1 << pipeline.total_width
-    current = list(range(size))
-    for step in range(1, pipeline.n_steps + 1):
-        m = step_involution(pipeline, step).mapping
-        current = [m[v] for v in current]
-    return Perm(pipeline.total_width, tuple(current))
+def apply_word(pipeline: PipelineSpec, word: Sequence[int], state: int) -> int:
+    """Apply the lifted steps of a word (1-based step indices) to one packed
+    state, rightmost step first, without building any permutation."""
+    lay = layout(pipeline)
+    if not 0 <= state < 1 << lay.total_width:
+        raise ValueError(f"state {state} out of range for width {lay.total_width}")
+    for table, src, mask, dst in [_step_params(pipeline, lay, i) for i in reversed(word)]:
+        state ^= table[(state >> src) & mask] << dst
+    return state
+
+
+class LiftingCheckFailed(RuntimeError):
+    """A lifted computation disagreed with its direct counterpart, which is
+    impossible unless the lifting is broken."""
 
 
 class ClassicalTrace(NamedTuple):
@@ -203,23 +196,23 @@ class ClassicalTrace(NamedTuple):
 def run_classical(pipeline: PipelineSpec, x: int) -> ClassicalTrace:
     """Evaluate the pipeline on input x by both routes and cross-check.
 
-    The invertible route applies the forward permutation to the state with
+    The invertible route applies the lifted steps 1..n to the state with
     register 0 = x and all other registers zero, then unpacks the registers;
-    the direct route chains the truth tables.  A mismatch (impossible unless
-    the lifting is broken) raises RuntimeError.
+    the direct route chains the truth tables.  A mismatch raises
+    LiftingCheckFailed.
     """
     if not 0 <= x < 1 << pipeline.widths[0]:
         raise ValueError(f"input {x} out of range for register width {pipeline.widths[0]}")
     lay = layout(pipeline)
     # register 0 sits in the low bits, so the packed initial state equals x
-    registers = lay.unpack_registers(forward_perm(pipeline)(x))
+    registers = lay.unpack_registers(apply_word(pipeline, range(pipeline.n_steps, 0, -1), x))
     value = x
     direct = [x]
     for f in pipeline.steps:
         value = f(value)
         direct.append(value)
     if registers != tuple(direct):
-        raise RuntimeError(
+        raise LiftingCheckFailed(
             f"invertible trace {registers} disagrees with direct evaluation {tuple(direct)}"
         )
     return ClassicalTrace(registers, tuple(direct))

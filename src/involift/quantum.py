@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .lifting import Perm, RegisterLayout
+from .lifting import Perm, PipelineSpec, RegisterLayout, apply_word
 from .permgroup import GroupClosure, perm_inverse
 from .rng import SplitMix64
 
@@ -103,6 +103,18 @@ def apply(unitary: PermUnitary, state: QState) -> QState:
         )
     mapping = unitary.perm.mapping
     return QState(state.total_width, {mapping[i]: a for i, a in state.amplitudes.items()})
+
+
+def apply_steps(pipeline: PipelineSpec, word: Sequence[int], state: QState) -> QState:
+    """Apply the unitary of a word of lifted steps (1-based, rightmost
+    first) by routing each amplitude through
+    :func:`involift.lifting.apply_word`: |support| * |word| table lookups,
+    no 2^W permutation."""
+    if pipeline.total_width != state.total_width:
+        raise ValueError(
+            f"width mismatch: pipeline acts on {pipeline.total_width}, state on {state.total_width}"
+        )
+    return QState(state.total_width, {apply_word(pipeline, word, i): a for i, a in state.amplitudes.items()})
 
 
 def marginal_distribution(state: QState, layout: RegisterLayout, register: int) -> dict[int, float]:

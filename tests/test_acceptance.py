@@ -23,9 +23,10 @@ from involift.coxeter import (
     todd_coxeter,
     verify_pipeline,
 )
-from involift.lifting import Perm, PipelineSpec, forward_perm, layout, run_classical, step_involution
+from involift.lifting import Perm, PipelineSpec, apply_word, layout, run_classical, step_involution
 from involift.permgroup import (
     closure,
+    evaluate_word,
     is_dihedral_8,
     nondegeneracy_defects,
     perm_compose,
@@ -164,10 +165,9 @@ def test_invertible_evaluation_matches_direct():
             )
             pipeline = PipelineSpec(widths, fns)
             lay = layout(pipeline)
-            fwd = forward_perm(pipeline)
-            reverse = Perm.identity(pipeline.total_width)
-            for i in range(1, steps + 1):
-                reverse = perm_compose(reverse, step_involution(pipeline, i))
+            gens = [step_involution(pipeline, i) for i in range(1, steps + 1)]
+            fwd = evaluate_word(gens, range(steps - 1, -1, -1))
+            reverse = evaluate_word(gens, range(steps))
             for x in range(1 << widths[0]):
                 trace = run_classical(pipeline, x)
                 value = x
@@ -181,6 +181,8 @@ def test_invertible_evaluation_matches_direct():
                 final = fwd(initial)
                 assert lay.unpack_registers(final) == tuple(expected)
                 assert reverse(final) == initial
+                assert apply_word(pipeline, range(steps, 0, -1), initial) == final
+                assert apply_word(pipeline, range(1, steps + 1), final) == initial
 
 
 @criterion("three-step identity pipeline has Coxeter matrix [[1,4,2],[4,1,4],[2,4,1]]")

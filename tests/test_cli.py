@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,9 @@ from involift.cli import (
     parse_pipeline,
     pipeline_from_document,
 )
+from involift import coxeter, lifting
+from involift.boolfn import random_fn
+from involift.coxeter import RelationCheck
 from involift.lifting import PipelineSpec, random_pipeline
 
 from conftest import ID1
@@ -191,6 +195,47 @@ def test_qrun_rejects_bad_symbol(tmp_path, capsys):
 def test_qrun_rejects_wrong_input_count(tmp_path):
     path = _write(tmp_path, P1_DOC)
     assert main(["qrun", path, "--word", "f", "--input", "0", "0", "--measure", "2"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, target, broken",
+    [
+        (["run", "--input", "1"], lifting, ("apply_word", lambda pipeline, word, state: state ^ 1)),
+        (["verify"], coxeter, ("check_relations", lambda gens, pres: (RelationCheck(pres.relators[0], False),))),
+    ],
+    ids=["run", "verify"],
+)
+def test_failed_internal_check_exit_1(tmp_path, capsys, monkeypatch, argv, target, broken):
+    monkeypatch.setattr(target, *broken)
+    path = _write(tmp_path, P1_DOC)
+    assert main([argv[0], path, *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal check failed: ")
+    assert "Traceback" not in err
+
+
+def test_run_and_qrun_build_no_permutation_at_width_cap(tmp_path, capsys, monkeypatch):
+    fns = (random_fn(8, 4, 101), random_fn(4, 4, 102), random_fn(4, 4, 103))
+    pipeline = PipelineSpec((8, 4, 4, 4), fns)
+    path = tmp_path / "wide.json"
+    path.write_text(emit_pipeline(pipeline), encoding="utf-8")
+    report_path = tmp_path / "report.json"
+
+    def refuse(self):
+        raise AssertionError("a 2^W permutation was built")
+
+    monkeypatch.setattr(lifting.Perm, "__post_init__", refuse)
+    f, g, h = fns
+    x = 0xA5
+    assert main(["run", str(path), "--input", "a5", "--json", str(report_path)]) == 0
+    results = json.loads(report_path.read_text())["results"]
+    assert results["trace"] == [format(v, "x") for v in (x, f(x), g(f(x)), h(g(f(x))))]
+    assert results["restoration_ok"]
+    assert main(["qrun", str(path), "--word", "f3", "f2", "f1", "--input", "0", "0", "0", "0",
+                 "--superpose", "0", "--measure", "3", "--shots", "10", "--json", str(report_path)]) == 0
+    results = json.loads(report_path.read_text())["results"]
+    outputs = Counter(h(g(f(v))) for v in range(256))
+    assert results["distribution"] == {format(v, "x"): c / 256 for v, c in sorted(outputs.items())}
 
 
 def test_group_command(tmp_path, capsys):

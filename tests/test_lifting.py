@@ -7,15 +7,14 @@ from involift.lifting import (
     Perm,
     PipelineSpec,
     RegisterLayout,
-    forward_perm,
+    apply_word,
     layout,
-    lift,
     pipeline_from_steps,
     random_pipeline,
     run_classical,
     step_involution,
 )
-from involift.permgroup import perm_compose
+from involift.permgroup import evaluate_word, perm_compose
 
 from conftest import ID1, NOT1
 
@@ -49,23 +48,27 @@ def test_layout_pack_unpack():
 
 def test_lift_identity_mapping():
     # y flips exactly when x = 1; states packed with x least significant
-    assert lift(ID1).mapping == (0, 3, 2, 1)
+    one_step = pipeline_from_steps((ID1,))
+    assert step_involution(one_step, 1).mapping == (0, 3, 2, 1)
+    assert [apply_word(one_step, (1,), s) for s in range(4)] == [0, 3, 2, 1]
 
 
 def test_lift_constant_zero_is_identity():
-    assert lift(zero_fn(1, 1)).mapping == (0, 1, 2, 3)
+    assert step_involution(pipeline_from_steps((zero_fn(1, 1),)), 1).mapping == (0, 1, 2, 3)
 
 
 @given(a=st.integers(1, 3), b=st.integers(1, 3), seed=seeds)
 @settings(max_examples=100)
 def test_lift_is_involution(a, b, seed):
-    p = lift(random_fn(a, b, seed))
+    one_step = pipeline_from_steps((random_fn(a, b, seed),))
+    p = step_involution(one_step, 1)
     assert perm_compose(p, p).is_identity
+    assert all(apply_word(one_step, (1, 1), s) == s for s in range(1 << (a + b)))
 
 
 def test_lift_width_cap():
     with pytest.raises(ValueError, match="cap"):
-        lift(BoolFunc(16, 5, (0,) * (1 << 16)))
+        pipeline_from_steps((BoolFunc(16, 5, (0,) * (1 << 16)),))
 
 
 def test_step_involution_mappings(two_step_id):
@@ -106,12 +109,12 @@ def test_step_involutions_square_to_identity(seed):
 @given(seed=seeds)
 @settings(max_examples=50)
 def test_forward_perm_two_step_trace(seed):
+    # the forward word f2 f1 applies step 1 first
     pipeline = random_pipeline(seed, steps=2, max_width=3)
     lay = layout(pipeline)
     f, g = pipeline.steps
-    fwd = forward_perm(pipeline)
     for x in range(1 << pipeline.widths[0]):
-        state = fwd(lay.pack_registers((x, 0, 0)))
+        state = apply_word(pipeline, (2, 1), lay.pack_registers((x, 0, 0)))
         assert lay.unpack_registers(state) == (x, f(x), g(f(x)))
 
 
@@ -119,9 +122,8 @@ def test_forward_perm_three_step_trace():
     pipeline = PipelineSpec((1, 1, 1, 1), (ID1, NOT1, ID1))
     lay = layout(pipeline)
     f, g, h = pipeline.steps
-    fwd = forward_perm(pipeline)
     for x in range(2):
-        state = fwd(lay.pack_registers((x, 0, 0, 0)))
+        state = apply_word(pipeline, (3, 2, 1), lay.pack_registers((x, 0, 0, 0)))
         assert lay.unpack_registers(state) == (x, f(x), g(f(x)), h(g(f(x))))
 
 
@@ -129,11 +131,33 @@ def test_forward_perm_three_step_trace():
 @settings(max_examples=50)
 def test_forward_reversed_word_is_inverse(seed, steps):
     pipeline = random_pipeline(seed, steps=steps, max_width=2)
-    fwd = forward_perm(pipeline)
-    reverse = Perm.identity(pipeline.total_width)
-    for i in range(1, pipeline.n_steps + 1):
-        reverse = perm_compose(reverse, step_involution(pipeline, i))
-    assert perm_compose(reverse, fwd).is_identity
+    gens = [step_involution(pipeline, i) for i in range(1, steps + 1)]
+    forward = list(range(steps - 1, -1, -1))
+    reverse = list(range(steps))
+    assert evaluate_word(gens, reverse + forward).is_identity
+    for s in range(1 << pipeline.total_width):
+        final = apply_word(pipeline, [i + 1 for i in forward], s)
+        assert apply_word(pipeline, [i + 1 for i in reverse], final) == s
+
+
+@given(data=st.data(), seed=seeds, steps=st.integers(1, 4))
+@settings(max_examples=100)
+def test_apply_word_matches_evaluate_word(data, seed, steps):
+    # the permutation product stays the reference for the per-state action
+    pipeline = random_pipeline(seed, steps=steps, max_width=9 // (steps + 1))
+    assert pipeline.total_width <= 9
+    word = data.draw(st.lists(st.integers(1, steps), max_size=6))
+    gens = [step_involution(pipeline, i) for i in range(1, steps + 1)]
+    reference = evaluate_word(gens, [i - 1 for i in word])
+    for s in range(1 << pipeline.total_width):
+        assert apply_word(pipeline, word, s) == reference(s)
+    size = 1 << pipeline.total_width
+    for bad_state in (-1, size):
+        with pytest.raises(ValueError, match="out of range"):
+            apply_word(pipeline, word, bad_state)
+    for bad_step in (0, steps + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            apply_word(pipeline, word + [bad_step], 0)
 
 
 def test_run_classical_examples(two_step_id):

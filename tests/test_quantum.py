@@ -2,13 +2,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from involift.lifting import Perm, RegisterLayout, layout, random_pipeline, step_involution
-from involift.permgroup import closure, perm_compose
+from involift.permgroup import closure, evaluate_word, perm_compose
 from involift.quantum import (
     AMPLITUDE_TOLERANCE,
     PRUNE_THRESHOLD,
     PermUnitary,
     QState,
     apply,
+    apply_steps,
     basis_state,
     marginal_distribution,
     measure,
@@ -105,6 +106,20 @@ def test_apply_width_mismatch(two_step_id):
     lay = layout(two_step_id)
     with pytest.raises(ValueError, match="width mismatch"):
         apply(PermUnitary(Perm.identity(2)), basis_state(lay, (0, 0, 0)))
+
+
+@given(seed=seeds, data=st.data())
+@settings(max_examples=40)
+def test_apply_steps_matches_permutation_unitary(seed, data):
+    # the composed permutation unitary stays the reference for the routed word
+    pipeline = random_pipeline(seed, steps=3, max_width=2)
+    word = data.draw(st.lists(st.integers(1, 3), max_size=6))
+    gens = [step_involution(pipeline, i) for i in (1, 2, 3)]
+    unitary = PermUnitary(evaluate_word(gens, [i - 1 for i in word]))
+    state = random_state(pipeline.total_width, data.draw(seeds))
+    assert apply_steps(pipeline, word, state) == apply(unitary, state)
+    with pytest.raises(ValueError, match="width mismatch"):
+        apply_steps(pipeline, word, random_state(pipeline.total_width + 1, 0))
 
 
 def test_norm_preserved_on_random_states(two_step_id):
