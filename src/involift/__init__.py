@@ -37,6 +37,7 @@ from .permgroup import (
     closure,
     element_order_histogram,
     evaluate_word,
+    generator_defects,
     is_dihedral_8,
     nondegeneracy_defects,
     perm_compose,
@@ -58,7 +59,6 @@ from .coxeter import (
     check_relations,
     claimed_coxeter_matrix,
     coxeter_matrix,
-    generator_defects,
     pipeline_presentation,
     todd_coxeter,
     verify_pipeline,

@@ -36,7 +36,6 @@ from .permgroup import (
     element_order_histogram,
     is_dihedral_8,
     nondegeneracy_defects,
-    perm_order,
 )
 from .quantum import apply_steps, basis_state, marginal_distribution, measure, uniform_superposition
 
@@ -60,6 +59,8 @@ def parse_pipeline(source: str | Path | bytes) -> PipelineSpec:
         document = json.loads(text)
     except json.JSONDecodeError as e:
         raise PipelineFormatError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise PipelineFormatError("invalid JSON: nested too deeply") from None
     return pipeline_from_document(document)
 
 
@@ -188,10 +189,9 @@ def _cmd_lift(args, pipeline: PipelineSpec):
     lay = layout(pipeline)
     print(f"registers: widths {tuple(lay.widths)}, offsets {tuple(lay.offsets)}, total width {lay.total_width}")
     steps = []
-    for i in range(1, pipeline.n_steps + 1):
-        f = pipeline.steps[i - 1]
-        perm = step_involution(pipeline, i)
-        order = perm_order(perm)
+    for i, f in enumerate(pipeline.steps, start=1):
+        # XOR into a register it does not read: an involution, the identity iff f is zero
+        order = 1 if f.is_constant_zero else 2
         steps.append(
             {
                 "step": i,
@@ -199,10 +199,10 @@ def _cmd_lift(args, pipeline: PipelineSpec):
                 "arity_in": f.arity_in,
                 "arity_out": f.arity_out,
                 "order": order,
-                "is_identity": perm.is_identity,
+                "is_identity": f.is_constant_zero,
             }
         )
-        note = "identity (degenerate)" if perm.is_identity else f"order {order}"
+        note = "identity (degenerate)" if f.is_constant_zero else f"order {order}"
         print(f"step {i} (f{i}): {f.arity_in} -> {f.arity_out} bits, lifted involution: {note}")
     results = {
         "layout": {
@@ -460,7 +460,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             "input_digest": "sha256:" + hashlib.sha256(data).hexdigest(),
             "results": results,
         }
-        Path(args.json).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        try:
+            Path(args.json).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        except OSError as e:
+            print(f"error: cannot write {args.json}: {e}", file=sys.stderr)
+            return 1
     return exit_code
 
 

@@ -17,10 +17,10 @@ from typing import Sequence
 from .lifting import LiftingCheckFailed, PipelineSpec, step_involution
 from .permgroup import (
     DEFAULT_ELEMENT_CAP,
+    _product_orders,
     closure,
     evaluate_word,
-    perm_compose,
-    perm_order,
+    generator_defects,
 )
 
 DEFAULT_COSET_CAP = 100_000
@@ -38,24 +38,6 @@ class DegenerateGenerators(ValueError):
     def __init__(self, defects: Sequence[str]):
         super().__init__("degenerate generator set: " + "; ".join(defects))
         self.defects = tuple(defects)
-
-
-def generator_defects(generators) -> tuple[str, ...]:
-    """Violations of the Coxeter generator precondition: every generator an
-    involution (order exactly 2) and all pairwise distinct."""
-    generators = tuple(generators)
-    defects = []
-    for i, g in enumerate(generators, start=1):
-        k = perm_order(g)
-        if k == 1:
-            defects.append(f"generator {i} is the identity")
-        elif k != 2:
-            defects.append(f"generator {i} has order {k}, not an involution")
-    for i in range(len(generators)):
-        for j in range(i + 1, len(generators)):
-            if generators[i].mapping == generators[j].mapping:
-                defects.append(f"generators {i + 1} and {j + 1} are equal")
-    return tuple(defects)
 
 
 @dataclass(frozen=True)
@@ -97,15 +79,7 @@ def coxeter_matrix(generators) -> CoxeterMatrix:
     defects = generator_defects(generators)
     if defects:
         raise DegenerateGenerators(defects)
-    n = len(generators)
-    orders = tuple(
-        tuple(
-            1 if i == j else perm_order(perm_compose(generators[i], generators[j]))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return CoxeterMatrix(orders)
+    return CoxeterMatrix(_product_orders(generators))
 
 
 def claimed_coxeter_matrix(n: int) -> CoxeterMatrix:
@@ -384,9 +358,7 @@ def verify_pipeline(
     if not relations_hold:
         raise LiftingCheckFailed("a claimed relation failed on lifted involutions; lifting is broken")
     abstract = todd_coxeter(presentation, coset_cap)
-    product_orders = tuple(
-        tuple(perm_order(perm_compose(gens[i], gens[j])) for j in range(n)) for i in range(n)
-    )
+    product_orders = _product_orders(gens)
     if defects:
         verdict = DEGENERATE
     elif abstract is None:

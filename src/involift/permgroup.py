@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .lifting import Perm
@@ -72,17 +74,16 @@ class GroupClosure:
 
     elements[0] is the identity; words[e] is a minimal-length generator word
     evaluating to elements[e] (ties broken toward the lexicographically
-    smallest word); cayley[i][j] is the index of elements[i] composed with
-    elements[j].
+    smallest word); left[g][e] is the index of generators[g] composed with
+    elements[e]; parents[e] is the index of the element whose word is
+    words[e] without its first symbol (parents[0] is 0).
     """
 
     generators: tuple[Perm, ...]
     elements: tuple[Perm, ...]
     words: tuple[tuple[int, ...], ...]
-    cayley: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", {p.mapping: i for i, p in enumerate(self.elements)})
+    left: tuple[tuple[int, ...], ...]
+    parents: tuple[int, ...]
 
     @property
     def generator_count(self) -> int:
@@ -91,14 +92,16 @@ class GroupClosure:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def index_of(self, perm: Perm) -> int:
-        try:
-            return self._index[perm.mapping]  # type: ignore[attr-defined]
-        except KeyError:
-            raise ValueError("permutation is not an element of this group") from None
-
-    def inverse_index(self, element: int) -> int:
-        return self.cayley[element].index(0)
+    @cached_property
+    def cayley(self) -> tuple[tuple[int, ...], ...]:
+        """cayley[i][j] is the index of elements[i] composed with elements[j],
+        built on first use by lookup only: elements[k] is generators[g] after
+        elements[parents[k]], g = words[k][0], so row k is that row through left[g]."""
+        rows = [tuple(range(len(self)))]
+        for k in range(1, len(self)):
+            step = self.left[self.words[k][0]]
+            rows.append(tuple([step[x] for x in rows[self.parents[k]]]))
+        return tuple(rows)
 
 
 def closure(generators: Sequence[Perm], element_cap: int = DEFAULT_ELEMENT_CAP) -> GroupClosure:
@@ -107,9 +110,10 @@ def closure(generators: Sequence[Perm], element_cap: int = DEFAULT_ELEMENT_CAP) 
     Starting from the identity, each frontier element is multiplied on the
     left by every generator (generators in given order, frontier in
     discovery order), which makes the discovery order deterministic and
-    yields shortest, lexicographically smallest words.  The Cayley table is
-    filled by lookup afterwards.  Raises :class:`ClosureCapExceeded` when
-    the group has more than ``element_cap`` elements.
+    yields shortest, lexicographically smallest words.  No other code
+    composes elements: the Cayley table is read from ``left`` on demand.
+    Raises :class:`ClosureCapExceeded` when the group has more than
+    ``element_cap`` elements.
     """
     gens = tuple(generators)
     if not gens:
@@ -124,32 +128,28 @@ def closure(generators: Sequence[Perm], element_cap: int = DEFAULT_ELEMENT_CAP) 
     identity = Perm.identity(width)
     elements = [identity]
     words: list[tuple[int, ...]] = [()]
+    parents = [0]
+    left: list[list[int]] = [[] for _ in gens]
     index = {identity.mapping: 0}
-    frontier = [0]
+    # frontiers are contiguous index ranges, so each left[g] fills in index order
+    frontier = range(1)
     while frontier:
-        next_frontier = []
         for gi, gen in enumerate(gens):
             gm = gen.mapping
+            row = left[gi]
             for ei in frontier:
                 product = tuple(gm[v] for v in elements[ei].mapping)
-                if product in index:
-                    continue
-                if len(elements) >= element_cap:
-                    raise ClosureCapExceeded(element_cap)
-                index[product] = len(elements)
-                words.append((gi,) + words[ei])
-                elements.append(Perm(width, product))
-                next_frontier.append(len(elements) - 1)
-        frontier = next_frontier
-
-    size = len(elements)
-    cayley = []
-    for i in range(size):
-        pm = elements[i].mapping
-        cayley.append(tuple(index[tuple(pm[v] for v in elements[j].mapping)] for j in range(size)))
-    return GroupClosure(
-        generators=gens, elements=tuple(elements), words=tuple(words), cayley=tuple(cayley)
-    )
+                k = index.get(product)
+                if k is None:
+                    if len(elements) >= element_cap:
+                        raise ClosureCapExceeded(element_cap)
+                    k = index[product] = len(elements)
+                    words.append((gi,) + words[ei])
+                    parents.append(ei)
+                    elements.append(Perm(width, product))
+                row.append(k)
+        frontier = range(frontier.stop, len(elements))
+    return GroupClosure(gens, tuple(elements), tuple(words), tuple(map(tuple, left)), tuple(parents))
 
 
 def shortest_word(group: GroupClosure, element: int) -> tuple[int, ...]:
@@ -209,13 +209,13 @@ def is_dihedral_8(group: GroupClosure) -> Dihedral8Witness | None:
     def qualifies(a: int, b: int) -> bool:
         if orders[a] != 4 or orders[b] != 2:
             return False
-        if group.cayley[b][group.cayley[a][b]] != group.inverse_index(a):
+        if group.cayley[b][group.cayley[a][b]] != group.cayley[a].index(0):
             return False
         return _span(group.cayley, (a, b)) == len(group)
 
     if group.generator_count == 2:
-        a = group.index_of(perm_compose(group.generators[0], group.generators[1]))
-        b = group.index_of(group.generators[1])
+        b = group.left[1][0]
+        a = group.left[0][b]
         if qualifies(a, b):
             return Dihedral8Witness(a, b, from_generators=True)
     for a in range(len(group)):
@@ -225,21 +225,44 @@ def is_dihedral_8(group: GroupClosure) -> Dihedral8Witness | None:
     return None
 
 
-def nondegeneracy_defects(generators: Sequence[Perm]) -> tuple[str, ...]:
-    """Violations of the generic-case conditions: no generator may be the
-    identity, generators must be pairwise distinct, and every adjacent
-    product must have order 4.  Empty result means nondegenerate."""
+def generator_defects(generators: Sequence[Perm]) -> tuple[str, ...]:
+    """Violations of the Coxeter generator precondition: every generator an
+    involution (order exactly 2) and all pairwise distinct."""
     generators = tuple(generators)
     defects = []
     for i, g in enumerate(generators, start=1):
-        if g.is_identity:
+        k = perm_order(g)
+        if k == 1:
             defects.append(f"generator {i} is the identity")
+        elif k != 2:
+            defects.append(f"generator {i} has order {k}, not an involution")
     for i in range(len(generators)):
         for j in range(i + 1, len(generators)):
             if generators[i].mapping == generators[j].mapping:
                 defects.append(f"generators {i + 1} and {j + 1} are equal")
+    return tuple(defects)
+
+
+def _product_orders(generators: Sequence[Perm]) -> tuple[tuple[int, ...], ...]:
+    """Orders of the pairwise products of involutions, 1 on the diagonal.
+
+    Each unordered pair is composed once: ab and ba are conjugate, so they
+    have the same order.
+    """
+    orders = [[1] * len(generators) for _ in generators]
+    for i, j in combinations(range(len(generators)), 2):
+        orders[i][j] = orders[j][i] = perm_order(perm_compose(generators[i], generators[j]))
+    return tuple(map(tuple, orders))
+
+
+def nondegeneracy_defects(generators: Sequence[Perm]) -> tuple[str, ...]:
+    """Violations of the generic-case conditions: the generators must be
+    pairwise-distinct involutions (see :func:`generator_defects`) and every
+    adjacent product must have order 4.  Empty result means nondegenerate."""
+    generators = tuple(generators)
+    defects = list(generator_defects(generators))
+    orders = _product_orders(generators)
     for i in range(len(generators) - 1):
-        k = perm_order(perm_compose(generators[i + 1], generators[i]))
-        if k != 4:
+        if (k := orders[i][i + 1]) != 4:
             defects.append(f"product of adjacent generators {i + 1} and {i + 2} has order {k}, expected 4")
     return tuple(defects)

@@ -14,9 +14,10 @@ from involift.cli import (
     pipeline_from_document,
 )
 from involift import coxeter, lifting
-from involift.boolfn import random_fn
+from involift.boolfn import random_fn, zero_fn
 from involift.coxeter import RelationCheck
-from involift.lifting import PipelineSpec, random_pipeline
+from involift.lifting import PipelineSpec, random_pipeline, step_involution
+from involift.permgroup import GroupClosure, perm_order
 
 from conftest import ID1
 
@@ -264,6 +265,36 @@ def test_lift_command(tmp_path, capsys):
     assert "step 2 (f2)" in out
 
 
+@given(seed=st.integers(0, 2**64 - 1), steps=st.integers(1, 2), zeroed=st.sets(st.integers(0, 1)))
+@settings(max_examples=40)
+def test_lift_orders_match_permutations(tmp_path_factory, seed, steps, zeroed):
+    # lift reports order and identity from the truth tables; check them
+    # against the lifted permutations (W <= 9)
+    pipeline = random_pipeline(seed, steps=steps, max_width=3)
+    fns = tuple(zero_fn(f.arity_in, f.arity_out) if i in zeroed else f for i, f in enumerate(pipeline.steps))
+    pipeline = PipelineSpec(pipeline.widths, fns)
+    directory = tmp_path_factory.mktemp("lift")
+    path, report_path = directory / "pipeline.json", directory / "report.json"
+    path.write_text(emit_pipeline(pipeline), encoding="utf-8")
+    assert main(["lift", str(path), "--json", str(report_path)]) == 0
+    reported = json.loads(report_path.read_text())["results"]["steps"]
+    for i, step in enumerate(reported, start=1):
+        perm = step_involution(pipeline, i)
+        assert (step["order"], step["is_identity"]) == (perm_order(perm), perm.is_identity)
+
+
+def test_verify_and_group_build_no_cayley_table(tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the Cayley table was built")
+
+    monkeypatch.setattr(GroupClosure, "cayley", property(refuse))
+    doc = {"format_version": 1, "registers": [1, 1, 1, 1], "functions": [{"table": ["0", "1"]}] * 3}
+    path = _write(tmp_path, doc)
+    assert main(["verify", path, "--coset-cap", "500"]) == 2
+    assert main(["group", path]) == 0
+    assert "closure order: 64" in capsys.readouterr().out
+
+
 def test_coxeter_command(tmp_path, capsys):
     path = _write(tmp_path, P1_DOC)
     assert main(["coxeter", path]) == 0
@@ -308,6 +339,22 @@ def test_unknown_flag_exit_1(tmp_path, capsys):
 
 def test_missing_file_exit_1(capsys):
     assert main(["verify", "/nonexistent/path.json"]) == 1
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", ""], ids=["missing_directory", "directory"])
+def test_unwritable_report_exit_1(tmp_path, capsys, target):
+    path = _write(tmp_path, P1_DOC)
+    assert main(["lift", path, "--json", str(tmp_path / target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ")
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_document_exit_1(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    assert main(["verify", str(deep)]) == 1
+    assert capsys.readouterr().err == "error: invalid JSON: nested too deeply\n"
 
 
 def test_invalid_document_exit_1(tmp_path, capsys):

@@ -247,6 +247,15 @@ def test_verify_two_step_confirmed(two_step_id):
     assert report.product_orders == ((1, 4), (4, 1))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_identity_pipeline_order(n):
+    # the n-step 1-bit identity group is unitriangular: order 2^(n(n+1)/2);
+    # n = 5 (32768 elements) needs no Cayley table to be counted
+    report = verify_pipeline(PipelineSpec((1,) * (n + 1), (ID1,) * n), coset_cap=1000)
+    assert report.concrete_order == 2 ** (n * (n + 1) // 2)
+    assert report.verdict == (CONFIRMED if n == 2 else BOUND_EXCEEDED)
+
+
 def test_verify_degenerate(two_step_zero_first):
     report = verify_pipeline(two_step_zero_first)
     assert report.verdict == DEGENERATE

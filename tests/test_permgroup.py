@@ -120,12 +120,19 @@ def test_closure_requires_matching_widths():
         closure([])
 
 
-def test_closure_cayley_is_composition_table(two_step_id):
-    grp = closure(_two_step_gens(two_step_id))
-    for i in range(len(grp)):
-        for j in range(len(grp)):
-            product = perm_compose(grp.elements[i], grp.elements[j])
-            assert grp.elements[grp.cayley[i][j]] == product
+def test_closure_cayley_is_composition_table(two_step_id, three_step_id):
+    # the table is read from the generator action table and BFS parents;
+    # S4 from a 4-cycle and a transposition checks it with a generator that
+    # is not an involution
+    s4 = [Perm(2, (1, 2, 3, 0)), Perm(2, (1, 0, 2, 3))]
+    three_step = [step_involution(three_step_id, i) for i in (1, 2, 3)]
+    for gens, order in ((_two_step_gens(two_step_id), 8), (three_step, 64), (s4, 24)):
+        grp = closure(gens)
+        assert len(grp) == order
+        for i in range(len(grp)):
+            for j in range(len(grp)):
+                product = perm_compose(grp.elements[i], grp.elements[j])
+                assert grp.elements[grp.cayley[i][j]] == product
 
 
 def test_words_are_minimal_and_evaluate_back(two_step_id):
@@ -164,7 +171,7 @@ def test_shortest_word_tie_break(two_step_id):
     s21 = perm_compose(s2, s1)
     s21_sq = perm_compose(s21, s21)
     # (f2 f1)^2 equals (f1 f2)^2; the lexicographically smaller word wins
-    assert shortest_word(grp, grp.index_of(s21_sq)) == (0, 1, 0, 1)
+    assert shortest_word(grp, grp.elements.index(s21_sq)) == (0, 1, 0, 1)
     assert shortest_word(grp, 0) == ()
     with pytest.raises(ValueError, match="out of range"):
         shortest_word(grp, 8)
