@@ -1,18 +1,15 @@
 """Lift pipelines of non-invertible Boolean functions to involutions on a
 shared register space, enumerate the group those involutions generate,
-test the group's Coxeter presentation by coset enumeration, and simulate
-the induced permutation unitaries on qubit registers."""
+test the group's Coxeter presentation by coset enumeration, and apply the
+induced unitaries to sparse qubit-register states."""
 
 __version__ = "0.1.0"
 
 from .boolfn import (
     BoolFunc,
     MAX_FN_ARITY,
-    compose_fn,
     identity_fn,
-    pack_bits,
     random_fn,
-    unpack_bits,
     zero_fn,
 )
 from .lifting import (
@@ -24,7 +21,6 @@ from .lifting import (
     RegisterLayout,
     apply_word,
     layout,
-    pipeline_from_steps,
     random_pipeline,
     run_classical,
     step_involution,
@@ -41,9 +37,7 @@ from .permgroup import (
     is_dihedral_8,
     nondegeneracy_defects,
     perm_compose,
-    perm_inverse,
     perm_order,
-    shortest_word,
 )
 from .coxeter import (
     BOUND_EXCEEDED,
@@ -66,16 +60,10 @@ from .coxeter import (
 from .quantum import (
     AMPLITUDE_TOLERANCE,
     MeasurementResult,
-    PermUnitary,
     QState,
-    RepresentationReport,
-    apply,
     apply_steps,
     basis_state,
     marginal_distribution,
     measure,
-    random_state,
-    representation_check,
-    states_close,
     uniform_superposition,
 )

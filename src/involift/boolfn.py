@@ -9,32 +9,12 @@ the least significant bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .rng import SplitMix64
 
 # Truth tables are materialized in full, so input arity is capped to keep
 # them desk-scale (at most 2^16 entries).
 MAX_FN_ARITY = 16
-
-
-def pack_bits(bits: Sequence[int], width: int) -> int:
-    """Pack a bit tuple into an integer, first component least significant."""
-    if len(bits) != width:
-        raise ValueError(f"expected {width} bits, got {len(bits)}")
-    value = 0
-    for j, bit in enumerate(bits):
-        if bit not in (0, 1):
-            raise ValueError(f"bit {j} is {bit!r}, expected 0 or 1")
-        value |= bit << j
-    return value
-
-
-def unpack_bits(value: int, width: int) -> tuple[int, ...]:
-    """Exact inverse of :func:`pack_bits`."""
-    if not 0 <= value < 1 << width:
-        raise ValueError(f"value {value} out of range for width {width}")
-    return tuple((value >> j) & 1 for j in range(width))
 
 
 @dataclass(frozen=True)
@@ -86,16 +66,6 @@ def identity_fn(width: int) -> BoolFunc:
 def zero_fn(arity_in: int, arity_out: int) -> BoolFunc:
     """The constant-zero function (its lifted involution is the identity)."""
     return BoolFunc(arity_in, arity_out, (0,) * (1 << arity_in))
-
-
-def compose_fn(g: BoolFunc, f: BoolFunc) -> BoolFunc:
-    """Functional composition g after f; f's output arity must match g's input."""
-    if f.arity_out != g.arity_in:
-        raise ValueError(
-            f"cannot compose: inner function outputs {f.arity_out} bits, "
-            f"outer function expects {g.arity_in}"
-        )
-    return BoolFunc(f.arity_in, g.arity_out, tuple(g.table[v] for v in f.table))
 
 
 def random_fn(arity_in: int, arity_out: int, seed: int) -> BoolFunc:

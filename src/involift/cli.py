@@ -28,7 +28,15 @@ from .coxeter import (
     verify_pipeline,
     _presentation_for_steps,
 )
-from .lifting import LiftingCheckFailed, PipelineSpec, apply_word, layout, run_classical, step_involution
+from .lifting import (
+    DEFAULT_WIDTH_CAP,
+    LiftingCheckFailed,
+    PipelineSpec,
+    apply_word,
+    layout,
+    run_classical,
+    step_involution,
+)
 from .permgroup import (
     ClosureCapExceeded,
     DEFAULT_ELEMENT_CAP,
@@ -74,9 +82,10 @@ def pipeline_from_document(document: object) -> PipelineSpec:
     for required in ("format_version", "registers", "functions"):
         if required not in document:
             raise PipelineFormatError(f"missing field: {required}")
-    if document["format_version"] != FORMAT_VERSION:
+    version = document["format_version"]
+    if not isinstance(version, int) or isinstance(version, bool) or version != FORMAT_VERSION:
         raise PipelineFormatError(
-            f"format_version {document['format_version']!r} is not supported (expected {FORMAT_VERSION})"
+            f"format_version {version!r} is not supported (expected {FORMAT_VERSION})"
         )
     if "name" in document and not isinstance(document["name"], str):
         raise PipelineFormatError("name must be a string")
@@ -94,6 +103,13 @@ def pipeline_from_document(document: object) -> PipelineSpec:
         raise PipelineFormatError(
             f"{len(registers)} registers need {len(registers) - 1} functions, got {len(functions)}"
         )
+    # PipelineSpec caps the total width only after the truth tables are built,
+    # and a table's entry bound is 2^arity_out: a register over the cap fails first
+    if max(registers) > DEFAULT_WIDTH_CAP:
+        total = sum(registers)
+        if total > DEFAULT_WIDTH_CAP:
+            raise PipelineFormatError(f"total width {total} exceeds the cap of {DEFAULT_WIDTH_CAP}")
+        raise PipelineFormatError(f"register width {max(registers)} exceeds the cap of {DEFAULT_WIDTH_CAP}")
     steps = []
     for i, obj in enumerate(functions):
         if not isinstance(obj, dict):
@@ -249,7 +265,7 @@ def _cmd_group(args, pipeline: PipelineSpec):
             "from_generators": witness.from_generators,
         }
     if args.cayley:
-        results["cayley"] = [list(row) for row in group.cayley]
+        results["cayley"] = group.cayley
         results["words"] = [_render_word(w) for w in group.words]
     return 0, results
 
@@ -308,7 +324,7 @@ def _cmd_verify(args, pipeline: PipelineSpec):
         "relations": [
             {"relator": _render_word(c.relator), "holds": c.holds} for c in report.relation_checks
         ],
-        "product_orders": [list(row) for row in report.product_orders],
+        "product_orders": report.product_orders,
         "defects": list(report.defects),
         "isomorphism_established": report.isomorphism_established,
     }

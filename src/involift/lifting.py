@@ -71,10 +71,6 @@ class RegisterLayout:
             position += w
         return cls(widths, tuple(offsets), position)
 
-    def extract(self, state: int, register: int) -> int:
-        self._check_register(register)
-        return (state >> self.offsets[register]) & ((1 << self.widths[register]) - 1)
-
     def unpack_registers(self, state: int) -> tuple[int, ...]:
         if not 0 <= state < 1 << self.total_width:
             raise ValueError(f"state {state} out of range for width {self.total_width}")
@@ -91,10 +87,6 @@ class RegisterLayout:
                 raise ValueError(f"register {i} value {v} out of range for width {w}")
             state |= v << off
         return state
-
-    def _check_register(self, register: int) -> None:
-        if not 0 <= register < len(self.widths):
-            raise ValueError(f"register {register} out of range 0..{len(self.widths) - 1}")
 
 
 @dataclass(frozen=True)
@@ -136,15 +128,6 @@ class PipelineSpec:
     @property
     def total_width(self) -> int:
         return sum(self.widths)
-
-
-def pipeline_from_steps(steps: Sequence[BoolFunc]) -> PipelineSpec:
-    """Build a pipeline from its step functions, deriving register widths."""
-    steps = tuple(steps)
-    if not steps:
-        raise ValueError("a pipeline needs at least one step")
-    widths = (steps[0].arity_in,) + tuple(f.arity_out for f in steps)
-    return PipelineSpec(widths, steps)
 
 
 def layout(pipeline: PipelineSpec) -> RegisterLayout:

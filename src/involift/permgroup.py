@@ -30,13 +30,6 @@ def perm_compose(p: Perm, q: Perm) -> Perm:
     return Perm(p.total_width, tuple(pm[v] for v in q.mapping))
 
 
-def perm_inverse(p: Perm) -> Perm:
-    inverse = [0] * len(p.mapping)
-    for i, v in enumerate(p.mapping):
-        inverse[v] = i
-    return Perm(p.total_width, tuple(inverse))
-
-
 def perm_order(p: Perm) -> int:
     """Smallest k >= 1 with p^k = identity, as the lcm of cycle lengths."""
     mapping = p.mapping
@@ -150,13 +143,6 @@ def closure(generators: Sequence[Perm], element_cap: int = DEFAULT_ELEMENT_CAP) 
                 row.append(k)
         frontier = range(frontier.stop, len(elements))
     return GroupClosure(gens, tuple(elements), tuple(words), tuple(map(tuple, left)), tuple(parents))
-
-
-def shortest_word(group: GroupClosure, element: int) -> tuple[int, ...]:
-    """Minimal generator word for an element, by index."""
-    if not 0 <= element < len(group):
-        raise ValueError(f"element index {element} out of range 0..{len(group) - 1}")
-    return group.words[element]
 
 
 def element_order_histogram(group: GroupClosure) -> dict[int, int]:

@@ -1,11 +1,12 @@
-"""Permutation unitaries acting on sparse qubit-register states.
+"""Sparse qubit-register states and the unitaries of lifted-step words.
 
-A permutation of basis indices extends linearly to a unitary on the
-2^W-dimensional state space; applying it just reroutes amplitudes, so
-states are kept as sparse index -> amplitude maps and norms are preserved
-exactly.  Measurement samples a register's exact Born distribution with a
-seeded generator and never collapses the state (every shot is an
-independent preparation).
+A lifted step permutes basis indices, so it extends linearly to a unitary
+on the 2^W-dimensional state space, and applying a word of steps just
+reroutes amplitudes: states are kept as sparse index -> amplitude maps,
+:func:`apply_steps` routes each amplitude through the word, and norms are
+preserved exactly.  Measurement samples a register's exact Born
+distribution with a seeded generator and never collapses the state (every
+shot is an independent preparation).
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .lifting import Perm, PipelineSpec, RegisterLayout, apply_word
-from .permgroup import GroupClosure, perm_inverse
+from .lifting import PipelineSpec, RegisterLayout, apply_word
 from .rng import SplitMix64
 
 AMPLITUDE_TOLERANCE = 1e-12  # slack for normalization arithmetic only
@@ -47,25 +47,8 @@ class QState:
         if abs(squared - 1.0) > AMPLITUDE_TOLERANCE:
             raise ValueError(f"squared norm {squared} is not 1 within {AMPLITUDE_TOLERANCE}")
 
-    def amplitude(self, index: int) -> complex:
-        return self.amplitudes.get(index, 0j)
-
     def norm(self) -> float:
         return math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in self.amplitudes.values()))
-
-
-@dataclass(frozen=True)
-class PermUnitary:
-    """The unitary permuting basis states by ``perm``."""
-
-    perm: Perm
-
-    @property
-    def total_width(self) -> int:
-        return self.perm.total_width
-
-    def adjoint(self) -> "PermUnitary":
-        return PermUnitary(perm_inverse(self.perm))
 
 
 def basis_state(layout: RegisterLayout, values: Sequence[int]) -> QState:
@@ -93,16 +76,6 @@ def uniform_superposition(layout: RegisterLayout, register: int, base: QState) -
         raise ValueError(f"register {register} of the base state must be 0")
     scale = amp * 2.0 ** (-width / 2)
     return QState(base.total_width, {index | (v << offset): scale for v in range(1 << width)})
-
-
-def apply(unitary: PermUnitary, state: QState) -> QState:
-    """Route the amplitude at index i to perm(i); the norm is untouched."""
-    if unitary.total_width != state.total_width:
-        raise ValueError(
-            f"width mismatch: unitary acts on {unitary.total_width}, state on {state.total_width}"
-        )
-    mapping = unitary.perm.mapping
-    return QState(state.total_width, {mapping[i]: a for i, a in state.amplitudes.items()})
 
 
 def apply_steps(pipeline: PipelineSpec, word: Sequence[int], state: QState) -> QState:
@@ -170,99 +143,3 @@ def measure(
             k -= 1
         counts[values[k]] = counts.get(values[k], 0) + 1
     return MeasurementResult(register, counts, seed, shots)
-
-
-def random_state(width: int, seed: int, support: int = 8) -> QState:
-    """Seeded random state on at most ``support`` basis indices.
-
-    Indices come from masked SplitMix64 words (repeats rejected); real and
-    imaginary parts are uniform on [-1, 1); the vector is then normalized
-    and pruned.
-    """
-    if support < 1:
-        raise ValueError("support must be >= 1")
-    size = 1 << width
-    k = min(support, size)
-    rng = SplitMix64(seed)
-    indices: list[int] = []
-    seen: set[int] = set()
-    while len(indices) < k:
-        index = rng.next_bits(width)
-        if index not in seen:
-            seen.add(index)
-            indices.append(index)
-    raw = {i: complex(2.0 * rng.next_float() - 1.0, 2.0 * rng.next_float() - 1.0) for i in indices}
-    norm = math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in raw.values()))
-    if norm < 1e-9:  # vanishing draw; keep the state well-defined
-        raw = {indices[0]: 1.0 + 0j}
-        norm = 1.0
-    amplitudes = {i: a / norm for i, a in raw.items() if abs(a / norm) >= PRUNE_THRESHOLD}
-    return QState(width, amplitudes)
-
-
-def states_close(a: QState, b: QState, tolerance: float = AMPLITUDE_TOLERANCE) -> bool:
-    """Amplitude-wise comparison over the union of supports."""
-    if a.total_width != b.total_width:
-        return False
-    keys = a.amplitudes.keys() | b.amplitudes.keys()
-    return all(abs(a.amplitude(k) - b.amplitude(k)) <= tolerance for k in keys)
-
-
-@dataclass(frozen=True)
-class RepresentationReport:
-    group_order: int
-    pairs_checked: int
-    states_per_pair: int
-    product_failures: tuple[tuple[int, int], ...]
-    injectivity_ok: bool
-    unitarity_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return not self.product_failures and self.injectivity_ok and self.unitarity_ok
-
-
-def representation_check(group: GroupClosure, trials: int = 5, seed: int = 0) -> RepresentationReport:
-    """Check that index-permuting unitaries represent the group.
-
-    For element pairs (a, b) - all of them when the group has at most 64
-    elements, a seeded sample of 4096 pairs otherwise - verifies on
-    ``trials`` random states each that applying U_b then U_a matches
-    U_{a composed with b} within the amplitude tolerance.  Injectivity is
-    checked through pairwise-distinct permutations, unitarity through norm
-    preservation on one random state per element.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    width = group.elements[0].total_width
-    rng = SplitMix64(seed)
-    size = len(group)
-    if size <= 64:
-        pairs = [(i, j) for i in range(size) for j in range(size)]
-    else:
-        pairs = [(rng.next_u64() % size, rng.next_u64() % size) for _ in range(4096)]
-    failures = []
-    unitaries = [PermUnitary(p) for p in group.elements]
-    for i, j in pairs:
-        product = unitaries[group.cayley[i][j]]
-        for _ in range(trials):
-            state = random_state(width, rng.next_u64())
-            if not states_close(apply(product, state), apply(unitaries[i], apply(unitaries[j], state))):
-                failures.append((i, j))
-                break
-    injective = len({p.mapping for p in group.elements}) == size
-    unitary_ok = True
-    for u in unitaries:
-        state = random_state(width, rng.next_u64())
-        out = apply(u, state)
-        squared = sum(a.real * a.real + a.imag * a.imag for a in out.amplitudes.values())
-        if abs(squared - 1.0) > AMPLITUDE_TOLERANCE:
-            unitary_ok = False
-    return RepresentationReport(
-        group_order=size,
-        pairs_checked=len(pairs),
-        states_per_pair=trials,
-        product_failures=tuple(failures),
-        injectivity_ok=injective,
-        unitarity_ok=unitary_ok,
-    )

@@ -1,10 +1,15 @@
-"""Shared fixtures: canonical small pipelines, the seeded random corpus, and
-an oracle that builds permutations straight from register-tuple rules."""
+"""Shared fixtures: canonical small pipelines, the seeded random corpus, an
+oracle that builds permutations straight from register-tuple rules, and
+seeded random states."""
+
+import math
 
 import pytest
 
 from involift.boolfn import BoolFunc, identity_fn, zero_fn
 from involift.lifting import Perm, PipelineSpec, layout, random_pipeline
+from involift.quantum import PRUNE_THRESHOLD, QState
+from involift.rng import SplitMix64
 
 SUITE_BASE_SEED = 1000
 SUITE_SIZE = 100
@@ -53,3 +58,31 @@ def rule_perm():
         return Perm(lay.total_width, tuple(mapping))
 
     return build
+
+
+def random_state(width: int, seed: int, support: int = 8) -> QState:
+    """Seeded random state on at most ``support`` basis indices.
+
+    Indices come from masked SplitMix64 words (repeats rejected); real and
+    imaginary parts are uniform on [-1, 1); the vector is then normalized
+    and pruned.
+    """
+    if support < 1:
+        raise ValueError("support must be >= 1")
+    size = 1 << width
+    k = min(support, size)
+    rng = SplitMix64(seed)
+    indices: list[int] = []
+    seen: set[int] = set()
+    while len(indices) < k:
+        index = rng.next_bits(width)
+        if index not in seen:
+            seen.add(index)
+            indices.append(index)
+    raw = {i: complex(2.0 * rng.next_float() - 1.0, 2.0 * rng.next_float() - 1.0) for i in indices}
+    norm = math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in raw.values()))
+    if norm < 1e-9:  # vanishing draw; keep the state well-defined
+        raw = {indices[0]: 1.0 + 0j}
+        norm = 1.0
+    amplitudes = {i: a / norm for i, a in raw.items() if abs(a / norm) >= PRUNE_THRESHOLD}
+    return QState(width, amplitudes)

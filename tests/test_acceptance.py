@@ -30,17 +30,10 @@ from involift.permgroup import (
     is_dihedral_8,
     nondegeneracy_defects,
     perm_compose,
-    perm_inverse,
 )
-from involift.quantum import (
-    AMPLITUDE_TOLERANCE,
-    PermUnitary,
-    apply,
-    basis_state,
-    measure,
-    representation_check,
-    uniform_superposition,
-)
+from involift.quantum import AMPLITUDE_TOLERANCE, apply_steps, basis_state, measure, uniform_superposition
+
+from conftest import random_state
 
 
 def criterion(label):
@@ -109,7 +102,7 @@ def test_two_step_product_identities(pipeline_suite, rule_perm):
         s21 = perm_compose(s2, s1)
         s12 = perm_compose(s1, s2)
         # adjacent products invert each other
-        assert perm_inverse(s21) == s12 and perm_inverse(s12) == s21
+        assert perm_compose(s12, s21).is_identity and perm_compose(s21, s12).is_identity
         # closed forms of the mixed products
         assert s21 == rule_perm(pipeline, rule_s2s1)
         assert perm_compose(s1, s21) == rule_perm(pipeline, rule_s1s2s1)
@@ -230,8 +223,10 @@ def test_dihedral_family_oracle():
     assert time.perf_counter() - started < 2.0
 
 
-@criterion("permutation unitaries represent every small nondegenerate two-step group")
+@criterion("word unitaries represent every small nondegenerate two-step group")
 def test_unitary_representation_exhaustive(pipeline_suite):
+    # U(words[a]) U(words[b]) = U(words[a b]) for all 64 pairs, and so does the
+    # concatenated word: a unitary depends only on its element, not on the word
     started = time.perf_counter()
     checked = 0
     for k, pipeline in enumerate(pipeline_suite):
@@ -241,9 +236,15 @@ def test_unitary_representation_exhaustive(pipeline_suite):
         if nondegeneracy_defects((s1, s2)):
             continue
         group = closure((s1, s2))
-        report = representation_check(group, trials=5, seed=50_000 + k)
-        assert report.passed
-        assert report.pairs_checked == 64 and report.group_order == 8
+        assert len(group) == 8
+        steps = [tuple(s + 1 for s in w) for w in group.words]  # 1-based, as apply_steps takes them
+        for a in range(8):
+            for b in range(8):
+                for trial in range(5):
+                    state = random_state(pipeline.total_width, 50_000 + 1000 * k + 64 * trial + 8 * a + b)
+                    product = apply_steps(pipeline, steps[group.cayley[a][b]], state)
+                    assert apply_steps(pipeline, steps[a], apply_steps(pipeline, steps[b], state)) == product
+                    assert apply_steps(pipeline, steps[a] + steps[b], state) == product
         checked += 1
     assert checked >= 10, f"suite produced only {checked} small nondegenerate pipelines"
     assert time.perf_counter() - started < 10.0
@@ -256,19 +257,16 @@ def test_quantum_evaluation(pipeline_suite, two_step_id):
         assert pipeline.total_width <= 9
         lay = layout(pipeline)
         f, g = pipeline.steps
-        s1, s2 = _two_step(pipeline)
-        unitary = PermUnitary(perm_compose(s2, s1))
         for x in range(1 << pipeline.widths[0]):
-            out = apply(unitary, basis_state(lay, (x, 0, 0)))
+            out = apply_steps(pipeline, (2, 1), basis_state(lay, (x, 0, 0)))
             expected = basis_state(lay, (x, f(x), g(f(x))))
             assert out.amplitudes == expected.amplitudes
             shots = measure(out, lay, 2, seed=60_000 + 17 * k + x, shots=20)
             assert shots.counts == {g(f(x)): 20}
 
     lay = layout(two_step_id)
-    s1, s2 = _two_step(two_step_id)
     prepared = uniform_superposition(lay, 0, basis_state(lay, (0, 0, 0)))
-    out = apply(PermUnitary(perm_compose(s2, s1)), prepared)
+    out = apply_steps(two_step_id, (2, 1), prepared)
     assert abs(out.norm() - 1.0) <= AMPLITUDE_TOLERANCE
     result = measure(out, lay, 2, seed=20250810, shots=10_000)
     for value in (0, 1):

@@ -3,54 +3,52 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from involift.boolfn import (
-    BoolFunc,
-    MAX_FN_ARITY,
-    compose_fn,
-    identity_fn,
-    pack_bits,
-    random_fn,
-    unpack_bits,
-    zero_fn,
-)
+from involift.boolfn import BoolFunc, MAX_FN_ARITY, identity_fn, random_fn, zero_fn
+from involift.lifting import RegisterLayout
 
 seeds = st.integers(0, 2**64 - 1)
 
 
+def _bits(width):
+    # a bit tuple packs as a layout of 1-bit registers
+    return RegisterLayout.from_widths((1,) * width)
+
+
 def test_pack_bits_examples():
-    assert pack_bits((1, 0, 0), 3) == 1
-    assert pack_bits((0, 0, 0), 3) == 0
+    assert _bits(3).pack_registers((1, 0, 0)) == 1
+    assert _bits(3).pack_registers((0, 0, 0)) == 0
     # 1*1 + 1*2 + 0*4, first component least significant
-    assert pack_bits((1, 1, 0), 3) == 3
+    assert _bits(3).pack_registers((1, 1, 0)) == 3
 
 
 def test_pack_bits_length_mismatch():
-    with pytest.raises(ValueError, match="expected 3 bits"):
-        pack_bits((1, 0), 3)
+    with pytest.raises(ValueError, match="expected 3 register values"):
+        _bits(3).pack_registers((1, 0))
 
 
 def test_pack_bits_rejects_non_bits():
-    with pytest.raises(ValueError, match="expected 0 or 1"):
-        pack_bits((0, 2, 0), 3)
+    with pytest.raises(ValueError, match="register 1 value 2 out of range for width 1"):
+        _bits(3).pack_registers((0, 2, 0))
 
 
 def test_unpack_bits_range():
     with pytest.raises(ValueError, match="out of range"):
-        unpack_bits(8, 3)
+        _bits(3).unpack_registers(8)
 
 
 def test_pack_unpack_roundtrip_exhaustive():
     for width in range(1, 9):
+        bits = _bits(width)
         for value in range(1 << width):
-            assert pack_bits(unpack_bits(value, width), width) == value
-        for bits in product((0, 1), repeat=width):
-            assert unpack_bits(pack_bits(bits, width), width) == bits
+            assert bits.pack_registers(bits.unpack_registers(value)) == value
+        for t in product((0, 1), repeat=width):
+            assert bits.unpack_registers(bits.pack_registers(t)) == t
 
 
 @given(width=st.integers(9, 16), data=st.data())
 def test_pack_unpack_roundtrip_wide(width, data):
     value = data.draw(st.integers(0, (1 << width) - 1))
-    assert pack_bits(unpack_bits(value, width), width) == value
+    assert _bits(width).pack_registers(_bits(width).unpack_registers(value)) == value
 
 
 def test_identity_and_constant_tables():
@@ -94,38 +92,6 @@ def test_eval_examples():
 def test_eval_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         identity_fn(1)(2)
-
-
-def test_compose_examples():
-    notf = BoolFunc(1, 1, (1, 0))
-    assert compose_fn(identity_fn(1), identity_fn(1)) == identity_fn(1)
-    assert compose_fn(notf, notf) == identity_fn(1)
-
-
-def test_compose_arity_mismatch():
-    with pytest.raises(ValueError, match="cannot compose"):
-        compose_fn(BoolFunc(2, 1, (0, 0, 0, 1)), BoolFunc(1, 1, (0, 1)))
-
-
-@given(a=st.integers(1, 3), b=st.integers(1, 3), seed=seeds)
-def test_compose_identity_laws(a, b, seed):
-    f = random_fn(a, b, seed)
-    assert compose_fn(identity_fn(b), f) == f
-    assert compose_fn(f, identity_fn(a)) == f
-
-
-@given(
-    a=st.integers(1, 3),
-    b=st.integers(1, 3),
-    c=st.integers(1, 3),
-    d=st.integers(1, 3),
-    seed=seeds,
-)
-def test_compose_associative(a, b, c, d, seed):
-    f = random_fn(a, b, seed)
-    g = random_fn(b, c, seed ^ 1)
-    h = random_fn(c, d, seed ^ 2)
-    assert compose_fn(h, compose_fn(g, f)) == compose_fn(compose_fn(h, g), f)
 
 
 def test_random_fn_deterministic():

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from involift.cli import (
     parse_pipeline,
     pipeline_from_document,
 )
+import involift
 from involift import coxeter, lifting
 from involift.boolfn import random_fn, zero_fn
 from involift.coxeter import RelationCheck
@@ -73,8 +76,10 @@ def test_parse_rejects_unknown_fields():
 
 
 def test_parse_rejects_bad_version():
-    with pytest.raises(PipelineFormatError, match="format_version"):
-        pipeline_from_document({**P1_DOC, "format_version": 2})
+    # only the integer 1: True and 1.0 compare equal to it
+    for version in (2, True, 1.0):
+        with pytest.raises(PipelineFormatError, match="format_version"):
+            pipeline_from_document({**P1_DOC, "format_version": version})
 
 
 def test_parse_rejects_bad_hex():
@@ -357,6 +362,21 @@ def test_deeply_nested_document_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err == "error: invalid JSON: nested too deeply\n"
 
 
+@pytest.mark.parametrize(
+    "registers, message",
+    [
+        ([1, 10**18], f"total width {10**18 + 1} exceeds the cap of 20"),
+        ([1, 10**18, 1 - 10**18], f"register width {10**18} exceeds the cap of 20"),
+    ],
+    ids=["total", "beside_negative"],
+)
+def test_oversized_register_exit_1(tmp_path, capsys, registers, message):
+    # rejected before any truth table is built: a table's entry bound is 2^width
+    doc = {"format_version": 1, "registers": registers, "functions": [{"table": ["0", "0"]}] * (len(registers) - 1)}
+    assert main(["lift", _write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_invalid_document_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"format_version": 1, "registers": [1], "functions": []}', encoding="utf-8")
@@ -366,8 +386,11 @@ def test_invalid_document_exit_1(tmp_path, capsys):
 
 def test_module_invocation_subprocess(tmp_path):
     path = _write(tmp_path, P1_DOC)
+    # the child imports the package from where this process found it
+    search = [str(Path(involift.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     result = subprocess.run(
         [sys.executable, "-m", "involift", "verify", path],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search))},
         capture_output=True,
         text=True,
         check=True,

@@ -9,7 +9,6 @@ from involift.lifting import (
     RegisterLayout,
     apply_word,
     layout,
-    pipeline_from_steps,
     random_pipeline,
     run_classical,
     step_involution,
@@ -39,7 +38,6 @@ def test_layout_pack_unpack():
     lay = RegisterLayout.from_widths((2, 3, 1))
     state = lay.pack_registers((3, 5, 1))
     assert lay.unpack_registers(state) == (3, 5, 1)
-    assert lay.extract(state, 1) == 5
     with pytest.raises(ValueError, match="register 1 value 8"):
         lay.pack_registers((0, 8, 0))
     with pytest.raises(ValueError, match="expected 3 register values"):
@@ -48,19 +46,19 @@ def test_layout_pack_unpack():
 
 def test_lift_identity_mapping():
     # y flips exactly when x = 1; states packed with x least significant
-    one_step = pipeline_from_steps((ID1,))
+    one_step = PipelineSpec((1, 1), (ID1,))
     assert step_involution(one_step, 1).mapping == (0, 3, 2, 1)
     assert [apply_word(one_step, (1,), s) for s in range(4)] == [0, 3, 2, 1]
 
 
 def test_lift_constant_zero_is_identity():
-    assert step_involution(pipeline_from_steps((zero_fn(1, 1),)), 1).mapping == (0, 1, 2, 3)
+    assert step_involution(PipelineSpec((1, 1), (zero_fn(1, 1),)), 1).mapping == (0, 1, 2, 3)
 
 
 @given(a=st.integers(1, 3), b=st.integers(1, 3), seed=seeds)
 @settings(max_examples=100)
 def test_lift_is_involution(a, b, seed):
-    one_step = pipeline_from_steps((random_fn(a, b, seed),))
+    one_step = PipelineSpec((a, b), (random_fn(a, b, seed),))
     p = step_involution(one_step, 1)
     assert perm_compose(p, p).is_identity
     assert all(apply_word(one_step, (1, 1), s) == s for s in range(1 << (a + b)))
@@ -68,7 +66,7 @@ def test_lift_is_involution(a, b, seed):
 
 def test_lift_width_cap():
     with pytest.raises(ValueError, match="cap"):
-        pipeline_from_steps((BoolFunc(16, 5, (0,) * (1 << 16)),))
+        PipelineSpec((16, 5), (BoolFunc(16, 5, (0,) * (1 << 16)),))
 
 
 def test_step_involution_mappings(two_step_id):
@@ -260,13 +258,6 @@ def test_pipeline_width_cap():
     with pytest.raises(ValueError, match="cap"):
         PipelineSpec((11, 11), (wide,))
     assert DEFAULT_WIDTH_CAP == 20
-
-
-def test_pipeline_from_steps_derives_widths():
-    f = random_fn(2, 3, 5)
-    g = random_fn(3, 1, 6)
-    pipeline = pipeline_from_steps((f, g))
-    assert pipeline.widths == (2, 3, 1)
 
 
 def test_random_pipeline_deterministic():

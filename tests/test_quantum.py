@@ -1,23 +1,20 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from involift.lifting import Perm, RegisterLayout, layout, random_pipeline, step_involution
+from involift.lifting import PipelineSpec, RegisterLayout, layout, random_pipeline, step_involution
 from involift.permgroup import closure, evaluate_word, perm_compose
 from involift.quantum import (
     AMPLITUDE_TOLERANCE,
     PRUNE_THRESHOLD,
-    PermUnitary,
     QState,
-    apply,
     apply_steps,
     basis_state,
     marginal_distribution,
     measure,
-    random_state,
-    representation_check,
-    states_close,
     uniform_superposition,
 )
+
+from conftest import ID1, random_state
 
 seeds = st.integers(0, 2**64 - 1)
 
@@ -79,25 +76,21 @@ def test_apply_evaluates_pipeline(seed):
     pipeline = random_pipeline(seed, steps=2, max_width=3)
     lay = layout(pipeline)
     f, g = pipeline.steps
-    s1, s2 = _two_step(pipeline)
-    unitary = PermUnitary(perm_compose(s2, s1))
     for x in range(1 << pipeline.widths[0]):
-        out = apply(unitary, basis_state(lay, (x, 0, 0)))
+        out = apply_steps(pipeline, (2, 1), basis_state(lay, (x, 0, 0)))
         assert out.amplitudes == basis_state(lay, (x, f(x), g(f(x)))).amplitudes
 
 
 def test_apply_identity(two_step_id):
     lay = layout(two_step_id)
     state = uniform_superposition(lay, 0, basis_state(lay, (0, 0, 0)))
-    assert apply(PermUnitary(Perm.identity(3)), state) == state
+    assert apply_steps(two_step_id, (), state) == state
 
 
 def test_apply_linear_extension(two_step_id):
     lay = layout(two_step_id)
-    s1, s2 = _two_step(two_step_id)
-    unitary = PermUnitary(perm_compose(s2, s1))
     state = uniform_superposition(lay, 0, basis_state(lay, (0, 0, 0)))
-    out = apply(unitary, state)
+    out = apply_steps(two_step_id, (2, 1), state)
     amp = 2.0**-0.5
     assert out.amplitudes == {0: amp + 0j, 7: amp + 0j}
 
@@ -105,38 +98,35 @@ def test_apply_linear_extension(two_step_id):
 def test_apply_width_mismatch(two_step_id):
     lay = layout(two_step_id)
     with pytest.raises(ValueError, match="width mismatch"):
-        apply(PermUnitary(Perm.identity(2)), basis_state(lay, (0, 0, 0)))
+        apply_steps(PipelineSpec((1, 1), (ID1,)), (), basis_state(lay, (0, 0, 0)))
 
 
 @given(seed=seeds, data=st.data())
 @settings(max_examples=40)
 def test_apply_steps_matches_permutation_unitary(seed, data):
-    # the composed permutation unitary stays the reference for the routed word
+    # amplitudes routed through the composed permutation are the reference
     pipeline = random_pipeline(seed, steps=3, max_width=2)
     word = data.draw(st.lists(st.integers(1, 3), max_size=6))
     gens = [step_involution(pipeline, i) for i in (1, 2, 3)]
-    unitary = PermUnitary(evaluate_word(gens, [i - 1 for i in word]))
+    mapping = evaluate_word(gens, [i - 1 for i in word]).mapping
     state = random_state(pipeline.total_width, data.draw(seeds))
-    assert apply_steps(pipeline, word, state) == apply(unitary, state)
+    assert apply_steps(pipeline, word, state).amplitudes == {mapping[i]: a for i, a in state.amplitudes.items()}
     with pytest.raises(ValueError, match="width mismatch"):
         apply_steps(pipeline, word, random_state(pipeline.total_width + 1, 0))
 
 
 def test_norm_preserved_on_random_states(two_step_id):
-    s1, s2 = _two_step(two_step_id)
-    unitary = PermUnitary(perm_compose(s2, s1))
     for seed in range(20):
         state = random_state(3, seed)
-        out = apply(unitary, state)
+        out = apply_steps(two_step_id, (2, 1), state)
         assert abs(out.norm() - 1.0) <= AMPLITUDE_TOLERANCE
 
 
 def test_inverse_consistency(two_step_id):
-    s1, s2 = _two_step(two_step_id)
-    unitary = PermUnitary(perm_compose(s2, s1))
+    # the steps are involutions, so the reversed word undoes the word
     for seed in range(10):
         state = random_state(3, seed)
-        back = apply(unitary.adjoint(), apply(unitary, state))
+        back = apply_steps(two_step_id, (1, 2), apply_steps(two_step_id, (2, 1), state))
         assert back.amplitudes.keys() == state.amplitudes.keys()
         for index in state.amplitudes:
             assert abs(back.amplitudes[index] - state.amplitudes[index]) <= AMPLITUDE_TOLERANCE
@@ -152,8 +142,7 @@ def test_measure_deterministic_outcome(two_step_id):
 
 def test_measure_same_seed_identical(two_step_id):
     lay = layout(two_step_id)
-    s1, s2 = _two_step(two_step_id)
-    out = apply(PermUnitary(perm_compose(s2, s1)), uniform_superposition(lay, 0, basis_state(lay, (0, 0, 0))))
+    out = apply_steps(two_step_id, (2, 1), uniform_superposition(lay, 0, basis_state(lay, (0, 0, 0))))
     a = measure(out, lay, 2, seed=9, shots=500)
     b = measure(out, lay, 2, seed=9, shots=500)
     assert a.counts == b.counts
@@ -162,8 +151,7 @@ def test_measure_same_seed_identical(two_step_id):
 
 def test_measure_marginal_exact_and_converges(two_step_id):
     lay = layout(two_step_id)
-    s1, s2 = _two_step(two_step_id)
-    out = apply(PermUnitary(perm_compose(s2, s1)), uniform_superposition(lay, 0, basis_state(lay, (0, 0, 0))))
+    out = apply_steps(two_step_id, (2, 1), uniform_superposition(lay, 0, basis_state(lay, (0, 0, 0))))
     distribution = marginal_distribution(out, lay, 2)
     assert abs(distribution[0] - 0.5) <= AMPLITUDE_TOLERANCE
     assert abs(distribution[1] - 0.5) <= AMPLITUDE_TOLERANCE
@@ -179,28 +167,36 @@ def test_measure_requires_shots(two_step_id):
 
 
 def test_representation_check_two_step(two_step_id):
+    # U(words[a]) U(words[b]) = U(words[a b]) = U(words[a] + words[b]) on all
+    # 64 pairs of the dihedral group
     group = closure(_two_step(two_step_id))
-    report = representation_check(group, trials=5, seed=3)
-    assert report.passed
-    assert report.pairs_checked == 64
-    assert report.group_order == 8
+    assert len(group) == 8
+    steps = [tuple(s + 1 for s in w) for w in group.words]
+    for a in range(8):
+        for b in range(8):
+            state = random_state(3, 8 * a + b)
+            product = apply_steps(two_step_id, steps[group.cayley[a][b]], state)
+            assert apply_steps(two_step_id, steps[a], apply_steps(two_step_id, steps[b], state)) == product
+            assert apply_steps(two_step_id, steps[a] + steps[b], state) == product
 
 
 def test_representation_product_rule(two_step_id):
     s1, s2 = _two_step(two_step_id)
-    u1, u2 = PermUnitary(s1), PermUnitary(s2)
-    u_product = PermUnitary(perm_compose(s2, s1))
+    mapping = perm_compose(s2, s1).mapping
     for seed in range(5):
         state = random_state(3, seed)
-        assert states_close(apply(u_product, state), apply(u2, apply(u1, state)))
+        routed = {mapping[i]: a for i, a in state.amplitudes.items()}
+        assert apply_steps(two_step_id, (2,), apply_steps(two_step_id, (1,), state)).amplitudes == routed
+        assert apply_steps(two_step_id, (2, 1), state).amplitudes == routed
 
 
 def test_representation_identity_element(two_step_id):
     group = closure(_two_step(two_step_id))
-    identity_unitary = PermUnitary(group.elements[0])
+    assert group.elements[0].is_identity and group.words[0] == ()
     for seed in range(5):
         state = random_state(3, seed)
-        assert apply(identity_unitary, state) == state
+        assert apply_steps(two_step_id, group.words[0], state) == state
+        assert apply_steps(two_step_id, (2, 1) * 4, state) == state  # (f2 f1)^4 = e
 
 
 @given(seed=seeds)
@@ -208,11 +204,9 @@ def test_representation_identity_element(two_step_id):
 def test_classical_embedding(seed):
     pipeline = random_pipeline(seed, steps=2, max_width=2)
     lay = layout(pipeline)
-    s1, s2 = _two_step(pipeline)
-    unitary = PermUnitary(perm_compose(s2, s1))
     f, g = pipeline.steps
     for x in range(1 << pipeline.widths[0]):
-        out = apply(unitary, basis_state(lay, (x,) + (0,) * 2))
+        out = apply_steps(pipeline, (2, 1), basis_state(lay, (x,) + (0,) * 2))
         result = measure(out, lay, 2, seed=seed & 0xFFFF, shots=20)
         assert result.counts == {g(f(x)): 20}
 
@@ -225,10 +219,3 @@ def test_random_state_deterministic_and_normalized():
     assert all(abs(v) >= PRUNE_THRESHOLD for v in a.amplitudes.values())
     assert len(a.amplitudes) <= 8
 
-
-def test_states_close_tolerance():
-    a = QState(1, {0: 1.0 + 0j})
-    b = QState(1, {0: 1.0 + 1e-13j})
-    assert states_close(a, b)
-    c = QState(1, {1: 1.0 + 0j})
-    assert not states_close(a, c)
