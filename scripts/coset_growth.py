@@ -3,9 +3,12 @@
 concrete group generated by the n-step identity pipeline on 1-bit registers.
 
 For n = 2 the enumeration closes at 8 and matches the concrete order.  For
-n >= 3 the presentation has affine type and the enumeration only ever hits
-the cap, while the concrete group stays finite: a proper quotient situation
-the verifier reports rather than assumes away."""
+n >= 3 the presented group is infinite (affine type C~2 for n = 3, indefinite
+type for n >= 4), so the enumeration only ever hits the cap, while the
+concrete group stays finite: a proper quotient situation the verifier reports
+rather than assumes away.  The verifier decides that infiniteness from the
+Coxeter matrix and skips the enumeration; this script runs it anyway, at each
+cap, to show the coset growth."""
 
 import argparse
 

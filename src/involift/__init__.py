@@ -10,7 +10,6 @@ from .boolfn import (
     MAX_FN_ARITY,
     identity_fn,
     random_fn,
-    zero_fn,
 )
 from .lifting import (
     ClassicalTrace,

@@ -63,11 +63,6 @@ def identity_fn(width: int) -> BoolFunc:
     return BoolFunc(width, width, tuple(range(1 << width)))
 
 
-def zero_fn(arity_in: int, arity_out: int) -> BoolFunc:
-    """The constant-zero function (its lifted involution is the identity)."""
-    return BoolFunc(arity_in, arity_out, (0,) * (1 << arity_in))
-
-
 def random_fn(arity_in: int, arity_out: int, seed: int) -> BoolFunc:
     """Seeded pseudo-random function, reproducible bit for bit.
 

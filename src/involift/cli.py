@@ -143,18 +143,6 @@ def pipeline_from_document(document: object) -> PipelineSpec:
         raise PipelineFormatError(str(e)) from None
 
 
-def emit_pipeline(pipeline: PipelineSpec, name: str | None = None) -> str:
-    """Serialize a pipeline to document JSON; parsing it back is lossless."""
-    document: dict[str, object] = {
-        "format_version": FORMAT_VERSION,
-        "registers": list(pipeline.widths),
-        "functions": [{"table": [format(v, "x") for v in f.table]} for f in pipeline.steps],
-    }
-    if name is not None:
-        document["name"] = name
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
 def _hex(value: int) -> str:
     return format(value, "x")
 

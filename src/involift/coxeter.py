@@ -5,8 +5,9 @@ An n-step lifting is expected to satisfy the relations of the Coxeter
 system whose matrix has 1 on the diagonal, 4 between neighbouring steps,
 and 2 everywhere else.  Whether the concrete group IS that Coxeter group
 (rather than a proper quotient of it) is checked, never assumed: the
-relations are evaluated on the actual permutations and the abstract group
-order is computed independently by coset enumeration.
+relations are evaluated on the actual permutations, and the abstract group
+is decided independently: infinite when the claimed matrix is of infinite
+type (n >= 3), otherwise of the order found by coset enumeration.
 """
 
 from __future__ import annotations
@@ -69,6 +70,66 @@ class CoxeterMatrix:
     @property
     def n(self) -> int:
         return len(self.orders)
+
+    @property
+    def is_finite(self) -> bool:
+        """Whether the Coxeter group of this matrix is finite, decided exactly
+        by Coxeter's classification of the connected components of the
+        Coxeter graph (vertices are generators, edges join pairs with label
+        other than 2): the group is finite iff every component is of type
+        A, B, D, E6-E8, F4, H3, H4 or I2(m) (Humphreys 1990, §2.4-2.7)."""
+        unseen = set(range(self.n))
+        while unseen:
+            component = [unseen.pop()]
+            for i in component:
+                for j in list(unseen):
+                    if self.orders[i][j] != 2:
+                        unseen.remove(j)
+                        component.append(j)
+            if not _component_is_finite(self.orders, component):
+                return False
+        return True
+
+
+def _component_is_finite(orders, component: list[int]) -> bool:
+    """Classification test for one connected component of a Coxeter graph."""
+    neighbours = {i: [j for j in component if j != i and orders[i][j] != 2] for i in component}
+    labels = [orders[i][j] for i in component for j in neighbours[i] if i < j]
+    if None in labels or len(labels) != len(component) - 1:
+        return False  # an infinite label, or a cycle
+    if len(component) <= 2:
+        return True  # A1 or I2(m)
+    branches = [i for i in component if len(neighbours[i]) >= 3]
+    if branches:
+        # a star with one branch vertex and three arms, every label 3: D_k, E6-E8
+        if len(branches) > 1 or len(neighbours[branches[0]]) > 3 or set(labels) != {3}:
+            return False
+        p, q, r = (len(_walk(neighbours, branches[0], j)) for j in neighbours[branches[0]])
+        # 1/(p+1) + 1/(q+1) + 1/(r+1) > 1, cleared of denominators
+        return (q + 1) * (r + 1) + (p + 1) * (r + 1) + (p + 1) * (q + 1) > (p + 1) * (q + 1) * (r + 1)
+    end = next(i for i in component if len(neighbours[i]) == 1)
+    path = [end] + _walk(neighbours, end, neighbours[end][0])
+    labels = [orders[a][b] for a, b in zip(path, path[1:])]
+    special = [(e, m) for e, m in enumerate(labels) if m != 3]
+    if not special:
+        return True  # A_k
+    if len(special) > 1:
+        return False
+    ((e, m),) = special
+    at_end = e in (0, len(labels) - 1)
+    if m == 4:
+        return at_end or (len(path) == 4 and e == 1)  # B_k, F4
+    return m == 5 and at_end and len(path) <= 4  # H3, H4
+
+
+def _walk(neighbours: dict[int, list[int]], previous: int, current: int) -> list[int]:
+    """The vertices of an arm of a tree, from ``current`` away from
+    ``previous`` until a vertex of degree 1."""
+    arm = [current]
+    while len(neighbours[current]) == 2:
+        previous, current = current, next(j for j in neighbours[current] if j != previous)
+        arm.append(current)
+    return arm
 
 
 def coxeter_matrix(generators) -> CoxeterMatrix:
@@ -292,7 +353,9 @@ class VerificationReport:
     the abstract group onto the concrete one, so equal finite orders make
     that surjection an isomorphism.  PROPER_QUOTIENT means the relations
     hold but the abstract group is strictly larger.  BOUND_EXCEEDED means
-    enumeration hit the coset cap before closing.  DEGENERATE means the
+    enumeration hit the coset cap before closing, or the claimed matrix is
+    of infinite type, so no cap suffices and enumeration is skipped
+    (``abstract_order`` is None either way).  DEGENERATE means the
     lifted generators are not pairwise-distinct involutions, so no Coxeter
     claim applies (the computed orders are still reported).
     """
@@ -343,8 +406,10 @@ def verify_pipeline(
     group of the claimed presentation.
 
     Computes the concrete closure order, evaluates every claimed relation on
-    the lifted involutions, runs coset enumeration on the presentation, and
-    classifies the outcome (see :class:`VerificationReport`).  A closure
+    the lifted involutions, runs coset enumeration on the presentation when
+    the claimed Coxeter matrix is of finite type (otherwise the abstract
+    group is infinite and no cap would be reached), and classifies the
+    outcome (see :class:`VerificationReport`).  A closure
     exceeding ``element_cap`` propagates as
     :class:`involift.permgroup.ClosureCapExceeded`.
     """
@@ -357,7 +422,10 @@ def verify_pipeline(
     relations_hold = all(c.holds for c in checks)
     if not relations_hold:
         raise LiftingCheckFailed("a claimed relation failed on lifted involutions; lifting is broken")
-    abstract = todd_coxeter(presentation, coset_cap)
+    if coset_cap < 1:
+        raise ValueError("coset_cap must be >= 1")
+    # enumeration over the trivial subgroup closes only on a finite group
+    abstract = todd_coxeter(presentation, coset_cap) if claimed_coxeter_matrix(n).is_finite else None
     product_orders = _product_orders(gens)
     if defects:
         verdict = DEGENERATE

@@ -13,7 +13,7 @@ pipeline while keeping every intermediate value around.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .boolfn import BoolFunc, random_fn
 from .rng import SplitMix64
@@ -40,6 +40,15 @@ class Perm:
             if not 0 <= v < size or seen[v]:
                 raise ValueError(f"mapping is not a bijection of 0..{size - 1}")
             seen[v] = 1
+
+    @classmethod
+    def _trusted(cls, total_width: int, mapping: tuple[int, ...]) -> "Perm":
+        """A Perm built without the O(2^W) bijectivity check, for mappings
+        that are bijections by construction (products of checked Perms)."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "total_width", total_width)
+        object.__setattr__(p, "mapping", mapping)
+        return p
 
     @classmethod
     def identity(cls, total_width: int) -> "Perm":
@@ -158,12 +167,25 @@ def step_involution(pipeline: PipelineSpec, step: int) -> Perm:
 def apply_word(pipeline: PipelineSpec, word: Sequence[int], state: int) -> int:
     """Apply the lifted steps of a word (1-based step indices) to one packed
     state, rightmost step first, without building any permutation."""
+    return _word_action(pipeline, word)(state)
+
+
+def _word_action(pipeline: PipelineSpec, word: Sequence[int]) -> Callable[[int], int]:
+    """The action of a word on packed states, with every step's parameters
+    resolved once, so that applying it to many states costs only
+    |word| table lookups per state."""
     lay = layout(pipeline)
-    if not 0 <= state < 1 << lay.total_width:
-        raise ValueError(f"state {state} out of range for width {lay.total_width}")
-    for table, src, mask, dst in [_step_params(pipeline, lay, i) for i in reversed(word)]:
-        state ^= table[(state >> src) & mask] << dst
-    return state
+    params = [_step_params(pipeline, lay, i) for i in reversed(word)]
+    size = 1 << lay.total_width
+
+    def act(state: int) -> int:
+        if not 0 <= state < size:
+            raise ValueError(f"state {state} out of range for width {lay.total_width}")
+        for table, src, mask, dst in params:
+            state ^= table[(state >> src) & mask] << dst
+        return state
+
+    return act
 
 
 class LiftingCheckFailed(RuntimeError):

@@ -139,7 +139,8 @@ def closure(generators: Sequence[Perm], element_cap: int = DEFAULT_ELEMENT_CAP) 
                     k = index[product] = len(elements)
                     words.append((gi,) + words[ei])
                     parents.append(ei)
-                    elements.append(Perm(width, product))
+                    # a product of checked bijections is one: skip the O(2^W) check
+                    elements.append(Perm._trusted(width, product))
                 row.append(k)
         frontier = range(frontier.stop, len(elements))
     return GroupClosure(gens, tuple(elements), tuple(words), tuple(map(tuple, left)), tuple(parents))

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .lifting import PipelineSpec, RegisterLayout, apply_word
+from .lifting import PipelineSpec, RegisterLayout, _word_action
 from .rng import SplitMix64
 
 AMPLITUDE_TOLERANCE = 1e-12  # slack for normalization arithmetic only
@@ -80,14 +80,15 @@ def uniform_superposition(layout: RegisterLayout, register: int, base: QState) -
 
 def apply_steps(pipeline: PipelineSpec, word: Sequence[int], state: QState) -> QState:
     """Apply the unitary of a word of lifted steps (1-based, rightmost
-    first) by routing each amplitude through
-    :func:`involift.lifting.apply_word`: |support| * |word| table lookups,
-    no 2^W permutation."""
+    first) by routing each amplitude through the word's action on basis
+    states (the one behind :func:`involift.lifting.apply_word`, resolved
+    once per word): |support| * |word| table lookups, no 2^W permutation."""
     if pipeline.total_width != state.total_width:
         raise ValueError(
             f"width mismatch: pipeline acts on {pipeline.total_width}, state on {state.total_width}"
         )
-    return QState(state.total_width, {apply_word(pipeline, word, i): a for i, a in state.amplitudes.items()})
+    act = _word_action(pipeline, word)
+    return QState(state.total_width, {act(i): a for i, a in state.amplitudes.items()})
 
 
 def marginal_distribution(state: QState, layout: RegisterLayout, register: int) -> dict[int, float]:

@@ -1,15 +1,35 @@
 """Shared fixtures: canonical small pipelines, the seeded random corpus, an
-oracle that builds permutations straight from register-tuple rules, and
-seeded random states."""
+oracle that builds permutations straight from register-tuple rules, seeded
+random states, constant-zero steps and pipeline documents."""
 
+import json
 import math
 
 import pytest
 
-from involift.boolfn import BoolFunc, identity_fn, zero_fn
+from involift.boolfn import BoolFunc, identity_fn
+from involift.cli import FORMAT_VERSION
 from involift.lifting import Perm, PipelineSpec, layout, random_pipeline
 from involift.quantum import PRUNE_THRESHOLD, QState
 from involift.rng import SplitMix64
+
+
+def zero_fn(arity_in: int, arity_out: int) -> BoolFunc:
+    """The constant-zero function (its lifted involution is the identity)."""
+    return BoolFunc(arity_in, arity_out, (0,) * (1 << arity_in))
+
+
+def emit_pipeline(pipeline: PipelineSpec, name: str | None = None) -> str:
+    """Serialize a pipeline to document JSON; parsing it back is lossless."""
+    document: dict[str, object] = {
+        "format_version": FORMAT_VERSION,
+        "registers": list(pipeline.widths),
+        "functions": [{"table": [format(v, "x") for v in f.table]} for f in pipeline.steps],
+    }
+    if name is not None:
+        document["name"] = name
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
 
 SUITE_BASE_SEED = 1000
 SUITE_SIZE = 100

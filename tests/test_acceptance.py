@@ -11,7 +11,7 @@ import functools
 import itertools
 import time
 
-from involift.boolfn import identity_fn, random_fn, zero_fn
+from involift.boolfn import identity_fn, random_fn
 from involift.coxeter import (
     BOUND_EXCEEDED,
     CONFIRMED,
@@ -33,7 +33,7 @@ from involift.permgroup import (
 )
 from involift.quantum import AMPLITUDE_TOLERANCE, apply_steps, basis_state, measure, uniform_superposition
 
-from conftest import random_state
+from conftest import random_state, zero_fn
 
 
 def criterion(label):

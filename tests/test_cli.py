@@ -10,19 +10,18 @@ from hypothesis import given, settings, strategies as st
 
 from involift.cli import (
     PipelineFormatError,
-    emit_pipeline,
     main,
     parse_pipeline,
     pipeline_from_document,
 )
 import involift
 from involift import coxeter, lifting
-from involift.boolfn import random_fn, zero_fn
+from involift.boolfn import random_fn
 from involift.coxeter import RelationCheck
 from involift.lifting import PipelineSpec, random_pipeline, step_involution
 from involift.permgroup import GroupClosure, perm_order
 
-from conftest import ID1
+from conftest import ID1, emit_pipeline, zero_fn
 
 P1_DOC = {
     "format_version": 1,
@@ -142,6 +141,30 @@ def test_verify_command_bound_exceeded_exit_2(tmp_path, capsys):
     assert report["results"]["verdict"] == "BOUND_EXCEEDED"
     assert report["results"]["abstract_order"] is None
     assert report["results"]["concrete_order"] == 64
+
+
+def test_verify_finite_type_tiny_cap_exit_2(tmp_path, capsys, monkeypatch):
+    # the 2-step claim is finite (dihedral of order 8): a cap of 4 cosets is hit by enumeration
+    calls = []
+    enumerate_cosets = coxeter.todd_coxeter
+
+    def spy(presentation, coset_cap):
+        calls.append(enumerate_cosets(presentation, coset_cap))
+        return calls[-1]
+
+    monkeypatch.setattr(coxeter, "todd_coxeter", spy)
+    assert main(["verify", _write(tmp_path, P1_DOC), "--coset-cap", "4"]) == 2
+    assert calls == [None]
+    out = capsys.readouterr().out
+    assert "abstract group order: not reached within 4 cosets" in out
+    assert "verdict: BOUND_EXCEEDED" in out
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_verify_nonpositive_coset_cap_exit_1(tmp_path, capsys, cap):
+    doc = {"format_version": 1, "registers": [1, 1, 1, 1], "functions": [{"table": ["0", "1"]}] * 3}
+    assert main(["verify", _write(tmp_path, doc), "--coset-cap", cap]) == 1
+    assert capsys.readouterr().err == "error: coset_cap must be >= 1\n"
 
 
 def test_verify_degenerate_exit_0(tmp_path, capsys):

@@ -1,6 +1,10 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from involift import coxeter
 from involift.coxeter import (
     BOUND_EXCEEDED,
     CONFIRMED,
@@ -21,7 +25,7 @@ from involift.coxeter import (
 from involift.lifting import Perm, PipelineSpec, layout, random_pipeline, step_involution
 from involift.permgroup import closure, perm_compose
 
-from conftest import ID1
+from conftest import ID1, zero_fn
 
 seeds = st.integers(0, 2**64 - 1)
 
@@ -114,6 +118,165 @@ def test_coxeter_matrix_type_validation():
 
 def test_claimed_matrix():
     assert claimed_coxeter_matrix(3).orders == ((1, 4, 2), (4, 1, 4), (2, 4, 1))
+
+
+def _matrix(n, edges):
+    """Coxeter matrix on n generators: each listed edge (i, j) gets its
+    label, every other pair 2."""
+    orders = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for (i, j), m in edges.items():
+        orders[i][j] = orders[j][i] = m
+    return CoxeterMatrix(orders)
+
+
+def _path(*labels):
+    return _matrix(len(labels) + 1, {(k, k + 1): m for k, m in enumerate(labels)})
+
+
+def _star(*arms):
+    """Vertex 0 joined to one label-3 path of each given length."""
+    edges = {}
+    vertex = 1
+    for length in arms:
+        previous = 0
+        for _ in range(length):
+            edges[(previous, vertex)] = 3
+            previous, vertex = vertex, vertex + 1
+    return _matrix(vertex, edges)
+
+
+def _coxeter_presentation(matrix):
+    n = matrix.n
+    relations = [((i,), 2) for i in range(n)]
+    relations += [((i, j), matrix.orders[i][j]) for i in range(n) for j in range(i + 1, n)]
+    return Presentation(n, tuple(relations))
+
+
+def _gram_positive_definite(matrix):
+    """Float oracle: the Gram matrix -cos(pi/m) (-1 for an infinite label)
+    has every Cholesky pivot above 1e-9.  Affine types have a zero pivot,
+    which rounding leaves far below that margin."""
+    n = matrix.n
+    gram = [[-1.0 if m is None else -math.cos(math.pi / m) for m in row] for row in matrix.orders]
+    lower = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        pivot = gram[j][j] - sum(lower[j][k] ** 2 for k in range(j))
+        if pivot <= 1e-9:
+            return False
+        lower[j][j] = math.sqrt(pivot)
+        for i in range(j + 1, n):
+            lower[i][j] = (gram[i][j] - sum(lower[i][k] * lower[j][k] for k in range(j))) / lower[j][j]
+    return True
+
+
+FINITE_TYPES = {
+    "A3": (_path(3, 3), 24),
+    "B3": (_path(4, 3), 48),
+    "D4": (_star(1, 1, 1), 192),
+    "H3": (_path(5, 3), 120),
+    "F4": (_path(3, 4, 3), 1152),
+    **{f"I2({m})": (_path(m), 2 * m) for m in (2, 3, 4, 5, 6, 8)},
+}
+
+
+@pytest.mark.parametrize("name", FINITE_TYPES)
+def test_finite_types_enumerate_to_their_orders(name):
+    matrix, order = FINITE_TYPES[name]
+    assert matrix.is_finite
+    assert todd_coxeter(_coxeter_presentation(matrix), 100_000) == order
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        _matrix(1, {}),
+        _path(3, 3, 3, 3),  # A5
+        _path(3, 3, 3, 4),  # B5
+        _path(4, 3, 3, 3),  # B5, the 4 at the other end
+        _star(1, 1, 2),  # D5
+        _star(1, 1, 5),  # D8
+        _star(1, 2, 2),  # E6
+        _star(1, 2, 3),  # E7
+        _star(1, 2, 4),  # E8
+        _path(5, 3, 3),  # H4
+        _path(3, 3, 5),  # H4, the 5 at the other end
+        _path(12),  # I2(12)
+        _matrix(5, {(0, 1): 3, (2, 3): 4}),  # A2 x B2 x A1
+        claimed_coxeter_matrix(1),
+        claimed_coxeter_matrix(2),  # I2(4)
+    ],
+    ids=[
+        "A1", "A5", "B5", "B5r", "D5", "D8", "E6", "E7", "E8", "H4", "H4r", "I2(12)", "A2xB2xA1",
+        "claimed1", "claimed2",
+    ],
+)
+def test_is_finite_finite_types(matrix):
+    assert matrix.is_finite
+    assert _gram_positive_definite(matrix)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        _matrix(3, {(0, 1): 3, (1, 2): 3, (0, 2): 3}),  # affine A2: a cycle
+        _path(4, 4),  # affine C2
+        _matrix(4, {(0, 1): 3, (0, 2): 3, (0, 3): 4}),  # affine B3
+        _matrix(5, {(0, 1): 3, (0, 2): 3, (0, 3): 3, (0, 4): 3}),  # affine D4
+        _star(2, 2, 2),  # affine E6
+        _star(1, 3, 3),  # affine E7
+        _star(1, 2, 5),  # affine E8
+        _path(3, 3, 4, 3),  # affine F4
+        _path(6, 3),  # affine G2
+        _matrix(6, {(0, 1): 3, (0, 2): 3, (0, 3): 3, (3, 4): 3, (3, 5): 3}),  # affine D5
+        _path(4, 3, 3, 4),  # affine C4
+        _path(5, 3, 5),
+        _path(3, 5, 3),
+        _path(5, 3, 3, 3),
+        _path(None),
+        _matrix(5, {(0, 1): 3, (2, 3): 4, (3, 4): 4}),  # A2 x affine C2
+        *(claimed_coxeter_matrix(n) for n in range(3, 7)),
+    ],
+    ids=[
+        "affine_A2", "affine_C2", "affine_B3", "affine_D4", "affine_E6", "affine_E7", "affine_E8",
+        "affine_F4", "affine_G2", "affine_D5", "affine_C4", "5-3-5", "3-5-3", "5-3-3-3", "inf",
+        "A2x_affine_C2", "claimed3", "claimed4", "claimed5", "claimed6",
+    ],
+)
+def test_is_finite_infinite_types(matrix):
+    assert not matrix.is_finite
+    assert not _gram_positive_definite(matrix)
+
+
+LABELS = (2, 3, 4, 5, 6, None)
+
+
+def test_is_finite_matches_gram_oracle_exhaustively_up_to_three():
+    verdicts = set()
+    for n in (1, 2, 3):
+        pairs = list(itertools.combinations(range(n), 2))
+        for labels in itertools.product(LABELS, repeat=len(pairs)):
+            matrix = _matrix(n, dict(zip(pairs, labels)))
+            assert matrix.is_finite == _gram_positive_definite(matrix), matrix.orders
+            verdicts.add(matrix.is_finite)
+    assert verdicts == {True, False}
+
+
+@st.composite
+def _coxeter_matrices(draw):
+    n = draw(st.integers(1, 5))
+    pairs = list(itertools.combinations(range(n), 2))
+    # labels 2 and 3 drawn more often, so that large finite types show up
+    labels = draw(st.lists(st.sampled_from((2, 2, 3) + LABELS), min_size=len(pairs), max_size=len(pairs)))
+    return _matrix(n, dict(zip(pairs, labels)))
+
+
+@given(matrix=_coxeter_matrices(), data=st.data())
+@settings(max_examples=300)
+def test_is_finite_matches_gram_oracle(matrix, data):
+    assert matrix.is_finite == _gram_positive_definite(matrix)
+    order = data.draw(st.permutations(range(matrix.n)))
+    relabelled = CoxeterMatrix(tuple(tuple(matrix.orders[i][j] for j in order) for i in order))
+    assert relabelled.is_finite == matrix.is_finite
 
 
 def test_pipeline_presentation_two_steps():
@@ -256,6 +419,19 @@ def test_identity_pipeline_order(n):
     assert report.verdict == (CONFIRMED if n == 2 else BOUND_EXCEEDED)
 
 
+@pytest.mark.parametrize("cap", [1, 500, 100_000])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_verify_infinite_type_skips_enumeration(monkeypatch, n, cap):
+    def refuse(presentation, coset_cap):
+        raise AssertionError("coset enumeration ran on an infinite-type presentation")
+
+    monkeypatch.setattr(coxeter, "todd_coxeter", refuse)
+    report = verify_pipeline(PipelineSpec((1,) * (n + 1), (ID1,) * n), coset_cap=cap)
+    assert report.verdict == BOUND_EXCEEDED
+    assert report.abstract_order is None and report.coset_cap == cap
+    assert report.concrete_order == 2 ** (n * (n + 1) // 2)
+
+
 def test_verify_degenerate(two_step_zero_first):
     report = verify_pipeline(two_step_zero_first)
     assert report.verdict == DEGENERATE
@@ -276,8 +452,6 @@ def test_verify_single_step_pipeline():
     confirmed = verify_pipeline(PipelineSpec((1, 1), (ID1,)))
     assert confirmed.verdict == CONFIRMED
     assert confirmed.concrete_order == 2 and confirmed.abstract_order == 2
-    from involift.boolfn import zero_fn
-
     degenerate = verify_pipeline(PipelineSpec((1, 1), (zero_fn(1, 1),)))
     assert degenerate.verdict == DEGENERATE and degenerate.concrete_order == 1
 

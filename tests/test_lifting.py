@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from involift.boolfn import BoolFunc, identity_fn, random_fn, zero_fn
+from involift.boolfn import BoolFunc, identity_fn, random_fn
 from involift.lifting import (
     DEFAULT_WIDTH_CAP,
     Perm,
@@ -15,7 +15,7 @@ from involift.lifting import (
 )
 from involift.permgroup import evaluate_word, perm_compose
 
-from conftest import ID1, NOT1
+from conftest import ID1, NOT1, zero_fn
 
 seeds = st.integers(0, 2**64 - 1)
 

@@ -120,6 +120,22 @@ def test_closure_requires_matching_widths():
         closure([])
 
 
+@given(seed=seeds, steps=st.sampled_from([2, 3]))
+@settings(max_examples=40)
+def test_closure_elements_pass_perm_validation(seed, steps):
+    # closure builds its products without the bijectivity check; each must still pass it
+    pipeline = random_pipeline(seed, steps=steps, max_width=3 if steps == 2 else 2)
+    width = pipeline.total_width
+    assert width <= 9
+    grp = closure([step_involution(pipeline, i) for i in range(1, steps + 1)])
+    for element in grp.elements:
+        assert Perm(width, element.mapping) == element
+    collapsed = list(grp.elements[-1].mapping)
+    collapsed[0] = collapsed[1]
+    with pytest.raises(ValueError, match="not a bijection"):
+        Perm(width, collapsed)
+
+
 def test_closure_cayley_is_composition_table(two_step_id, three_step_id):
     # the table is read from the generator action table and BFS parents;
     # S4 from a 4-cycle and a transposition checks it with a generator that
