@@ -1,6 +1,6 @@
 """Lift pipelines of non-invertible Boolean functions to involutions on a
 shared register space, enumerate the group those involutions generate,
-test the group's Coxeter presentation by coset enumeration, and apply the
+test it against its claimed Coxeter matrix by coset enumeration, and apply the
 induced unitaries to sparse qubit-register states."""
 
 __version__ = "0.1.0"
@@ -31,7 +31,6 @@ from .permgroup import (
     GroupClosure,
     closure,
     element_order_histogram,
-    evaluate_word,
     generator_defects,
     is_dihedral_8,
     nondegeneracy_defects,
@@ -46,13 +45,11 @@ from .coxeter import (
     DEGENERATE,
     DegenerateGenerators,
     PROPER_QUOTIENT,
-    Presentation,
     RelationCheck,
     VerificationReport,
     check_relations,
     claimed_coxeter_matrix,
     coxeter_matrix,
-    pipeline_presentation,
     todd_coxeter,
     verify_pipeline,
 )

@@ -5,7 +5,9 @@ JSON (unknown fields rejected) with case-insensitive hex truth tables;
 reports are JSON with sorted keys, so identical invocations produce
 byte-identical files.  Exit status: 0 on success, 1 on validation or usage
 errors or a failed internal check, 2 when a computation hit a configured
-cap or bound.
+cap (closure elements, cosets) or when ``verify`` cannot reach the abstract
+order: a claim of three or more steps is an infinite Coxeter group, so it
+exits 2 with no cap involved.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .coxeter import (
     claimed_coxeter_matrix,
     coxeter_matrix,
     verify_pipeline,
-    _presentation_for_steps,
 )
 from .lifting import (
     DEFAULT_WIDTH_CAP,
@@ -164,21 +165,18 @@ def _step_index(symbol: str, n_steps: int) -> int:
         if index <= n_steps:
             return index
         raise ValueError(f"word symbol {symbol!r} names step {index}, but the pipeline has {n_steps}")
-    if s.startswith("f") and s[1:].isdigit():
+    # ASCII digits only: str.isdigit also accepts superscripts and other scripts' digits
+    if s.startswith("f") and s[1:].isascii() and s[1:].isdigit():
         index = int(s[1:])
         if 1 <= index <= n_steps:
             return index
     raise ValueError(f"unknown word symbol {symbol!r} (use f1..f{n_steps})")
 
 
-def _matrix_rows(orders) -> list[list[object]]:
-    return [["inf" if v is None else v for v in row] for row in orders]
-
-
 def _print_matrix(label: str, orders) -> None:
     print(f"{label}:")
     for row in orders:
-        print("  [" + ", ".join("inf" if v is None else str(v) for v in row) + "]")
+        print(f"  {list(row)}")
 
 
 def _render_word(word: Sequence[int]) -> list[str]:
@@ -260,8 +258,8 @@ def _cmd_group(args, pipeline: PipelineSpec):
 
 def _cmd_coxeter(args, pipeline: PipelineSpec):
     gens = [step_involution(pipeline, i) for i in range(1, pipeline.n_steps + 1)]
-    presentation = _presentation_for_steps(pipeline.n_steps)
-    relators = [" ".join(_render_word(w)) for w in presentation.relators]
+    claimed = claimed_coxeter_matrix(pipeline.n_steps)
+    relators = [" ".join(_render_word(w)) for w in claimed.relators]
     try:
         empirical = coxeter_matrix(gens)
     except DegenerateGenerators as e:
@@ -269,7 +267,6 @@ def _cmd_coxeter(args, pipeline: PipelineSpec):
         for d in e.defects:
             print(f"  - {d}")
         return 0, {"degenerate": True, "defects": list(e.defects)}
-    claimed = claimed_coxeter_matrix(pipeline.n_steps)
     matches = empirical.orders == claimed.orders
     _print_matrix("empirical matrix (orders of pairwise products)", empirical.orders)
     _print_matrix("claimed matrix (adjacent 4, distant 2)", claimed.orders)
@@ -278,8 +275,8 @@ def _cmd_coxeter(args, pipeline: PipelineSpec):
     print(f"claimed presentation: <{generators} | {', '.join(relators)}>")
     results = {
         "degenerate": False,
-        "empirical_matrix": _matrix_rows(empirical.orders),
-        "claimed_matrix": _matrix_rows(claimed.orders),
+        "empirical_matrix": empirical.orders,
+        "claimed_matrix": claimed.orders,
         "matches_claimed": matches,
         "relators": relators,
     }

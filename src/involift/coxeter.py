@@ -1,26 +1,28 @@
-"""Coxeter matrices, presentations, and coset enumeration for the groups
-generated by lifted pipeline steps.
+"""The claimed Coxeter matrix, coset enumeration, and the verifier for the
+groups generated by lifted pipeline steps.
 
 An n-step lifting is expected to satisfy the relations of the Coxeter
 system whose matrix has 1 on the diagonal, 4 between neighbouring steps,
-and 2 everywhere else.  Whether the concrete group IS that Coxeter group
-(rather than a proper quotient of it) is checked, never assumed: the
-relations are evaluated on the actual permutations, and the abstract group
-is decided independently: infinite when the claimed matrix is of infinite
-type (n >= 3), otherwise of the order found by coset enumeration.
+and 2 everywhere else; that matrix is the whole claim, and its relators
+are read from it.  Whether the concrete group IS that Coxeter group
+(rather than a proper quotient of it) is checked, never assumed: every
+relator is walked through the concrete group, and the abstract group is
+decided independently: infinite from three steps on (the matrix contains
+affine C~2), otherwise of the order found by coset enumeration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from .lifting import LiftingCheckFailed, PipelineSpec, step_involution
 from .permgroup import (
     DEFAULT_ELEMENT_CAP,
+    GroupClosure,
     _product_orders,
     closure,
-    evaluate_word,
     generator_defects,
 )
 
@@ -43,13 +45,9 @@ class DegenerateGenerators(ValueError):
 
 @dataclass(frozen=True)
 class CoxeterMatrix:
-    """Symmetric matrix of pairwise product orders with 1 on the diagonal.
+    """Symmetric matrix of pairwise product orders with 1 on the diagonal."""
 
-    ``None`` marks an infinite product order; it cannot arise from finite
-    permutations but is legal in hand-built matrices.
-    """
-
-    orders: tuple[tuple[int | None, ...], ...]
+    orders: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "orders", tuple(tuple(row) for row in self.orders))
@@ -62,7 +60,7 @@ class CoxeterMatrix:
                     if entry != 1:
                         raise ValueError(f"diagonal entry ({i},{j}) must be 1, got {entry}")
                 else:
-                    if entry is not None and entry < 2:
+                    if entry < 2:
                         raise ValueError(f"off-diagonal entry ({i},{j}) must be >= 2, got {entry}")
                     if entry != self.orders[j][i]:
                         raise ValueError(f"matrix must be symmetric, differs at ({i},{j})")
@@ -72,64 +70,16 @@ class CoxeterMatrix:
         return len(self.orders)
 
     @property
-    def is_finite(self) -> bool:
-        """Whether the Coxeter group of this matrix is finite, decided exactly
-        by Coxeter's classification of the connected components of the
-        Coxeter graph (vertices are generators, edges join pairs with label
-        other than 2): the group is finite iff every component is of type
-        A, B, D, E6-E8, F4, H3, H4 or I2(m) (Humphreys 1990, §2.4-2.7)."""
-        unseen = set(range(self.n))
-        while unseen:
-            component = [unseen.pop()]
-            for i in component:
-                for j in list(unseen):
-                    if self.orders[i][j] != 2:
-                        unseen.remove(j)
-                        component.append(j)
-            if not _component_is_finite(self.orders, component):
-                return False
-        return True
-
-
-def _component_is_finite(orders, component: list[int]) -> bool:
-    """Classification test for one connected component of a Coxeter graph."""
-    neighbours = {i: [j for j in component if j != i and orders[i][j] != 2] for i in component}
-    labels = [orders[i][j] for i in component for j in neighbours[i] if i < j]
-    if None in labels or len(labels) != len(component) - 1:
-        return False  # an infinite label, or a cycle
-    if len(component) <= 2:
-        return True  # A1 or I2(m)
-    branches = [i for i in component if len(neighbours[i]) >= 3]
-    if branches:
-        # a star with one branch vertex and three arms, every label 3: D_k, E6-E8
-        if len(branches) > 1 or len(neighbours[branches[0]]) > 3 or set(labels) != {3}:
-            return False
-        p, q, r = (len(_walk(neighbours, branches[0], j)) for j in neighbours[branches[0]])
-        # 1/(p+1) + 1/(q+1) + 1/(r+1) > 1, cleared of denominators
-        return (q + 1) * (r + 1) + (p + 1) * (r + 1) + (p + 1) * (q + 1) > (p + 1) * (q + 1) * (r + 1)
-    end = next(i for i in component if len(neighbours[i]) == 1)
-    path = [end] + _walk(neighbours, end, neighbours[end][0])
-    labels = [orders[a][b] for a, b in zip(path, path[1:])]
-    special = [(e, m) for e, m in enumerate(labels) if m != 3]
-    if not special:
-        return True  # A_k
-    if len(special) > 1:
-        return False
-    ((e, m),) = special
-    at_end = e in (0, len(labels) - 1)
-    if m == 4:
-        return at_end or (len(path) == 4 and e == 1)  # B_k, F4
-    return m == 5 and at_end and len(path) <= 4  # H3, H4
-
-
-def _walk(neighbours: dict[int, list[int]], previous: int, current: int) -> list[int]:
-    """The vertices of an arm of a tree, from ``current`` away from
-    ``previous`` until a vertex of degree 1."""
-    arm = [current]
-    while len(neighbours[current]) == 2:
-        previous, current = current, next(j for j in neighbours[current] if j != previous)
-        arm.append(current)
-    return arm
+    def relators(self) -> tuple[tuple[int, ...], ...]:
+        """Each relation (s_i s_j)^m_ij = 1 as a word of generator indices:
+        the squares, then the pairs that do not commute, then those that do,
+        each list in index order."""
+        pairs = list(combinations(range(self.n), 2))
+        return (
+            tuple((i, i) for i in range(self.n))
+            + tuple((i, j) * self.orders[i][j] for i, j in pairs if self.orders[i][j] != 2)
+            + tuple((i, j) * 2 for i, j in pairs if self.orders[i][j] == 2)
+        )
 
 
 def coxeter_matrix(generators) -> CoxeterMatrix:
@@ -157,81 +107,37 @@ def claimed_coxeter_matrix(n: int) -> CoxeterMatrix:
 
 
 @dataclass(frozen=True)
-class Presentation:
-    """Finitely presented group: generator count plus power relations.
-
-    ``relations`` holds (base word, exponent) pairs; the expanded relator
-    words are stored on construction as ``relators``.  Words are tuples of
-    generator indices; there is no inverse-symbol syntax because every
-    presentation used here makes its generators involutions.
-    """
-
-    generator_count: int
-    relations: tuple[tuple[tuple[int, ...], int], ...]
-    relators: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.generator_count < 1:
-            raise ValueError("generator_count must be >= 1")
-        normalized = []
-        expanded = []
-        for base, exponent in self.relations:
-            base = tuple(base)
-            if not base or exponent < 1:
-                raise ValueError("each relation needs a nonempty base word and exponent >= 1")
-            for symbol in base:
-                if not 0 <= symbol < self.generator_count:
-                    raise ValueError(f"relator symbol {symbol} out of range")
-            normalized.append((base, exponent))
-            expanded.append(base * exponent)
-        if not expanded:
-            raise ValueError("the relator set must be nonempty")
-        object.__setattr__(self, "relations", tuple(normalized))
-        object.__setattr__(self, "relators", tuple(expanded))
-
-
-def pipeline_presentation(n: int) -> Presentation:
-    """The claimed presentation for n lifted steps: every generator an
-    involution, adjacent products of order 4, distant products commuting."""
-    if n < 2:
-        raise ValueError("the claimed presentation needs at least 2 steps")
-    relations = [((i,), 2) for i in range(n)]
-    relations += [((k, k + 1), 4) for k in range(n - 1)]
-    relations += [((p, q), 2) for p in range(n) for q in range(p + 2, n)]
-    return Presentation(n, tuple(relations))
-
-
-@dataclass(frozen=True)
 class RelationCheck:
     relator: tuple[int, ...]
     holds: bool
 
 
-def check_relations(generators, presentation: Presentation) -> tuple[RelationCheck, ...]:
-    """Evaluate every relator as a permutation product; a relator holds when
-    the product is the identity."""
-    generators = tuple(generators)
-    if len(generators) != presentation.generator_count:
-        raise ValueError(
-            f"presentation names {presentation.generator_count} generators, got {len(generators)}"
-        )
-    return tuple(
-        RelationCheck(word, evaluate_word(generators, word).is_identity)
-        for word in presentation.relators
-    )
+def check_relations(group: GroupClosure, relators) -> tuple[RelationCheck, ...]:
+    """Evaluate every relator in the enumerated group: walk its word from the
+    identity through the generator action table, rightmost symbol first.  A
+    relator holds when the walk ends at the identity; each costs |word|
+    lookups."""
+    checks = []
+    for word in relators:
+        e = 0
+        for symbol in reversed(word):
+            e = group.left[symbol][e]
+        checks.append(RelationCheck(word, e == 0))
+    return tuple(checks)
 
 
 class _CosetBoundExceeded(Exception):
     pass
 
 
-def todd_coxeter(presentation: Presentation, coset_cap: int = DEFAULT_COSET_CAP) -> int | None:
-    """Order of the presented group by HLT-style coset enumeration over the
-    trivial subgroup, or None when more than ``coset_cap`` cosets would be
-    needed.
+def todd_coxeter(generator_count: int, relators, coset_cap: int = DEFAULT_COSET_CAP) -> int | None:
+    """Order of the group on generators 0..generator_count-1 subject to the
+    relator words (words of generator indices, no inverse symbols), by
+    HLT-style coset enumeration over the trivial subgroup, or None when more
+    than ``coset_cap`` cosets would be needed.
 
     Deterministic by construction: cosets are scanned in creation order,
-    relators in presentation order, and the remaining row entries are then
+    relators in the given order, and the remaining row entries are then
     filled column by column (generator columns before inverse columns).
     Coincidences are resolved through a union-find table: the smaller coset
     index survives, the dead row's entries are replayed onto the survivor,
@@ -244,9 +150,8 @@ def todd_coxeter(presentation: Presentation, coset_cap: int = DEFAULT_COSET_CAP)
     """
     if coset_cap < 1:
         raise ValueError("coset_cap must be >= 1")
-    n = presentation.generator_count
+    n = generator_count
     ncols = 2 * n  # column g follows generator g, column n + g its inverse
-    relators = presentation.relators
 
     table: list[list[int | None]] = [[None] * ncols]
     parent = [0]
@@ -345,19 +250,20 @@ def todd_coxeter(presentation: Presentation, coset_cap: int = DEFAULT_COSET_CAP)
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of comparing a concrete lifted group with its claimed
-    presentation.
+    """Outcome of comparing a concrete lifted group with the Coxeter group
+    of its claimed matrix.
 
     CONFIRMED means the relations hold and coset enumeration closed with
     exactly the concrete order; holding relations give a surjection from
     the abstract group onto the concrete one, so equal finite orders make
     that surjection an isomorphism.  PROPER_QUOTIENT means the relations
     hold but the abstract group is strictly larger.  BOUND_EXCEEDED means
-    enumeration hit the coset cap before closing, or the claimed matrix is
-    of infinite type, so no cap suffices and enumeration is skipped
-    (``abstract_order`` is None either way).  DEGENERATE means the
-    lifted generators are not pairwise-distinct involutions, so no Coxeter
-    claim applies (the computed orders are still reported).
+    enumeration hit the coset cap before closing, or the claim has three or
+    more steps, so the abstract group is infinite, no cap suffices and
+    enumeration is skipped (``abstract_order`` is None either way).
+    DEGENERATE means the lifted generators are not pairwise-distinct
+    involutions, so no Coxeter claim applies (the computed orders are still
+    reported).
     """
 
     verdict: str
@@ -390,42 +296,38 @@ class VerificationReport:
         return self.verdict == CONFIRMED
 
 
-def _presentation_for_steps(n: int) -> Presentation:
-    # single-step pipelines get the involution-only presentation
-    if n == 1:
-        return Presentation(1, (((0,), 2),))
-    return pipeline_presentation(n)
-
-
 def verify_pipeline(
     pipeline: PipelineSpec,
     coset_cap: int = DEFAULT_COSET_CAP,
     element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> VerificationReport:
     """Lift the pipeline and test the claim that its group is the Coxeter
-    group of the claimed presentation.
+    group of ``claimed_coxeter_matrix(n)``.
 
-    Computes the concrete closure order, evaluates every claimed relation on
-    the lifted involutions, runs coset enumeration on the presentation when
-    the claimed Coxeter matrix is of finite type (otherwise the abstract
-    group is infinite and no cap would be reached), and classifies the
-    outcome (see :class:`VerificationReport`).  A closure
-    exceeding ``element_cap`` propagates as
+    Computes the concrete closure, walks every claimed relator through it,
+    runs coset enumeration on the relators when the claimed group is finite
+    (one or two steps; otherwise no cap would be reached), and classifies
+    the outcome (see :class:`VerificationReport`).  A closure exceeding
+    ``element_cap`` propagates as
     :class:`involift.permgroup.ClosureCapExceeded`.
     """
     n = pipeline.n_steps
     gens = tuple(step_involution(pipeline, i) for i in range(1, n + 1))
     defects = generator_defects(gens)
     group = closure(gens, element_cap=element_cap)
-    presentation = _presentation_for_steps(n)
-    checks = check_relations(gens, presentation)
+    relators = claimed_coxeter_matrix(n).relators
+    checks = check_relations(group, relators)
     relations_hold = all(c.holds for c in checks)
     if not relations_hold:
         raise LiftingCheckFailed("a claimed relation failed on lifted involutions; lifting is broken")
     if coset_cap < 1:
         raise ValueError("coset_cap must be >= 1")
-    # enumeration over the trivial subgroup closes only on a finite group
-    abstract = todd_coxeter(presentation, coset_cap) if claimed_coxeter_matrix(n).is_finite else None
+    # Enumeration over the trivial subgroup closes only on a finite group.
+    # The claimed Coxeter graph is a path with every edge labelled 4: n = 1 is
+    # A1 and n = 2 is B2 (order 8), both finite; n = 3 is affine C~2, which is
+    # infinite; for n > 3 the first three generators span C~2 as a parabolic
+    # subgroup (Humphreys 1990, section 5.5), so the group is infinite.
+    abstract = todd_coxeter(n, relators, coset_cap) if n <= 2 else None
     product_orders = _product_orders(gens)
     if defects:
         verdict = DEGENERATE

@@ -48,19 +48,6 @@ def perm_order(p: Perm) -> int:
     return order
 
 
-def evaluate_word(generators: Sequence[Perm], word: Iterable[int]) -> Perm:
-    """Evaluate a generator word as a permutation product.
-
-    The word reads left to right in composition order, so the rightmost
-    symbol acts on a state first.
-    """
-    generators = tuple(generators)
-    acc = Perm.identity(generators[0].total_width)
-    for symbol in word:
-        acc = perm_compose(acc, generators[symbol])
-    return acc
-
-
 @dataclass(frozen=True)
 class GroupClosure:
     """A fully enumerated finite permutation group.

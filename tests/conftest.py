@@ -1,6 +1,7 @@
 """Shared fixtures: canonical small pipelines, the seeded random corpus, an
-oracle that builds permutations straight from register-tuple rules, seeded
-random states, constant-zero steps and pipeline documents."""
+oracle that builds permutations straight from register-tuple rules, a
+reference word evaluator, seeded random states, constant-zero steps and
+pipeline documents."""
 
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 from involift.boolfn import BoolFunc, identity_fn
 from involift.cli import FORMAT_VERSION
 from involift.lifting import Perm, PipelineSpec, layout, random_pipeline
+from involift.permgroup import perm_compose
 from involift.quantum import PRUNE_THRESHOLD, QState
 from involift.rng import SplitMix64
 
@@ -29,6 +31,19 @@ def emit_pipeline(pipeline: PipelineSpec, name: str | None = None) -> str:
     if name is not None:
         document["name"] = name
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def evaluate_word(generators, word) -> Perm:
+    """Reference evaluation of a generator word as a permutation product.
+
+    The word reads left to right in composition order, so the rightmost
+    symbol acts on a state first.
+    """
+    generators = tuple(generators)
+    acc = Perm.identity(generators[0].total_width)
+    for symbol in word:
+        acc = perm_compose(acc, generators[symbol])
+    return acc
 
 
 SUITE_BASE_SEED = 1000

@@ -17,23 +17,21 @@ from involift.coxeter import (
     CONFIRMED,
     DEGENERATE,
     PROPER_QUOTIENT,
-    Presentation,
+    claimed_coxeter_matrix,
     coxeter_matrix,
-    pipeline_presentation,
     todd_coxeter,
     verify_pipeline,
 )
 from involift.lifting import Perm, PipelineSpec, apply_word, layout, run_classical, step_involution
 from involift.permgroup import (
     closure,
-    evaluate_word,
     is_dihedral_8,
     nondegeneracy_defects,
     perm_compose,
 )
 from involift.quantum import AMPLITUDE_TOLERANCE, apply_steps, basis_state, measure, uniform_superposition
 
-from conftest import random_state, zero_fn
+from conftest import evaluate_word, random_state, zero_fn
 
 
 def criterion(label):
@@ -189,7 +187,7 @@ def test_three_step_coxeter_matrix(three_step_id):
 @criterion("presentation verification: two-step confirmed, three-step checked not assumed")
 def test_presentation_verification(two_step_id, three_step_id):
     started = time.perf_counter()
-    assert todd_coxeter(pipeline_presentation(2), 100_000) == 8
+    assert todd_coxeter(2, claimed_coxeter_matrix(2).relators, 100_000) == 8
     report2 = verify_pipeline(two_step_id, coset_cap=100_000)
     assert report2.verdict == CONFIRMED
     assert report2.concrete_order == 8 and report2.abstract_order == 8
@@ -209,8 +207,7 @@ def test_presentation_verification(two_step_id, three_step_id):
 def test_dihedral_family_oracle():
     started = time.perf_counter()
     for m in (2, 3, 4, 5, 6):
-        presentation = Presentation(2, (((0,), 2), ((1,), 2), ((0, 1), m)))
-        assert todd_coxeter(presentation, 1000) == 2 * m
+        assert todd_coxeter(2, ((0, 0), (1, 1), (0, 1) * m), 1000) == 2 * m
         if m == 2:
             s1, s2 = Perm(2, (1, 0, 2, 3)), Perm(2, (0, 1, 3, 2))
         else:

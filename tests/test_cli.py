@@ -148,8 +148,8 @@ def test_verify_finite_type_tiny_cap_exit_2(tmp_path, capsys, monkeypatch):
     calls = []
     enumerate_cosets = coxeter.todd_coxeter
 
-    def spy(presentation, coset_cap):
-        calls.append(enumerate_cosets(presentation, coset_cap))
+    def spy(generator_count, relators, coset_cap):
+        calls.append(enumerate_cosets(generator_count, relators, coset_cap))
         return calls[-1]
 
     monkeypatch.setattr(coxeter, "todd_coxeter", spy)
@@ -221,6 +221,14 @@ def test_qrun_rejects_bad_symbol(tmp_path, capsys):
     assert main(["qrun", path, "--word", "q", "--input", "0", "0", "0", "--measure", "2"]) == 1
 
 
+@pytest.mark.parametrize("symbol", ["f\u00b2", "f\u0661"], ids=["superscript_two", "arabic_indic_one"])
+def test_qrun_rejects_non_ascii_digit_symbol(tmp_path, capsys, symbol):
+    # str.isdigit accepts both; int() rejects the superscript and reads the other as 1
+    path = _write(tmp_path, P1_DOC)
+    assert main(["qrun", path, "--word", symbol, "--input", "0", "0", "0", "--measure", "2"]) == 1
+    assert capsys.readouterr().err == f"error: unknown word symbol {symbol!r} (use f1..f2)\n"
+
+
 def test_qrun_rejects_wrong_input_count(tmp_path):
     path = _write(tmp_path, P1_DOC)
     assert main(["qrun", path, "--word", "f", "--input", "0", "0", "--measure", "2"]) == 1
@@ -230,7 +238,7 @@ def test_qrun_rejects_wrong_input_count(tmp_path):
     "argv, target, broken",
     [
         (["run", "--input", "1"], lifting, ("apply_word", lambda pipeline, word, state: state ^ 1)),
-        (["verify"], coxeter, ("check_relations", lambda gens, pres: (RelationCheck(pres.relators[0], False),))),
+        (["verify"], coxeter, ("check_relations", lambda group, relators: (RelationCheck(relators[0], False),))),
     ],
     ids=["run", "verify"],
 )

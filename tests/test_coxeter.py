@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import pytest
@@ -12,20 +11,18 @@ from involift.coxeter import (
     DEGENERATE,
     DegenerateGenerators,
     PROPER_QUOTIENT,
-    Presentation,
     VerificationReport,
     check_relations,
     claimed_coxeter_matrix,
     coxeter_matrix,
     generator_defects,
-    pipeline_presentation,
     todd_coxeter,
     verify_pipeline,
 )
 from involift.lifting import Perm, PipelineSpec, layout, random_pipeline, step_involution
 from involift.permgroup import closure, perm_compose
 
-from conftest import ID1, zero_fn
+from conftest import ID1, evaluate_word, zero_fn
 
 seeds = st.integers(0, 2**64 - 1)
 
@@ -34,8 +31,8 @@ def _gens(pipeline):
     return tuple(step_involution(pipeline, i) for i in range(1, pipeline.n_steps + 1))
 
 
-def _dihedral_presentation(m):
-    return Presentation(2, (((0,), 2), ((1,), 2), ((0, 1), m)))
+def _dihedral_relators(m):
+    return ((0, 0), (1, 1), (0, 1) * m)
 
 
 def _dihedral_perms(m):
@@ -112,12 +109,21 @@ def test_coxeter_matrix_type_validation():
         CoxeterMatrix(((1, 4), (3, 1)))
     with pytest.raises(ValueError, match=">= 2"):
         CoxeterMatrix(((1, 1), (1, 1)))
-    infinite = CoxeterMatrix(((1, None), (None, 1)))
-    assert infinite.orders[0][1] is None
+    with pytest.raises(TypeError):
+        CoxeterMatrix(((1, None), (None, 1)))  # no infinite label: every claimed order is finite
 
 
 def test_claimed_matrix():
     assert claimed_coxeter_matrix(3).orders == ((1, 4, 2), (4, 1, 4), (2, 4, 1))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_claimed_relators_in_report_order(n):
+    # the order `coxeter` and `verify` print: squares, braids, commutators
+    squares = [(i, i) for i in range(n)]
+    braids = [(k, k + 1) * 4 for k in range(n - 1)]
+    commutators = [(p, q) * 2 for p in range(n) for q in range(p + 2, n)]
+    assert list(claimed_coxeter_matrix(n).relators) == squares + braids + commutators
 
 
 def _matrix(n, edges):
@@ -145,19 +151,12 @@ def _star(*arms):
     return _matrix(vertex, edges)
 
 
-def _coxeter_presentation(matrix):
-    n = matrix.n
-    relations = [((i,), 2) for i in range(n)]
-    relations += [((i, j), matrix.orders[i][j]) for i in range(n) for j in range(i + 1, n)]
-    return Presentation(n, tuple(relations))
-
-
 def _gram_positive_definite(matrix):
-    """Float oracle: the Gram matrix -cos(pi/m) (-1 for an infinite label)
+    """Float oracle for a finite Coxeter group: the Gram matrix -cos(pi/m)
     has every Cholesky pivot above 1e-9.  Affine types have a zero pivot,
     which rounding leaves far below that margin."""
     n = matrix.n
-    gram = [[-1.0 if m is None else -math.cos(math.pi / m) for m in row] for row in matrix.orders]
+    gram = [[-math.cos(math.pi / m) for m in row] for row in matrix.orders]
     lower = [[0.0] * n for _ in range(n)]
     for j in range(n):
         pivot = gram[j][j] - sum(lower[j][k] ** 2 for k in range(j))
@@ -182,8 +181,8 @@ FINITE_TYPES = {
 @pytest.mark.parametrize("name", FINITE_TYPES)
 def test_finite_types_enumerate_to_their_orders(name):
     matrix, order = FINITE_TYPES[name]
-    assert matrix.is_finite
-    assert todd_coxeter(_coxeter_presentation(matrix), 100_000) == order
+    assert _gram_positive_definite(matrix)
+    assert todd_coxeter(matrix.n, matrix.relators, 100_000) == order
 
 
 @pytest.mark.parametrize(
@@ -211,7 +210,7 @@ def test_finite_types_enumerate_to_their_orders(name):
     ],
 )
 def test_is_finite_finite_types(matrix):
-    assert matrix.is_finite
+    # the Gram oracle reproduces the classification of finite types
     assert _gram_positive_definite(matrix)
 
 
@@ -232,99 +231,60 @@ def test_is_finite_finite_types(matrix):
         _path(5, 3, 5),
         _path(3, 5, 3),
         _path(5, 3, 3, 3),
-        _path(None),
         _matrix(5, {(0, 1): 3, (2, 3): 4, (3, 4): 4}),  # A2 x affine C2
         *(claimed_coxeter_matrix(n) for n in range(3, 7)),
     ],
     ids=[
         "affine_A2", "affine_C2", "affine_B3", "affine_D4", "affine_E6", "affine_E7", "affine_E8",
-        "affine_F4", "affine_G2", "affine_D5", "affine_C4", "5-3-5", "3-5-3", "5-3-3-3", "inf",
+        "affine_F4", "affine_G2", "affine_D5", "affine_C4", "5-3-5", "3-5-3", "5-3-3-3",
         "A2x_affine_C2", "claimed3", "claimed4", "claimed5", "claimed6",
     ],
 )
 def test_is_finite_infinite_types(matrix):
-    assert not matrix.is_finite
+    # the Gram oracle reproduces the affine and indefinite types
     assert not _gram_positive_definite(matrix)
 
 
-LABELS = (2, 3, 4, 5, 6, None)
-
-
-def test_is_finite_matches_gram_oracle_exhaustively_up_to_three():
-    verdicts = set()
-    for n in (1, 2, 3):
-        pairs = list(itertools.combinations(range(n), 2))
-        for labels in itertools.product(LABELS, repeat=len(pairs)):
-            matrix = _matrix(n, dict(zip(pairs, labels)))
-            assert matrix.is_finite == _gram_positive_definite(matrix), matrix.orders
-            verdicts.add(matrix.is_finite)
-    assert verdicts == {True, False}
-
-
-@st.composite
-def _coxeter_matrices(draw):
-    n = draw(st.integers(1, 5))
-    pairs = list(itertools.combinations(range(n), 2))
-    # labels 2 and 3 drawn more often, so that large finite types show up
-    labels = draw(st.lists(st.sampled_from((2, 2, 3) + LABELS), min_size=len(pairs), max_size=len(pairs)))
-    return _matrix(n, dict(zip(pairs, labels)))
-
-
-@given(matrix=_coxeter_matrices(), data=st.data())
-@settings(max_examples=300)
-def test_is_finite_matches_gram_oracle(matrix, data):
-    assert matrix.is_finite == _gram_positive_definite(matrix)
-    order = data.draw(st.permutations(range(matrix.n)))
-    relabelled = CoxeterMatrix(tuple(tuple(matrix.orders[i][j] for j in order) for i in order))
-    assert relabelled.is_finite == matrix.is_finite
+@pytest.mark.parametrize("n", range(1, 9))
+def test_claimed_matrix_finite_iff_at_most_two_steps(n):
+    # the rule `verify_pipeline` applies instead of enumerating, checked by the float oracle
+    assert _gram_positive_definite(claimed_coxeter_matrix(n)) == (n <= 2)
 
 
 def test_pipeline_presentation_two_steps():
-    pres = pipeline_presentation(2)
-    assert pres.generator_count == 2
-    assert pres.relators == ((0, 0), (1, 1), (0, 1) * 4)
+    claimed = claimed_coxeter_matrix(2)
+    assert claimed.n == 2
+    assert claimed.relators == ((0, 0), (1, 1), (0, 1) * 4)
 
 
 def test_pipeline_presentation_three_steps():
-    pres = pipeline_presentation(3)
-    assert (1, 2) * 4 in pres.relators
-    assert (0, 2) * 2 in pres.relators
+    relators = claimed_coxeter_matrix(3).relators
+    assert (1, 2) * 4 in relators
+    assert (0, 2) * 2 in relators
 
 
 def test_pipeline_presentation_four_steps_counts():
-    pres = pipeline_presentation(4)
-    braids = [w for w in pres.relators if len(w) == 8]
-    commutators = [w for w in pres.relators if len(w) == 4]
-    squares = [w for w in pres.relators if len(w) == 2]
+    relators = claimed_coxeter_matrix(4).relators
+    braids = [w for w in relators if len(w) == 8]
+    commutators = [w for w in relators if len(w) == 4]
+    squares = [w for w in relators if len(w) == 2]
     assert len(squares) == 4 and len(braids) == 3 and len(commutators) == 3
     assert set(commutators) == {(0, 2) * 2, (0, 3) * 2, (1, 3) * 2}
 
 
-def test_pipeline_presentation_rejects_single_step():
-    with pytest.raises(ValueError, match="at least 2"):
-        pipeline_presentation(1)
-
-
-def test_presentation_validation():
-    with pytest.raises(ValueError, match="out of range"):
-        Presentation(1, (((1,), 2),))
-    with pytest.raises(ValueError, match="nonempty"):
-        Presentation(1, ())
-
-
 def test_check_relations_two_step(two_step_id):
-    checks = check_relations(_gens(two_step_id), pipeline_presentation(2))
+    checks = check_relations(closure(_gens(two_step_id)), claimed_coxeter_matrix(2).relators)
     assert all(c.holds for c in checks)
 
 
 def test_check_relations_three_step(three_step_id):
-    checks = check_relations(_gens(three_step_id), pipeline_presentation(3))
+    checks = check_relations(closure(_gens(three_step_id)), claimed_coxeter_matrix(3).relators)
     assert all(c.holds for c in checks)
 
 
 def test_check_relations_false_presentation(two_step_id):
-    wrong = Presentation(2, (((0,), 2), ((1,), 2), ((0, 1), 2)))
-    checks = check_relations(_gens(two_step_id), wrong)
+    wrong = ((0, 0), (1, 1), (0, 1) * 2)
+    checks = check_relations(closure(_gens(two_step_id)), wrong)
     by_relator = {c.relator: c.holds for c in checks}
     assert by_relator[(0, 0)] and by_relator[(1, 1)]
     assert not by_relator[(0, 1, 0, 1)]
@@ -336,17 +296,12 @@ def test_check_relations_false_presentation(two_step_id):
     assert s21_sq(lay.pack_registers((1, 0, 0))) == lay.pack_registers((1, 0, 1))
 
 
-def test_check_relations_generator_count_mismatch(two_step_id):
-    with pytest.raises(ValueError, match="names 3 generators"):
-        check_relations(_gens(two_step_id), pipeline_presentation(3))
-
-
 @given(seed=seeds)
 @settings(max_examples=30)
 def test_squares_and_distant_commutators_always_hold(seed):
     pipeline = random_pipeline(seed, steps=3, max_width=2)
     gens = _gens(pipeline)
-    checks = check_relations(gens, pipeline_presentation(3))
+    checks = check_relations(closure(gens), claimed_coxeter_matrix(3).relators)
     for check in checks:
         if len(check.relator) == 2 or len(check.relator) == 4:
             # squares (the XOR cancels) and distant commutators (disjoint
@@ -355,21 +310,50 @@ def test_squares_and_distant_commutators_always_hold(seed):
     assert perm_compose(gens[0], gens[2]) == perm_compose(gens[2], gens[0])
 
 
+@given(seed=seeds, steps=st.integers(1, 4), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_check_relations_matches_evaluate_word(seed, steps, data):
+    # register widths capped so that the steps + 1 registers span W <= 9 bits
+    pipeline = random_pipeline(seed, steps=steps, max_width=9 // (steps + 1))
+    gens = _gens(pipeline)
+    group = closure(gens)
+    word = tuple(data.draw(st.lists(st.integers(0, steps - 1), max_size=12)))
+    element = data.draw(st.integers(0, len(group) - 1))
+    # a word followed by its reverse is trivial (the generators are
+    # involutions); the shortest word of the last element is not, unless |G| = 1
+    words = (word, word + word[::-1], group.words[element], group.words[-1])
+    checks = check_relations(group, words)
+    assert [c.relator for c in checks] == list(words)
+    assert [c.holds for c in checks] == [evaluate_word(gens, w).is_identity for w in words]
+    assert checks[1].holds
+    assert checks[3].holds == (len(group) == 1)
+
+
+def test_check_relations_length_twelve_relator(three_step_id):
+    # R = f1 f2 f3 f1 f2 f1 f3 f2 f1 f3 f2 f3 holds on the 3-step identity group,
+    # while its first eleven symbols do not
+    r = (0, 1, 2, 0, 1, 0, 2, 1, 0, 2, 1, 2)
+    gens = _gens(three_step_id)
+    checks = check_relations(closure(gens), (r, r[:-1]))
+    assert [c.holds for c in checks] == [evaluate_word(gens, w).is_identity for w in (r, r[:-1])]
+    assert [c.holds for c in checks] == [True, False]
+
+
 def test_todd_coxeter_order_two_cyclic():
-    assert todd_coxeter(Presentation(1, (((0,), 2),)), 100) == 2
+    assert todd_coxeter(1, ((0, 0),), 100) == 2
 
 
 def test_todd_coxeter_two_step_presentation():
-    assert todd_coxeter(pipeline_presentation(2), 100) == 8
+    assert todd_coxeter(2, claimed_coxeter_matrix(2).relators, 100) == 8
 
 
 def test_todd_coxeter_klein_four():
-    assert todd_coxeter(_dihedral_presentation(2), 100) == 4
+    assert todd_coxeter(2, _dihedral_relators(2), 100) == 4
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_todd_coxeter_dihedral_family(m):
-    abstract = todd_coxeter(_dihedral_presentation(m), 1000)
+    abstract = todd_coxeter(2, _dihedral_relators(m), 1000)
     assert abstract == 2 * m
     s1, s2 = _dihedral_perms(m)
     assert len(closure([s1, s2])) == 2 * m
@@ -377,27 +361,24 @@ def test_todd_coxeter_dihedral_family(m):
 
 
 def test_todd_coxeter_symmetric_and_hyperoctahedral():
-    a2 = Presentation(2, (((0,), 2), ((1,), 2), ((0, 1), 3)))
-    assert todd_coxeter(a2, 1000) == 6
-    a3 = Presentation(
-        3, (((0,), 2), ((1,), 2), ((2,), 2), ((0, 1), 3), ((1, 2), 3), ((0, 2), 2))
-    )
-    assert todd_coxeter(a3, 1000) == 24
-    b3 = Presentation(
-        3, (((0,), 2), ((1,), 2), ((2,), 2), ((0, 1), 4), ((1, 2), 3), ((0, 2), 2))
-    )
-    assert todd_coxeter(b3, 1000) == 48
+    a2 = ((0, 0), (1, 1), (0, 1) * 3)
+    assert todd_coxeter(2, a2, 1000) == 6
+    a3 = ((0, 0), (1, 1), (2, 2), (0, 1) * 3, (1, 2) * 3, (0, 2) * 2)
+    assert todd_coxeter(3, a3, 1000) == 24
+    b3 = ((0, 0), (1, 1), (2, 2), (0, 1) * 4, (1, 2) * 3, (0, 2) * 2)
+    assert todd_coxeter(3, b3, 1000) == 48
 
 
 def test_todd_coxeter_bound_exceeded():
-    assert todd_coxeter(pipeline_presentation(3), 500) is None
-    assert todd_coxeter(Presentation(1, (((0,), 2),)), 1) is None
+    assert todd_coxeter(3, claimed_coxeter_matrix(3).relators, 500) is None
+    assert todd_coxeter(1, ((0, 0),), 1) is None
 
 
 def test_todd_coxeter_deterministic():
-    pres = pipeline_presentation(3)
-    assert todd_coxeter(pres, 2000) == todd_coxeter(pres, 2000)
-    assert todd_coxeter(pipeline_presentation(2), 100) == todd_coxeter(pipeline_presentation(2), 100)
+    relators3 = claimed_coxeter_matrix(3).relators
+    assert todd_coxeter(3, relators3, 2000) == todd_coxeter(3, relators3, 2000)
+    relators2 = claimed_coxeter_matrix(2).relators
+    assert todd_coxeter(2, relators2, 100) == todd_coxeter(2, relators2, 100)
 
 
 def test_verify_two_step_confirmed(two_step_id):
@@ -422,7 +403,7 @@ def test_identity_pipeline_order(n):
 @pytest.mark.parametrize("cap", [1, 500, 100_000])
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_verify_infinite_type_skips_enumeration(monkeypatch, n, cap):
-    def refuse(presentation, coset_cap):
+    def refuse(generator_count, relators, coset_cap):
         raise AssertionError("coset enumeration ran on an infinite-type presentation")
 
     monkeypatch.setattr(coxeter, "todd_coxeter", refuse)

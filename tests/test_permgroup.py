@@ -6,13 +6,14 @@ from involift.permgroup import (
     ClosureCapExceeded,
     closure,
     element_order_histogram,
-    evaluate_word,
     is_dihedral_8,
     nondegeneracy_defects,
     perm_compose,
     perm_order,
 )
 from involift.rng import SplitMix64
+
+from conftest import evaluate_word
 
 seeds = st.integers(0, 2**64 - 1)
 
