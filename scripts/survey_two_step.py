@@ -6,8 +6,8 @@ dihedral of order 8."""
 import argparse
 from collections import Counter
 
-from involift.lifting import random_pipeline, step_involution
-from involift.permgroup import closure, element_order_histogram, is_dihedral_8, nondegeneracy_defects
+from involift.lifting import nondegeneracy_defects, random_pipeline, step_involution
+from involift.permgroup import closure, element_order_histogram, is_dihedral_8
 
 
 def main() -> None:
@@ -23,11 +23,9 @@ def main() -> None:
     histograms = Counter()
     for k in range(args.pipelines):
         pipeline = random_pipeline(args.seed + k, steps=2, max_width=args.max_width)
-        gens = (step_involution(pipeline, 1), step_involution(pipeline, 2))
-        defects = nondegeneracy_defects(gens)
-        for d in defects:
+        for d in nondegeneracy_defects(pipeline):
             defect_kinds[d.split(" has order")[0]] += 1
-        group = closure(gens)
+        group = closure((step_involution(pipeline, 1), step_involution(pipeline, 2)))
         orders[len(group)] += 1
         histograms[tuple(sorted(element_order_histogram(group).items()))] += 1
         if is_dihedral_8(group) is not None:

@@ -19,7 +19,10 @@ from .lifting import (
     PipelineSpec,
     RegisterLayout,
     apply_word,
+    generator_defects,
     layout,
+    nondegeneracy_defects,
+    product_orders,
     random_pipeline,
     run_classical,
     step_involution,
@@ -31,11 +34,7 @@ from .permgroup import (
     GroupClosure,
     closure,
     element_order_histogram,
-    generator_defects,
     is_dihedral_8,
-    nondegeneracy_defects,
-    perm_compose,
-    perm_order,
 )
 from .coxeter import (
     BOUND_EXCEEDED,
@@ -43,13 +42,11 @@ from .coxeter import (
     CoxeterMatrix,
     DEFAULT_COSET_CAP,
     DEGENERATE,
-    DegenerateGenerators,
     PROPER_QUOTIENT,
     RelationCheck,
     VerificationReport,
     check_relations,
     claimed_coxeter_matrix,
-    coxeter_matrix,
     todd_coxeter,
     verify_pipeline,
 )

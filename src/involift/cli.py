@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -24,9 +25,8 @@ from .boolfn import BoolFunc
 from .coxeter import (
     BOUND_EXCEEDED,
     DEFAULT_COSET_CAP,
-    DegenerateGenerators,
+    CoxeterMatrix,
     claimed_coxeter_matrix,
-    coxeter_matrix,
     verify_pipeline,
 )
 from .lifting import (
@@ -34,7 +34,10 @@ from .lifting import (
     LiftingCheckFailed,
     PipelineSpec,
     apply_word,
+    generator_defects,
     layout,
+    nondegeneracy_defects,
+    product_orders,
     run_classical,
     step_involution,
 )
@@ -44,7 +47,6 @@ from .permgroup import (
     closure,
     element_order_histogram,
     is_dihedral_8,
-    nondegeneracy_defects,
 )
 from .quantum import apply_steps, basis_state, marginal_distribution, measure, uniform_superposition
 
@@ -65,12 +67,23 @@ def parse_pipeline(source: str | Path | bytes) -> PipelineSpec:
     else:
         text = Path(source).read_text(encoding="utf-8")
     try:
-        document = json.loads(text)
+        document = json.loads(text, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as e:
         raise PipelineFormatError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
     except RecursionError:
         raise PipelineFormatError("invalid JSON: nested too deeply") from None
     return pipeline_from_document(document)
+
+
+def _unique_fields(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object as a dict, rejecting a repeated field instead of letting
+    its last value win."""
+    document = {}
+    for key, value in pairs:
+        if key in document:
+            raise PipelineFormatError(f"duplicate field: {key}")
+        document[key] = value
+    return document
 
 
 def pipeline_from_document(document: object) -> PipelineSpec:
@@ -123,17 +136,10 @@ def pipeline_from_document(document: object) -> PipelineSpec:
         entries = obj["table"]
         if not isinstance(entries, list):
             raise PipelineFormatError(f"functions[{i}].table must be a list of hex strings")
-        values = []
-        for k, entry in enumerate(entries):
-            if not isinstance(entry, str):
-                raise PipelineFormatError(f"functions[{i}].table[{k}] must be a hex string")
-            try:
-                value = int(entry, 16)
-            except ValueError:
-                raise PipelineFormatError(f"functions[{i}].table[{k}] is not valid hex: {entry!r}") from None
-            if value < 0:
-                raise PipelineFormatError(f"functions[{i}].table[{k}] must be nonnegative")
-            values.append(value)
+        try:
+            values = _parse_hex(entries, f"functions[{i}].table[{{}}]")
+        except ValueError as e:
+            raise PipelineFormatError(str(e)) from None
         try:
             steps.append(BoolFunc(registers[i], registers[i + 1], tuple(values)))
         except ValueError as e:
@@ -148,14 +154,22 @@ def _hex(value: int) -> str:
     return format(value, "x")
 
 
-def _parse_hex(text: str, what: str) -> int:
-    try:
-        value = int(text, 16)
-    except ValueError:
-        raise ValueError(f"{what} is not valid hex: {text!r}") from None
-    if value < 0:
-        raise ValueError(f"{what} must be nonnegative")
-    return value
+# ASCII hex digits only: int(text, 16) also takes other scripts' digits,
+# underscores, whitespace and the 0x and + prefixes
+_HEX = re.compile(r"[0-9A-Fa-f]+")
+
+
+def _parse_hex(texts: Sequence[object], what: str) -> list[int]:
+    """Nonnegative hex numbers, one per string; ``what.format(k)`` names
+    entry k in an error message."""
+    for k, text in enumerate(texts):
+        if not isinstance(text, str):
+            raise ValueError(f"{what.format(k)} must be a hex string")
+        if _HEX.fullmatch(text) is None:
+            if text[:1] == "-" and _HEX.fullmatch(text, 1):
+                raise ValueError(f"{what.format(k)} must be nonnegative")
+            raise ValueError(f"{what.format(k)} is not valid hex: {text!r}")
+    return [int(text, 16) for text in texts]
 
 
 def _step_index(symbol: str, n_steps: int) -> int:
@@ -221,7 +235,7 @@ def _cmd_group(args, pipeline: PipelineSpec):
     gens = [step_involution(pipeline, i) for i in range(1, pipeline.n_steps + 1)]
     group = closure(gens, element_cap=args.element_cap)
     histogram = element_order_histogram(group)
-    defects = nondegeneracy_defects(gens)
+    defects = nondegeneracy_defects(pipeline)
     witness = is_dihedral_8(group)
     print(f"closure order: {len(group)}")
     print("element order histogram: {" + ", ".join(f"{k}: {v}" for k, v in histogram.items()) + "}")
@@ -257,16 +271,15 @@ def _cmd_group(args, pipeline: PipelineSpec):
 
 
 def _cmd_coxeter(args, pipeline: PipelineSpec):
-    gens = [step_involution(pipeline, i) for i in range(1, pipeline.n_steps + 1)]
     claimed = claimed_coxeter_matrix(pipeline.n_steps)
     relators = [" ".join(_render_word(w)) for w in claimed.relators]
-    try:
-        empirical = coxeter_matrix(gens)
-    except DegenerateGenerators as e:
+    defects = generator_defects(pipeline)
+    if defects:
         print("degenerate generator set; no Coxeter matrix:")
-        for d in e.defects:
+        for d in defects:
             print(f"  - {d}")
-        return 0, {"degenerate": True, "defects": list(e.defects)}
+        return 0, {"degenerate": True, "defects": list(defects)}
+    empirical = CoxeterMatrix(product_orders(pipeline))
     matches = empirical.orders == claimed.orders
     _print_matrix("empirical matrix (orders of pairwise products)", empirical.orders)
     _print_matrix("claimed matrix (adjacent 4, distant 2)", claimed.orders)
@@ -317,7 +330,7 @@ def _cmd_verify(args, pipeline: PipelineSpec):
 
 
 def _cmd_run(args, pipeline: PipelineSpec):
-    x = _parse_hex(args.input, "--input")
+    (x,) = _parse_hex([args.input], "--input")
     trace = run_classical(pipeline, x)
     lay = layout(pipeline)
     # the reversed word f1 f2 .. fn (step n applied first) undoes the forward run
@@ -349,7 +362,7 @@ def _cmd_qrun(args, pipeline: PipelineSpec):
     word = [f"f{i}" for i in indices]
     if len(args.input) != len(lay.widths):
         raise ValueError(f"--input needs {len(lay.widths)} register values, got {len(args.input)}")
-    values = [_parse_hex(v, f"--input register {i}") for i, v in enumerate(args.input)]
+    values = _parse_hex(args.input, "--input register {}")
     state = basis_state(lay, values)
     if args.superpose is not None:
         state = uniform_superposition(lay, args.superpose, state)

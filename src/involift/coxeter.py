@@ -8,23 +8,18 @@ are read from it.  Whether the concrete group IS that Coxeter group
 (rather than a proper quotient of it) is checked, never assumed: every
 relator is walked through the concrete group, and the abstract group is
 decided independently: infinite from three steps on (the matrix contains
-affine C~2), otherwise of the order found by coset enumeration.
+affine C~2), otherwise of the order found by coset enumeration.  The
+empirical matrix is read from the truth tables
+(:func:`involift.lifting.product_orders`), not from permutations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
 
-from .lifting import LiftingCheckFailed, PipelineSpec, step_involution
-from .permgroup import (
-    DEFAULT_ELEMENT_CAP,
-    GroupClosure,
-    _product_orders,
-    closure,
-    generator_defects,
-)
+from .lifting import LiftingCheckFailed, PipelineSpec, generator_defects, product_orders, step_involution
+from .permgroup import DEFAULT_ELEMENT_CAP, GroupClosure, _walk, closure
 
 DEFAULT_COSET_CAP = 100_000
 
@@ -32,15 +27,6 @@ CONFIRMED = "CONFIRMED"
 PROPER_QUOTIENT = "PROPER_QUOTIENT"
 BOUND_EXCEEDED = "BOUND_EXCEEDED"
 DEGENERATE = "DEGENERATE"
-
-
-class DegenerateGenerators(ValueError):
-    """Generator set unfit for a Coxeter matrix; the offenders are listed in
-    ``defects``."""
-
-    def __init__(self, defects: Sequence[str]):
-        super().__init__("degenerate generator set: " + "; ".join(defects))
-        self.defects = tuple(defects)
 
 
 @dataclass(frozen=True)
@@ -82,17 +68,6 @@ class CoxeterMatrix:
         )
 
 
-def coxeter_matrix(generators) -> CoxeterMatrix:
-    """Empirical Coxeter matrix: entry (i, j) is the order of the product of
-    generators i and j.  Raises :class:`DegenerateGenerators` when the set
-    is not made of pairwise-distinct involutions."""
-    generators = tuple(generators)
-    defects = generator_defects(generators)
-    if defects:
-        raise DegenerateGenerators(defects)
-    return CoxeterMatrix(_product_orders(generators))
-
-
 def claimed_coxeter_matrix(n: int) -> CoxeterMatrix:
     """The matrix the n-step lifting is expected to realize: adjacent entries
     4, distant entries 2."""
@@ -117,13 +92,7 @@ def check_relations(group: GroupClosure, relators) -> tuple[RelationCheck, ...]:
     identity through the generator action table, rightmost symbol first.  A
     relator holds when the walk ends at the identity; each costs |word|
     lookups."""
-    checks = []
-    for word in relators:
-        e = 0
-        for symbol in reversed(word):
-            e = group.left[symbol][e]
-        checks.append(RelationCheck(word, e == 0))
-    return tuple(checks)
+    return tuple(RelationCheck(word, _walk(group, word) == 0) for word in relators)
 
 
 class _CosetBoundExceeded(Exception):
@@ -312,9 +281,8 @@ def verify_pipeline(
     :class:`involift.permgroup.ClosureCapExceeded`.
     """
     n = pipeline.n_steps
-    gens = tuple(step_involution(pipeline, i) for i in range(1, n + 1))
-    defects = generator_defects(gens)
-    group = closure(gens, element_cap=element_cap)
+    defects = generator_defects(pipeline)
+    group = closure([step_involution(pipeline, i) for i in range(1, n + 1)], element_cap=element_cap)
     relators = claimed_coxeter_matrix(n).relators
     checks = check_relations(group, relators)
     relations_hold = all(c.holds for c in checks)
@@ -328,7 +296,6 @@ def verify_pipeline(
     # infinite; for n > 3 the first three generators span C~2 as a parabolic
     # subgroup (Humphreys 1990, section 5.5), so the group is infinite.
     abstract = todd_coxeter(n, relators, coset_cap) if n <= 2 else None
-    product_orders = _product_orders(gens)
     if defects:
         verdict = DEGENERATE
     elif abstract is None:
@@ -344,6 +311,6 @@ def verify_pipeline(
         abstract_order=abstract,
         coset_cap=coset_cap,
         relation_checks=checks,
-        product_orders=product_orders,
+        product_orders=product_orders(pipeline),
         defects=defects,
     )

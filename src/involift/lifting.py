@@ -7,19 +7,23 @@ step gets its own output register and is replaced by the XOR update
 
 Each lifted step is an involution of the packed state space (repeating the
 XOR cancels it), and composing the steps in order computes the whole
-pipeline while keeping every intermediate value around.
+pipeline while keeping every intermediate value around.  The facts the
+Coxeter claim is made of (which steps are the identity, which coincide, and
+the order of each pairwise product) follow from the truth tables alone, so
+they are read from the tables here and never from permutations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, NamedTuple, Sequence
 
 from .boolfn import BoolFunc, random_fn
 from .rng import SplitMix64
 
-# Permutations are materialized as full 2^W mapping arrays, so the summed
-# register width is capped.
+# The group closure (`group`, `verify`) materializes its elements as full
+# 2^W mapping arrays, so the summed register width is capped.
 DEFAULT_WIDTH_CAP = 20
 
 
@@ -103,8 +107,8 @@ class PipelineSpec:
     """Register widths w0..wn and step functions f1..fn.
 
     Step i reads register i-1 and writes register i, so f_i must map
-    w_{i-1} bits to w_i bits.  The summed width is capped because the
-    lifted steps are materialized as permutations of 2^W points.
+    w_{i-1} bits to w_i bits.  The summed width is capped because the group
+    closure materializes its elements as permutations of 2^W points.
     """
 
     widths: tuple[int, ...]
@@ -162,6 +166,61 @@ def step_involution(pipeline: PipelineSpec, step: int) -> Perm:
         lay.total_width,
         tuple(s ^ (table[(s >> src) & mask] << dst) for s in range(1 << lay.total_width)),
     )
+
+
+def generator_defects(pipeline: PipelineSpec) -> tuple[str, ...]:
+    """Violations of the Coxeter generator precondition: every lifted step an
+    involution (order exactly 2) and all pairwise distinct.
+
+    A step XORs into a register it does not read, so it is an involution
+    unless its table is all zero, which makes it the identity.  Two steps
+    write different registers, so they are equal only when both are the
+    identity.
+    """
+    zero = [f.is_constant_zero for f in pipeline.steps]
+    defects = [f"generator {i} is the identity" for i, z in enumerate(zero, start=1) if z]
+    for i, j in combinations(range(len(zero)), 2):
+        if zero[i] and zero[j]:
+            defects.append(f"generators {i + 1} and {j + 1} are equal")
+    return tuple(defects)
+
+
+def product_orders(pipeline: PipelineSpec) -> tuple[tuple[int, ...], ...]:
+    """Orders of the pairwise products of the lifted steps, 1 on the diagonal.
+
+    A product of two involutions is the identity exactly when they are
+    equal, i.e. both zero.  Steps two or more apart act on disjoint
+    registers, so they commute and their product otherwise has order 2.
+    For neighbours a: y ^= F(x) and b: z ^= G(y), (ab)^2 XORs
+    G(y) ^ G(y ^ F(x)) into z, so ab has order 2 when G(y) = G(y ^ v) for
+    every y and every v in the image of F, and order 4 otherwise; that takes
+    at most 2^(w_{i-1} + w_i) table lookups.
+    """
+    steps = pipeline.steps
+    zero = [f.is_constant_zero for f in steps]
+    orders = [[1] * len(steps) for _ in steps]
+    for i, j in combinations(range(len(steps)), 2):
+        if zero[i] and zero[j]:
+            continue
+        k = 2
+        if j == i + 1:
+            g = steps[j].table
+            if any(g[y] != g[y ^ v] for v in set(steps[i].table) for y in range(len(g))):
+                k = 4
+        orders[i][j] = orders[j][i] = k
+    return tuple(map(tuple, orders))
+
+
+def nondegeneracy_defects(pipeline: PipelineSpec) -> tuple[str, ...]:
+    """Violations of the generic-case conditions: the lifted steps must be
+    pairwise-distinct involutions (see :func:`generator_defects`) and every
+    adjacent product must have order 4.  Empty result means nondegenerate."""
+    defects = list(generator_defects(pipeline))
+    orders = product_orders(pipeline)
+    for i in range(pipeline.n_steps - 1):
+        if (k := orders[i][i + 1]) != 4:
+            defects.append(f"product of adjacent generators {i + 1} and {i + 2} has order {k}, expected 4")
+    return tuple(defects)
 
 
 def apply_word(pipeline: PipelineSpec, word: Sequence[int], state: int) -> int:

@@ -1,12 +1,15 @@
 """The group generated by lifted steps: closure, orders, words, and the
-dihedral-of-order-8 classification for two-step pipelines."""
+dihedral-of-order-8 classification for two-step pipelines.
+
+The closure is the only place where permutations are composed.  Element
+orders, the Cayley table and the relator checks of :mod:`involift.coxeter`
+walk generator words through the closure's action table ``left`` instead.
+"""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .lifting import Perm
@@ -20,32 +23,6 @@ class ClosureCapExceeded(RuntimeError):
     def __init__(self, element_cap: int):
         super().__init__(f"group closure exceeds the cap of {element_cap} elements")
         self.element_cap = element_cap
-
-
-def perm_compose(p: Perm, q: Perm) -> Perm:
-    """p after q: (p composed with q)(s) = p(q(s))."""
-    if p.total_width != q.total_width:
-        raise ValueError(f"width mismatch: {p.total_width} vs {q.total_width}")
-    pm = p.mapping
-    return Perm(p.total_width, tuple(pm[v] for v in q.mapping))
-
-
-def perm_order(p: Perm) -> int:
-    """Smallest k >= 1 with p^k = identity, as the lcm of cycle lengths."""
-    mapping = p.mapping
-    seen = bytearray(len(mapping))
-    order = 1
-    for start in range(len(mapping)):
-        if seen[start]:
-            continue
-        length = 0
-        cursor = start
-        while not seen[cursor]:
-            seen[cursor] = 1
-            cursor = mapping[cursor]
-            length += 1
-        order = math.lcm(order, length)
-    return order
 
 
 @dataclass(frozen=True)
@@ -133,11 +110,33 @@ def closure(generators: Sequence[Perm], element_cap: int = DEFAULT_ELEMENT_CAP) 
     return GroupClosure(gens, tuple(elements), tuple(words), tuple(map(tuple, left)), tuple(parents))
 
 
+def _walk(group: GroupClosure, word: Sequence[int], start: int = 0) -> int:
+    """Index of the word's product composed with elements[start]: each
+    symbol, rightmost first, is one lookup in the generator action table."""
+    e = start
+    for symbol in reversed(word):
+        e = group.left[symbol][e]
+    return e
+
+
+def _element_orders(group: GroupClosure) -> list[int]:
+    """Order of every element: walk its word from the identity until the
+    walk returns there, |word| lookups per power."""
+    orders = []
+    for word in group.words:
+        k = 1
+        e = _walk(group, word)
+        while e != 0:
+            e = _walk(group, word, e)
+            k += 1
+        orders.append(k)
+    return orders
+
+
 def element_order_histogram(group: GroupClosure) -> dict[int, int]:
     """Multiset of element orders, as an order -> count map."""
     histogram: dict[int, int] = {}
-    for p in group.elements:
-        k = perm_order(p)
+    for k in _element_orders(group):
         histogram[k] = histogram.get(k, 0) + 1
     return dict(sorted(histogram.items()))
 
@@ -178,7 +177,7 @@ def is_dihedral_8(group: GroupClosure) -> Dihedral8Witness | None:
     """
     if len(group) != 8:
         return None
-    orders = [perm_order(p) for p in group.elements]
+    orders = _element_orders(group)
 
     def qualifies(a: int, b: int) -> bool:
         if orders[a] != 4 or orders[b] != 2:
@@ -197,46 +196,3 @@ def is_dihedral_8(group: GroupClosure) -> Dihedral8Witness | None:
             if qualifies(a, b):
                 return Dihedral8Witness(a, b, from_generators=False)
     return None
-
-
-def generator_defects(generators: Sequence[Perm]) -> tuple[str, ...]:
-    """Violations of the Coxeter generator precondition: every generator an
-    involution (order exactly 2) and all pairwise distinct."""
-    generators = tuple(generators)
-    defects = []
-    for i, g in enumerate(generators, start=1):
-        k = perm_order(g)
-        if k == 1:
-            defects.append(f"generator {i} is the identity")
-        elif k != 2:
-            defects.append(f"generator {i} has order {k}, not an involution")
-    for i in range(len(generators)):
-        for j in range(i + 1, len(generators)):
-            if generators[i].mapping == generators[j].mapping:
-                defects.append(f"generators {i + 1} and {j + 1} are equal")
-    return tuple(defects)
-
-
-def _product_orders(generators: Sequence[Perm]) -> tuple[tuple[int, ...], ...]:
-    """Orders of the pairwise products of involutions, 1 on the diagonal.
-
-    Each unordered pair is composed once: ab and ba are conjugate, so they
-    have the same order.
-    """
-    orders = [[1] * len(generators) for _ in generators]
-    for i, j in combinations(range(len(generators)), 2):
-        orders[i][j] = orders[j][i] = perm_order(perm_compose(generators[i], generators[j]))
-    return tuple(map(tuple, orders))
-
-
-def nondegeneracy_defects(generators: Sequence[Perm]) -> tuple[str, ...]:
-    """Violations of the generic-case conditions: the generators must be
-    pairwise-distinct involutions (see :func:`generator_defects`) and every
-    adjacent product must have order 4.  Empty result means nondegenerate."""
-    generators = tuple(generators)
-    defects = list(generator_defects(generators))
-    orders = _product_orders(generators)
-    for i in range(len(generators) - 1):
-        if (k := orders[i][i + 1]) != 4:
-            defects.append(f"product of adjacent generators {i + 1} and {i + 2} has order {k}, expected 4")
-    return tuple(defects)

@@ -1,7 +1,7 @@
 """Shared fixtures: canonical small pipelines, the seeded random corpus, an
-oracle that builds permutations straight from register-tuple rules, a
-reference word evaluator, seeded random states, constant-zero steps and
-pipeline documents."""
+oracle that builds permutations straight from register-tuple rules,
+reference permutation algebra (composition, order, word evaluation),
+seeded random states, constant-zero steps and pipeline documents."""
 
 import json
 import math
@@ -11,7 +11,6 @@ import pytest
 from involift.boolfn import BoolFunc, identity_fn
 from involift.cli import FORMAT_VERSION
 from involift.lifting import Perm, PipelineSpec, layout, random_pipeline
-from involift.permgroup import perm_compose
 from involift.quantum import PRUNE_THRESHOLD, QState
 from involift.rng import SplitMix64
 
@@ -31,6 +30,32 @@ def emit_pipeline(pipeline: PipelineSpec, name: str | None = None) -> str:
     if name is not None:
         document["name"] = name
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def perm_compose(p: Perm, q: Perm) -> Perm:
+    """p after q: (p composed with q)(s) = p(q(s))."""
+    if p.total_width != q.total_width:
+        raise ValueError(f"width mismatch: {p.total_width} vs {q.total_width}")
+    pm = p.mapping
+    return Perm(p.total_width, tuple(pm[v] for v in q.mapping))
+
+
+def perm_order(p: Perm) -> int:
+    """Smallest k >= 1 with p^k = identity, as the lcm of cycle lengths."""
+    mapping = p.mapping
+    seen = bytearray(len(mapping))
+    order = 1
+    for start in range(len(mapping)):
+        if seen[start]:
+            continue
+        length = 0
+        cursor = start
+        while not seen[cursor]:
+            seen[cursor] = 1
+            cursor = mapping[cursor]
+            length += 1
+        order = math.lcm(order, length)
+    return order
 
 
 def evaluate_word(generators, word) -> Perm:

@@ -19,9 +19,9 @@ from involift import coxeter, lifting
 from involift.boolfn import random_fn
 from involift.coxeter import RelationCheck
 from involift.lifting import PipelineSpec, random_pipeline, step_involution
-from involift.permgroup import GroupClosure, perm_order
+from involift.permgroup import GroupClosure
 
-from conftest import ID1, emit_pipeline, zero_fn
+from conftest import ID1, emit_pipeline, perm_order, zero_fn
 
 P1_DOC = {
     "format_version": 1,
@@ -88,6 +88,64 @@ def test_parse_rejects_bad_hex():
     doc = {"format_version": 1, "registers": [1, 1], "functions": [{"table": ["0", "-1"]}]}
     with pytest.raises(PipelineFormatError, match="nonnegative"):
         pipeline_from_document(doc)
+
+
+# int(text, 16) reads each of these; a table entry or --input takes ASCII hex digits only
+NOT_HEX = {
+    "arabic_indic_one": "\u0661",
+    "underscore": "1_0",
+    "leading_space": " 1",
+    "trailing_newline": "1\n",
+    "prefix_0x": "0x1",
+    "plus": "+1",
+}
+
+
+@pytest.mark.parametrize("spelling", NOT_HEX.values(), ids=NOT_HEX.keys())
+def test_parse_rejects_non_ascii_hex_spellings(spelling):
+    doc = {"format_version": 1, "registers": [1, 8], "functions": [{"table": ["0", spelling]}]}
+    with pytest.raises(PipelineFormatError) as info:
+        pipeline_from_document(doc)
+    assert str(info.value) == f"functions[0].table[1] is not valid hex: {spelling!r}"
+
+
+@pytest.mark.parametrize("spelling", NOT_HEX.values(), ids=NOT_HEX.keys())
+def test_cli_input_rejects_non_ascii_hex_spellings(tmp_path, capsys, spelling):
+    path = _write(tmp_path, P1_DOC)
+    assert main(["run", path, "--input", spelling]) == 1
+    assert capsys.readouterr().err == f"error: --input is not valid hex: {spelling!r}\n"
+    assert main(["qrun", path, "--word", "f", "--input", "0", spelling, "0", "--measure", "2"]) == 1
+    assert capsys.readouterr().err == f"error: --input register 1 is not valid hex: {spelling!r}\n"
+
+
+@pytest.mark.parametrize("spelling", ["-1", "-0", "-a"])
+def test_hex_with_leading_minus_is_negative(tmp_path, capsys, spelling):
+    doc = {"format_version": 1, "registers": [1, 1], "functions": [{"table": ["0", spelling]}]}
+    with pytest.raises(PipelineFormatError) as info:
+        pipeline_from_document(doc)
+    assert str(info.value) == "functions[0].table[1] must be nonnegative"
+    assert main(["run", _write(tmp_path, P1_DOC), f"--input={spelling}"]) == 1
+    assert capsys.readouterr().err == "error: --input must be nonnegative\n"
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        (b'{"format_version": 1, "format_version": 1, "registers": [1, 1], "functions": [{"table": ["0", "1"]}]}',
+         "format_version"),
+        (b'{"format_version": 1, "registers": [1, 1], "functions": [{"table": ["0", "0"], "table": ["0", "1"]}]}',
+         "table"),
+    ],
+    ids=["format_version", "table"],
+)
+def test_duplicate_field_exit_1(tmp_path, capsys, text, field):
+    # the last value used to win silently
+    with pytest.raises(PipelineFormatError, match=f"^duplicate field: {field}$"):
+        parse_pipeline(text)
+    path = tmp_path / "duplicate.json"
+    path.write_bytes(text)
+    assert main(["lift", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: duplicate field: {field}\n"
 
 
 def test_parse_hex_case_insensitive():
@@ -252,6 +310,7 @@ def test_failed_internal_check_exit_1(tmp_path, capsys, monkeypatch, argv, targe
 
 
 def test_run_and_qrun_build_no_permutation_at_width_cap(tmp_path, capsys, monkeypatch):
+    # run and qrun act on states; lift and coxeter read the truth tables
     fns = (random_fn(8, 4, 101), random_fn(4, 4, 102), random_fn(4, 4, 103))
     pipeline = PipelineSpec((8, 4, 4, 4), fns)
     path = tmp_path / "wide.json"
@@ -273,6 +332,14 @@ def test_run_and_qrun_build_no_permutation_at_width_cap(tmp_path, capsys, monkey
     results = json.loads(report_path.read_text())["results"]
     outputs = Counter(h(g(f(v))) for v in range(256))
     assert results["distribution"] == {format(v, "x"): c / 256 for v, c in sorted(outputs.items())}
+    assert main(["lift", str(path), "--json", str(report_path)]) == 0
+    steps = json.loads(report_path.read_text())["results"]["steps"]
+    assert [(step["order"], step["is_identity"]) for step in steps] == [(2, False)] * 3
+    assert main(["coxeter", str(path), "--json", str(report_path)]) == 0
+    results = json.loads(report_path.read_text())["results"]
+    # checked once against the composed 2^20-point permutations
+    assert results["empirical_matrix"] == [[1, 4, 2], [4, 1, 4], [2, 4, 1]]
+    assert results["matches_claimed"]
 
 
 def test_group_command(tmp_path, capsys):

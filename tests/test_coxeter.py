@@ -9,20 +9,25 @@ from involift.coxeter import (
     CONFIRMED,
     CoxeterMatrix,
     DEGENERATE,
-    DegenerateGenerators,
     PROPER_QUOTIENT,
     VerificationReport,
     check_relations,
     claimed_coxeter_matrix,
-    coxeter_matrix,
-    generator_defects,
     todd_coxeter,
     verify_pipeline,
 )
-from involift.lifting import Perm, PipelineSpec, layout, random_pipeline, step_involution
-from involift.permgroup import closure, perm_compose
+from involift.lifting import (
+    Perm,
+    PipelineSpec,
+    generator_defects,
+    layout,
+    product_orders,
+    random_pipeline,
+    step_involution,
+)
+from involift.permgroup import closure
 
-from conftest import ID1, evaluate_word, zero_fn
+from conftest import ID1, evaluate_word, perm_compose, zero_fn
 
 seeds = st.integers(0, 2**64 - 1)
 
@@ -62,40 +67,35 @@ def _germinate(perms):
 
 
 def test_coxeter_matrix_two_step(two_step_id):
-    assert coxeter_matrix(_gens(two_step_id)).orders == ((1, 4), (4, 1))
+    assert CoxeterMatrix(product_orders(two_step_id)).orders == ((1, 4), (4, 1))
 
 
 def test_coxeter_matrix_three_step(three_step_id):
-    assert coxeter_matrix(_gens(three_step_id)).orders == ((1, 4, 2), (4, 1, 4), (2, 4, 1))
+    assert CoxeterMatrix(product_orders(three_step_id)).orders == ((1, 4, 2), (4, 1, 4), (2, 4, 1))
 
 
-def test_coxeter_matrix_rejects_duplicates(two_step_id):
-    g1, _ = _gens(two_step_id)
-    with pytest.raises(DegenerateGenerators) as info:
-        coxeter_matrix([g1, g1])
-    assert any("equal" in d for d in info.value.defects)
+def test_coxeter_matrix_rejects_duplicates():
+    # lifted steps write different registers, so only two identities coincide
+    pipeline = PipelineSpec((1, 1, 1), (zero_fn(1, 1), zero_fn(1, 1)))
+    assert "generators 1 and 2 are equal" in generator_defects(pipeline)
+    with pytest.raises(ValueError, match=">= 2"):
+        CoxeterMatrix(product_orders(pipeline))
 
 
 def test_coxeter_matrix_rejects_identity(two_step_zero_first):
-    with pytest.raises(DegenerateGenerators) as info:
-        coxeter_matrix(_gens(two_step_zero_first))
-    assert any("identity" in d for d in info.value.defects)
-
-
-def test_generator_defects_non_involution():
-    four_cycle = Perm(2, (1, 2, 3, 0))
-    defects = generator_defects([four_cycle])
-    assert any("order 4" in d for d in defects)
+    assert generator_defects(two_step_zero_first) == ("generator 1 is the identity",)
+    # the product with one identity is the other step, so the orders alone
+    # look valid: the defects must be checked before the matrix is built
+    assert product_orders(two_step_zero_first) == ((1, 2), (2, 1))
 
 
 @given(seed=seeds)
 @settings(max_examples=30)
 def test_coxeter_matrix_symmetric_unit_diagonal(seed):
     pipeline = random_pipeline(seed, steps=3, max_width=2)
-    gens = _gens(pipeline)
-    if generator_defects(gens):
+    if generator_defects(pipeline):
         return
-    matrix = coxeter_matrix(gens)
+    matrix = CoxeterMatrix(product_orders(pipeline))
     for i in range(matrix.n):
         assert matrix.orders[i][i] == 1
         for j in range(matrix.n):

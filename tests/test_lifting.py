@@ -13,9 +13,8 @@ from involift.lifting import (
     run_classical,
     step_involution,
 )
-from involift.permgroup import perm_compose
 
-from conftest import ID1, NOT1, evaluate_word, zero_fn
+from conftest import ID1, NOT1, evaluate_word, perm_compose, zero_fn
 
 seeds = st.integers(0, 2**64 - 1)
 

@@ -1,19 +1,25 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+from collections import Counter
+from itertools import combinations
 
-from involift.lifting import Perm, PipelineSpec, layout, random_pipeline, step_involution
-from involift.permgroup import (
-    ClosureCapExceeded,
-    closure,
-    element_order_histogram,
-    is_dihedral_8,
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from involift import permgroup
+from involift.boolfn import BoolFunc
+from involift.lifting import (
+    Perm,
+    PipelineSpec,
+    generator_defects,
+    layout,
     nondegeneracy_defects,
-    perm_compose,
-    perm_order,
+    product_orders,
+    random_pipeline,
+    step_involution,
 )
+from involift.permgroup import ClosureCapExceeded, closure, element_order_histogram, is_dihedral_8
 from involift.rng import SplitMix64
 
-from conftest import evaluate_word
+from conftest import ID1, evaluate_word, perm_compose, perm_order, zero_fn
 
 seeds = st.integers(0, 2**64 - 1)
 
@@ -293,9 +299,9 @@ def test_two_step_closure_matches_closed_forms(rule_perm):
     checked = 0
     for seed in range(40):
         pipeline = random_pipeline(seed, steps=2, max_width=3)
-        gens = _two_step_gens(pipeline)
-        if nondegeneracy_defects(gens):
+        if nondegeneracy_defects(pipeline):
             continue
+        gens = _two_step_gens(pipeline)
         grp = closure(gens)
         expected = {rule_perm(pipeline, rule).mapping for rule in make_rules()}
         assert {p.mapping for p in grp.elements} == expected
@@ -321,15 +327,77 @@ def test_closure_invariant_under_conjugation(two_step_id):
 
 
 def test_nondegeneracy_defects_messages(two_step_id, two_step_zero_first):
-    from involift.boolfn import BoolFunc
-
-    s1, s2 = _two_step_gens(two_step_id)
-    assert nondegeneracy_defects([s1, s2]) == ()
-    d1, d2 = _two_step_gens(two_step_zero_first)
-    assert any("identity" in d for d in nondegeneracy_defects([d1, d2]))
-    assert any("equal" in d for d in nondegeneracy_defects([s1, s1]))
+    assert nondegeneracy_defects(two_step_id) == ()
+    assert any("identity" in d for d in nondegeneracy_defects(two_step_zero_first))
+    # lifted steps write different registers: only two identities are equal
+    both_zero = PipelineSpec((1, 1, 1, 1), (zero_fn(1, 1), ID1, zero_fn(1, 1)))
+    assert "generators 1 and 3 are equal" in nondegeneracy_defects(both_zero)
     # constant-one steps give commuting involutions: adjacent product order 2
     one = BoolFunc(1, 1, (1, 1))
     constant = PipelineSpec((1, 1, 1), (one, one))
-    defects = nondegeneracy_defects(_two_step_gens(constant))
+    defects = nondegeneracy_defects(constant)
     assert any("order 2, expected 4" in d for d in defects)
+
+
+def _reference_defects(gens):
+    """The generator precondition computed from permutations: orders by
+    cycle structure, equality by mapping."""
+    defects = []
+    for i, g in enumerate(gens, start=1):
+        k = perm_order(g)
+        if k == 1:
+            defects.append(f"generator {i} is the identity")
+        elif k != 2:
+            defects.append(f"generator {i} has order {k}, not an involution")
+    for i, j in combinations(range(len(gens)), 2):
+        if gens[i].mapping == gens[j].mapping:
+            defects.append(f"generators {i + 1} and {j + 1} are equal")
+    return tuple(defects)
+
+
+def _is_power_of_two(k):
+    return k & (k - 1) == 0
+
+
+STEP_KINDS = ("random", "zero", "constant", "sparse")
+
+
+# the examples pin down every case: orders 1 (two zero steps side by side),
+# 2 (constant steps, and one zero neighbour) and 4 (random steps), and both
+# defect messages
+@given(seed=seeds, steps=st.integers(1, 4), kinds=st.lists(st.sampled_from(STEP_KINDS), min_size=4, max_size=4))
+@example(seed=7, steps=3, kinds=["zero", "zero", "random", "random"])
+@example(seed=8, steps=2, kinds=["constant", "constant", "random", "random"])
+@example(seed=9, steps=4, kinds=["random", "sparse", "random", "zero"])
+@settings(max_examples=60, deadline=None)
+def test_table_rules_match_permutations(seed, steps, kinds):
+    # register widths capped so that the steps + 1 registers span W <= 9 bits
+    base = random_pipeline(seed, steps=steps, max_width=9 // (steps + 1))
+    rng = SplitMix64(seed)
+    fns = []
+    for f, kind in zip(base.steps, kinds):
+        size = len(f.table)
+        if kind == "zero":
+            f = zero_fn(f.arity_in, f.arity_out)
+        elif kind == "constant":
+            f = BoolFunc(f.arity_in, f.arity_out, (1 + rng.next_u64() % ((1 << f.arity_out) - 1),) * size)
+        elif kind == "sparse":
+            table = [0] * size
+            table[rng.next_u64() % size] = 1 << rng.next_u64() % f.arity_out
+            f = BoolFunc(f.arity_in, f.arity_out, tuple(table))
+        fns.append(f)
+    pipeline = PipelineSpec(base.widths, tuple(fns))
+    gens = [step_involution(pipeline, i) for i in range(1, steps + 1)]
+
+    assert generator_defects(pipeline) == _reference_defects(gens)
+    orders = product_orders(pipeline)
+    assert orders == tuple(tuple(perm_order(perm_compose(a, b)) for b in gens) for a in gens)
+    group = closure(gens)
+    walked = permgroup._element_orders(group)
+    assert walked == [perm_order(e) for e in group.elements]
+    assert element_order_histogram(group) == dict(sorted(Counter(walked).items()))
+    # every lifted group is a 2-group; neighbours give orders 1, 2 or 4, others 1 or 2
+    assert _is_power_of_two(len(group))
+    assert all(_is_power_of_two(k) for k in walked)
+    for i, j in combinations(range(steps), 2):
+        assert orders[i][j] in ({1, 2, 4} if j == i + 1 else {1, 2})

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from involift.lifting import PipelineSpec, RegisterLayout, layout, random_pipeline, step_involution
-from involift.permgroup import closure, perm_compose
+from involift.permgroup import closure
 from involift.quantum import (
     AMPLITUDE_TOLERANCE,
     PRUNE_THRESHOLD,
@@ -14,7 +14,7 @@ from involift.quantum import (
     uniform_superposition,
 )
 
-from conftest import ID1, evaluate_word, random_state
+from conftest import ID1, evaluate_word, perm_compose, random_state
 
 seeds = st.integers(0, 2**64 - 1)
 

@@ -1,11 +1,14 @@
-"""The package stays pure standard library: every absolute import in
-``src/involift`` names a standard-library module."""
+"""Rules about the package's shape: it stays pure standard library (every
+absolute import in ``src/involift`` names a standard-library module), and
+every name it exports is used by the package itself or by a script, so no
+public API exists only for the tests."""
 
 import ast
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "involift"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "involift"
 
 
 def _absolute_imports(path: Path) -> set[str]:
@@ -28,3 +31,32 @@ def test_package_imports_only_the_standard_library():
         if name not in sys.stdlib_module_names
     }
     assert not foreign, sorted(foreign)
+
+
+def _uses(path: Path) -> set[str]:
+    """Names a module loads or reads as attributes, outside the def or class
+    of the same name (a recursive call or a method naming its own class is
+    not a use)."""
+    names = set()
+
+    def visit(node: ast.AST, enclosing: frozenset) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        used = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if used is not None and used not in enclosing:
+            names.add(used)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), frozenset())
+    return names
+
+
+def test_every_export_is_used_outside_the_tests():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert len(exported) >= 40
+    sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    sources += sorted((ROOT / "scripts").glob("*.py"))
+    used = set().union(*map(_uses, sources))
+    assert not exported - used, sorted(exported - used)
