@@ -32,9 +32,12 @@ from .permgroup import (
     DEFAULT_ELEMENT_CAP,
     Dihedral8Witness,
     GroupClosure,
+    Tableau,
     closure,
     element_order_histogram,
     is_dihedral_8,
+    lifted_tableaux,
+    polycyclic_layers,
 )
 from .coxeter import (
     BOUND_EXCEEDED,

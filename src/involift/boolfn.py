@@ -50,10 +50,6 @@ class BoolFunc:
         return self.table[x]
 
     @property
-    def is_identity(self) -> bool:
-        return self.arity_in == self.arity_out and all(v == x for x, v in enumerate(self.table))
-
-    @property
     def is_constant_zero(self) -> bool:
         return all(v == 0 for v in self.table)
 

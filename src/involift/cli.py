@@ -5,7 +5,7 @@ JSON (unknown fields rejected) with case-insensitive hex truth tables;
 reports are JSON with sorted keys, so identical invocations produce
 byte-identical files.  Exit status: 0 on success, 1 on validation or usage
 errors or a failed internal check, 2 when a computation hit a configured
-cap (closure elements, cosets) or when ``verify`` cannot reach the abstract
+cap (group elements, cosets) or when ``verify`` cannot reach the abstract
 order: a claim of three or more steps is an infinite Coxeter group, so it
 exits 2 with no cap involved.
 """
@@ -317,6 +317,7 @@ def _cmd_verify(args, pipeline: PipelineSpec):
         "verdict": report.verdict,
         "relations_hold": report.relations_hold,
         "concrete_order": report.concrete_order,
+        "layer_dimensions": list(report.layer_dimensions),
         "abstract_order": report.abstract_order,
         "coset_cap": report.coset_cap,
         "relations": [

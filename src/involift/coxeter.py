@@ -5,12 +5,14 @@ An n-step lifting is expected to satisfy the relations of the Coxeter
 system whose matrix has 1 on the diagonal, 4 between neighbouring steps,
 and 2 everywhere else; that matrix is the whole claim, and its relators
 are read from it.  Whether the concrete group IS that Coxeter group
-(rather than a proper quotient of it) is checked, never assumed: every
-relator is walked through the concrete group, and the abstract group is
+(rather than a proper quotient of it) is checked, never assumed: the
+concrete order comes from a polycyclic sequence of tableaux
+(:func:`involift.permgroup.polycyclic_layers`), every relator is evaluated
+as a tableau product of the lifted steps, and the abstract group is
 decided independently: infinite from three steps on (the matrix contains
 affine C~2), otherwise of the order found by coset enumeration.  The
 empirical matrix is read from the truth tables
-(:func:`involift.lifting.product_orders`), not from permutations.
+(:func:`involift.lifting.product_orders`); no permutation is built.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .lifting import LiftingCheckFailed, PipelineSpec, generator_defects, product_orders, step_involution
-from .permgroup import DEFAULT_ELEMENT_CAP, GroupClosure, _walk, closure
+from .lifting import LiftingCheckFailed, PipelineSpec, generator_defects, product_orders
+from .permgroup import DEFAULT_ELEMENT_CAP, Tableau, lifted_tableaux, polycyclic_layers
 
 DEFAULT_COSET_CAP = 100_000
 
@@ -87,12 +89,21 @@ class RelationCheck:
     holds: bool
 
 
-def check_relations(group: GroupClosure, relators) -> tuple[RelationCheck, ...]:
-    """Evaluate every relator in the enumerated group: walk its word from the
-    identity through the generator action table, rightmost symbol first.  A
-    relator holds when the walk ends at the identity; each costs |word|
-    lookups."""
-    return tuple(RelationCheck(word, _walk(group, word) == 0) for word in relators)
+def check_relations(pipeline: PipelineSpec, relators) -> tuple[RelationCheck, ...]:
+    """Evaluate every relator as a product of the lifted steps in tableau
+    form, leftmost symbol outermost (the rightmost acts first).  A relator
+    holds when every table of the product is zero; each symbol costs one
+    tableau product, sum_j 2^offset_j lookups, and no 2^W permutation is
+    built."""
+    generators = lifted_tableaux(pipeline)
+    identity = Tableau(generators[0].offsets, [None] * len(generators))
+    checks = []
+    for word in relators:
+        product = identity
+        for symbol in word:
+            product = product * generators[symbol]
+        checks.append(RelationCheck(word, product.is_identity))
+    return tuple(checks)
 
 
 class _CosetBoundExceeded(Exception):
@@ -232,12 +243,14 @@ class VerificationReport:
     enumeration is skipped (``abstract_order`` is None either way).
     DEGENERATE means the lifted generators are not pairwise-distinct
     involutions, so no Coxeter claim applies (the computed orders are still
-    reported).
+    reported).  ``layer_dimensions`` holds the dimension of each factor of
+    the concrete group's normal series, one per register 1..n, and the
+    concrete order is 2 to the power of their sum.
     """
 
     verdict: str
     relations_hold: bool
-    concrete_order: int
+    layer_dimensions: tuple[int, ...]
     abstract_order: int | None
     coset_cap: int
     relation_checks: tuple[RelationCheck, ...]
@@ -257,6 +270,11 @@ class VerificationReport:
             raise ValueError("PROPER_QUOTIENT requires a strictly larger abstract group")
 
     @property
+    def concrete_order(self) -> int:
+        """|G| = 2^(sum of the layer dimensions)."""
+        return 1 << sum(self.layer_dimensions)
+
+    @property
     def isomorphism_established(self) -> bool:
         """True when the checks pin down an isomorphism: the relations give a
         surjective homomorphism from the abstract group onto the concrete
@@ -273,18 +291,20 @@ def verify_pipeline(
     """Lift the pipeline and test the claim that its group is the Coxeter
     group of ``claimed_coxeter_matrix(n)``.
 
-    Computes the concrete closure, walks every claimed relator through it,
-    runs coset enumeration on the relators when the claimed group is finite
-    (one or two steps; otherwise no cap would be reached), and classifies
-    the outcome (see :class:`VerificationReport`).  A closure exceeding
-    ``element_cap`` propagates as
-    :class:`involift.permgroup.ClosureCapExceeded`.
+    Reads the concrete order from the polycyclic layers of the lifted
+    group, evaluates every claimed relator as a tableau product, runs coset
+    enumeration on the relators when the claimed group is finite (one or two
+    steps; otherwise no cap would be reached), and classifies the outcome
+    (see :class:`VerificationReport`).  No element is listed and no 2^W
+    permutation is built.  A group of more than ``element_cap`` elements
+    propagates as :class:`involift.permgroup.ClosureCapExceeded`, raised as
+    soon as the sequence proves the order too large.
     """
     n = pipeline.n_steps
     defects = generator_defects(pipeline)
-    group = closure([step_involution(pipeline, i) for i in range(1, n + 1)], element_cap=element_cap)
+    layers = polycyclic_layers(pipeline, element_cap)
     relators = claimed_coxeter_matrix(n).relators
-    checks = check_relations(group, relators)
+    checks = check_relations(pipeline, relators)
     relations_hold = all(c.holds for c in checks)
     if not relations_hold:
         raise LiftingCheckFailed("a claimed relation failed on lifted involutions; lifting is broken")
@@ -300,14 +320,14 @@ def verify_pipeline(
         verdict = DEGENERATE
     elif abstract is None:
         verdict = BOUND_EXCEEDED
-    elif abstract == len(group):
+    elif abstract == 1 << sum(layers):
         verdict = CONFIRMED
     else:
         verdict = PROPER_QUOTIENT
     return VerificationReport(
         verdict=verdict,
         relations_hold=relations_hold,
-        concrete_order=len(group),
+        layer_dimensions=layers,
         abstract_order=abstract,
         coset_cap=coset_cap,
         relation_checks=checks,

@@ -22,8 +22,9 @@ from typing import Callable, NamedTuple, Sequence
 from .boolfn import BoolFunc, random_fn
 from .rng import SplitMix64
 
-# The group closure (`group`, `verify`) materializes its elements as full
-# 2^W mapping arrays, so the summed register width is capped.
+# The group closure behind `group` materializes its elements as full 2^W
+# mapping arrays, so the summed register width is capped.  `verify` holds
+# tableaux instead, sum_j 2^offset_j entries per element.
 DEFAULT_WIDTH_CAP = 20
 
 
@@ -60,10 +61,6 @@ class Perm:
 
     def __call__(self, state: int) -> int:
         return self.mapping[state]
-
-    @property
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.mapping))
 
 
 @dataclass(frozen=True)
@@ -108,7 +105,8 @@ class PipelineSpec:
 
     Step i reads register i-1 and writes register i, so f_i must map
     w_{i-1} bits to w_i bits.  The summed width is capped because the group
-    closure materializes its elements as permutations of 2^W points.
+    closure behind ``group`` materializes its elements as permutations of
+    2^W points.
     """
 
     widths: tuple[int, ...]

@@ -1,9 +1,14 @@
-"""The group generated by lifted steps: closure, orders, words, and the
-dihedral-of-order-8 classification for two-step pipelines.
+"""The group generated by lifted steps: closure, orders, words, the
+dihedral-of-order-8 classification for two-step pipelines, and the order
+of the group from a polycyclic sequence of tableaux.
 
-The closure is the only place where permutations are composed.  Element
-orders, the Cayley table and the relator checks of :mod:`involift.coxeter`
-walk generator words through the closure's action table ``left`` instead.
+The closure (behind ``group``) is the only place where permutations are
+composed.  Element orders and the Cayley table walk generator words through
+the closure's action table ``left`` instead.  ``verify`` lists no element:
+it holds group elements as tableaux (:class:`Tableau`), one table per
+register, reads the order from the layers of a polycyclic sequence
+(:func:`polycyclic_layers`), and :mod:`involift.coxeter` checks relators as
+tableau products.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .lifting import Perm
+from .lifting import Perm, PipelineSpec, layout
 
 DEFAULT_ELEMENT_CAP = 1_000_000
 
@@ -196,3 +201,175 @@ def is_dihedral_8(group: GroupClosure) -> Dihedral8Witness | None:
             if qualifies(a, b):
                 return Dihedral8Witness(a, b, from_generators=False)
     return None
+
+
+# ---------------------------------------------------------------------------
+# Tableaux: the order of the group without listing it
+
+
+class Tableau:
+    """An element of a lifted group in Kaloujnine's tableau form.
+
+    Every lifted step maps register j to x_j ^ h(x_0..x_{j-1}), and products
+    of such maps keep that form, so an element is its tables T_1..T_n:
+    ``tables[j - 1]`` is T_j, indexed by the packed registers 0..j-1
+    (x < 2^offset_j), and the element maps register j to x_j ^ T_j[x].
+    ``None`` stands for an all-zero table.  ``offsets`` holds offset_1 ..
+    offset_n of the register layout.  The tables are the whole element: no
+    2^W mapping is built, and a product costs sum_j 2^offset_j lookups.
+    """
+
+    __slots__ = ("offsets", "tables", "_action_cache")
+
+    def __init__(self, offsets: tuple[int, ...], tables: Sequence[list[int] | None]):
+        self.offsets = offsets
+        self.tables = tuple(t if t is not None and any(t) else None for t in tables)
+        self._action_cache: list[Sequence[int] | None] | None = None
+
+    @property
+    def is_identity(self) -> bool:
+        return all(t is None for t in self.tables)
+
+    def _actions(self) -> list[Sequence[int] | None]:
+        """A_1..A_n: A_j is the element's action on the packed registers
+        0..j-1, indexed by x < 2^offset_j (None for the identity).  Built on
+        first use and kept, since only right factors need it."""
+        if self._action_cache is None:
+            actions: list[Sequence[int] | None] = [None]
+            for j in range(1, len(self.tables)):
+                actions.append(_next_action(actions[-1], self.tables[j - 1], self.offsets[j - 1], self.offsets[j]))
+            self._action_cache = actions
+        return self._action_cache
+
+    def __mul__(self, other: "Tableau") -> "Tableau":
+        """self after other: register j picks up T^other_j[x], then
+        T^self_j at other's image of the lower registers."""
+        tables = []
+        for t, u, action in zip(self.tables, other.tables, other._actions()):
+            if t is not None:
+                if action is not None:
+                    t = [t[a] for a in action]
+                if u is not None:
+                    t = [a ^ b for a, b in zip(t, u)]
+            else:
+                t = u
+            tables.append(t)
+        return Tableau(self.offsets, tables)
+
+    def inverse(self) -> "Tableau":
+        """The inverse element: register j of the preimage is
+        y_j ^ T_j[x], x the preimage of the lower registers, so the inverse
+        table is T_j read through the inverse's own lower action, built
+        layer by layer."""
+        tables: list[list[int] | None] = []
+        actions: list[Sequence[int] | None] = [None]
+        for j, t in enumerate(self.tables):
+            action = actions[j]
+            if t is not None and action is not None:
+                t = [t[a] for a in action]
+            tables.append(t)
+            if j + 1 < len(self.tables):
+                actions.append(_next_action(action, t, self.offsets[j], self.offsets[j + 1]))
+        inverse = Tableau(self.offsets, tables)
+        inverse._action_cache = actions
+        return inverse
+
+
+def _next_action(action: Sequence[int] | None, table: list[int] | None, offset: int, next_offset: int) -> Sequence[int] | None:
+    """A_{j+1} from A_j and T_j: the point x | (y << offset_j) goes to
+    A_j[x] | ((y ^ T_j[x]) << offset_j).  Kept as a C int array: its values
+    reach 2^19, and in a list each would be an int object of its own, about
+    nine times the memory of the array."""
+    from array import array  # only verify needs it: no import at start-up
+
+    if action is None and table is None:
+        return None
+    lower = 1 << offset
+    if table is None:
+        base = action
+    elif action is None:
+        base = [x ^ (v << offset) for x, v in enumerate(table)]
+    else:
+        base = [a ^ (v << offset) for a, v in zip(action, table)]
+    out = array("i")
+    for high in range(0, 1 << next_offset, lower):
+        out.extend([b ^ high for b in base])
+    return out
+
+
+def lifted_tableaux(pipeline: PipelineSpec) -> tuple[Tableau, ...]:
+    """The lifted steps as tableaux: step i has the single table
+    T_i[x] = f_i(x_{i-1}), and register i-1 is the top of x < 2^offset_i."""
+    offsets = layout(pipeline).offsets
+    gens = []
+    for i, f in enumerate(pipeline.steps):
+        tables: list[list[int] | None] = [None] * pipeline.n_steps
+        tables[i] = [f.table[x >> offsets[i]] for x in range(1 << offsets[i + 1])]
+        gens.append(Tableau(offsets[1:], tables))
+    return tuple(gens)
+
+
+def _vector(table: list[int], width: int) -> int:
+    """A layer table as a vector over F2, so that XOR of tables is XOR of
+    vectors: byte plane s holds bits 8s..8s+7 of every entry."""
+    if width <= 8:
+        return int.from_bytes(bytes(table), "little")
+    planes = [bytes([(v >> s) & 255 for v in table]) for s in range(0, width, 8)]
+    return int.from_bytes(b"".join(planes), "little")
+
+
+def polycyclic_layers(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> tuple[int, ...]:
+    """Dimensions of the layers of the group generated by the lifted steps,
+    one per register 1..n; |G| is 2 to the power of their sum.
+
+    N_j, the elements that fix registers 0..j-1, form a normal series, and
+    on N_j the map to T_j is a homomorphism onto an F2-space with kernel
+    N_{j+1}.  An induced polycyclic sequence is built by sifting (Sims 1994,
+    ch. 9): at each layer the table's vector is reduced by Gaussian
+    elimination, pivoting on its highest set bit and multiplying by the
+    pivot's element; a vector left nonzero makes the current element a new
+    pivot.  The steps are sifted first, then the square of every new
+    element and its commutator with every earlier one, until all sift to
+    the identity: then the pivots of each layer span its factor, and the
+    layer dimensions are the pivot counts.  Raises
+    :class:`ClosureCapExceeded` as soon as 2^(pivots) exceeds
+    ``element_cap``, so at most floor(log2 element_cap) + 1 elements are
+    ever held.
+    """
+    if element_cap < 1:
+        raise ValueError("element_cap must be >= 1")
+    widths = pipeline.widths[1:]
+    pivots: list[dict[int, tuple[Tableau, int]]] = [{} for _ in widths]
+    sequence: list[Tableau] = []
+    inverses: list[Tableau] = []
+    work: list[tuple[int, ...]] = []  # (i,): square of sequence[i]; (i, k): their commutator
+    generators = iter(lifted_tableaux(pipeline))
+    while True:
+        if not work:
+            g = next(generators, None)
+            if g is None:
+                return tuple(map(len, pivots))
+        elif len(item := work.pop()) == 1:
+            g = sequence[item[0]] * sequence[item[0]]
+        else:
+            i, k = item
+            g = inverses[i] * inverses[k] * sequence[i] * sequence[k]
+        for j, layer in enumerate(pivots):
+            if g.tables[j] is None:
+                continue
+            v = _vector(g.tables[j], widths[j])
+            while v and (p := v.bit_length() - 1) in layer:
+                h, u = layer[p]
+                # h fixes registers 0..j-1, so layer j of g after h is the XOR
+                g = g * h
+                v ^= u
+            if v:
+                layer[p] = (g, v)
+                sequence.append(g)
+                if 1 << len(sequence) > element_cap:
+                    raise ClosureCapExceeded(element_cap)
+                inverses.append(g.inverse())
+                i = len(sequence) - 1
+                work.append((i,))
+                work.extend((i, k) for k in range(i))
+                break

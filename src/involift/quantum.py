@@ -11,7 +11,6 @@ shot is an independent preparation).
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,9 +45,6 @@ class QState:
             squared += mag2
         if abs(squared - 1.0) > AMPLITUDE_TOLERANCE:
             raise ValueError(f"squared norm {squared} is not 1 within {AMPLITUDE_TOLERANCE}")
-
-    def norm(self) -> float:
-        return math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in self.amplitudes.values()))
 
 
 def basis_state(layout: RegisterLayout, values: Sequence[int]) -> QState:

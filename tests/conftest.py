@@ -1,6 +1,7 @@
 """Shared fixtures: canonical small pipelines, the seeded random corpus, an
 oracle that builds permutations straight from register-tuple rules,
-reference permutation algebra (composition, order, word evaluation),
+reference permutation algebra (composition, order, word evaluation,
+identity test), the identity test of a truth table, the norm of a state,
 seeded random states, constant-zero steps and pipeline documents."""
 
 import json
@@ -30,6 +31,19 @@ def emit_pipeline(pipeline: PipelineSpec, name: str | None = None) -> str:
     if name is not None:
         document["name"] = name
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def fn_is_identity(f: BoolFunc) -> bool:
+    """Whether the truth table is the identity on its bits."""
+    return f.arity_in == f.arity_out and all(v == x for x, v in enumerate(f.table))
+
+
+def perm_is_identity(p: Perm) -> bool:
+    return all(v == i for i, v in enumerate(p.mapping))
+
+
+def state_norm(state: QState) -> float:
+    return math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in state.amplitudes.values()))
 
 
 def perm_compose(p: Perm, q: Perm) -> Perm:

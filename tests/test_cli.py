@@ -15,13 +15,13 @@ from involift.cli import (
     pipeline_from_document,
 )
 import involift
-from involift import coxeter, lifting
+from involift import coxeter, lifting, permgroup
 from involift.boolfn import random_fn
 from involift.coxeter import RelationCheck
 from involift.lifting import PipelineSpec, random_pipeline, step_involution
 from involift.permgroup import GroupClosure
 
-from conftest import ID1, emit_pipeline, perm_order, zero_fn
+from conftest import ID1, emit_pipeline, perm_is_identity, perm_order, zero_fn
 
 P1_DOC = {
     "format_version": 1,
@@ -296,7 +296,7 @@ def test_qrun_rejects_wrong_input_count(tmp_path):
     "argv, target, broken",
     [
         (["run", "--input", "1"], lifting, ("apply_word", lambda pipeline, word, state: state ^ 1)),
-        (["verify"], coxeter, ("check_relations", lambda group, relators: (RelationCheck(relators[0], False),))),
+        (["verify"], coxeter, ("check_relations", lambda pipeline, relators: (RelationCheck(relators[0], False),))),
     ],
     ids=["run", "verify"],
 )
@@ -342,6 +342,60 @@ def test_run_and_qrun_build_no_permutation_at_width_cap(tmp_path, capsys, monkey
     assert results["matches_claimed"]
 
 
+@pytest.mark.parametrize(
+    "widths, fns, cap, layers",
+    [
+        ((1,) * 6, (ID1,) * 5, None, [1, 2, 3, 4, 5]),
+        ((1,) * 7, (ID1,) * 6, 2097152, [1, 2, 3, 4, 5, 6]),
+        ((8, 4, 4, 4), (random_fn(8, 4, 101), random_fn(4, 4, 102), random_fn(4, 4, 103)), None, [1, 2, 4]),
+    ],
+    ids=["identity5", "identity6", "wide"],
+)
+def test_verify_builds_no_permutation(tmp_path, capsys, monkeypatch, widths, fns, cap, layers):
+    # the order comes from the polycyclic layers, the relators from tableau products
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 2^W permutation or the closure was built")
+
+    monkeypatch.setattr(lifting.Perm, "__post_init__", refuse)
+    monkeypatch.setattr(permgroup, "closure", refuse)
+    path = tmp_path / "pipeline.json"
+    path.write_text(emit_pipeline(PipelineSpec(widths, fns)), encoding="utf-8")
+    report_path = tmp_path / "report.json"
+    caps = [] if cap is None else ["--element-cap", str(cap)]
+    # three or more steps: an infinite claim, so BOUND_EXCEEDED and exit 2
+    assert main(["verify", str(path), *caps, "--json", str(report_path)]) == 2
+    results = json.loads(report_path.read_text())["results"]
+    assert results["layer_dimensions"] == layers
+    assert results["concrete_order"] == 1 << sum(layers)
+    assert results["relations_hold"] and results["verdict"] == "BOUND_EXCEEDED"
+    assert f"concrete group order: {1 << sum(layers)}\n" in capsys.readouterr().out
+
+
+def test_verify_default_cap_stops_six_steps(tmp_path, capsys):
+    # |G| = 2^21 exceeds the default cap of 10^6 elements
+    doc = {"format_version": 1, "registers": [1] * 7, "functions": [{"table": ["0", "1"]}] * 6}
+    report_path = tmp_path / "report.json"
+    assert main(["verify", _write(tmp_path, doc), "--json", str(report_path)]) == 2
+    assert capsys.readouterr().err == "error: group closure exceeds the cap of 1000000 elements\n"
+    assert not report_path.exists()
+
+
+@pytest.mark.parametrize("cap", [63, 64])
+def test_verify_element_cap_boundary(tmp_path, capsys, cap):
+    # the command fails iff |G| exceeds the cap: the 3-step identity group has 64 elements
+    doc = {"format_version": 1, "registers": [1, 1, 1, 1], "functions": [{"table": ["0", "1"]}] * 3}
+    report_path = tmp_path / "report.json"
+    assert main(["verify", _write(tmp_path, doc), "--element-cap", str(cap), "--json", str(report_path)]) == 2
+    captured = capsys.readouterr()
+    if cap == 63:
+        assert captured.err == "error: group closure exceeds the cap of 63 elements\n"
+        assert captured.out == "" and not report_path.exists()
+    else:
+        assert captured.err == ""
+        results = json.loads(report_path.read_text())["results"]
+        assert results["concrete_order"] == 64 and results["layer_dimensions"] == [1, 2, 3]
+
+
 def test_group_command(tmp_path, capsys):
     path = _write(tmp_path, P1_DOC)
     report_path = tmp_path / "group.json"
@@ -383,7 +437,7 @@ def test_lift_orders_match_permutations(tmp_path_factory, seed, steps, zeroed):
     reported = json.loads(report_path.read_text())["results"]["steps"]
     for i, step in enumerate(reported, start=1):
         perm = step_involution(pipeline, i)
-        assert (step["order"], step["is_identity"]) == (perm_order(perm), perm.is_identity)
+        assert (step["order"], step["is_identity"]) == (perm_order(perm), perm_is_identity(perm))
 
 
 def test_verify_and_group_build_no_cayley_table(tmp_path, capsys, monkeypatch):

@@ -27,7 +27,7 @@ from involift.lifting import (
 )
 from involift.permgroup import closure
 
-from conftest import ID1, evaluate_word, perm_compose, zero_fn
+from conftest import ID1, evaluate_word, perm_compose, perm_is_identity, zero_fn
 
 seeds = st.integers(0, 2**64 - 1)
 
@@ -273,18 +273,18 @@ def test_pipeline_presentation_four_steps_counts():
 
 
 def test_check_relations_two_step(two_step_id):
-    checks = check_relations(closure(_gens(two_step_id)), claimed_coxeter_matrix(2).relators)
+    checks = check_relations(two_step_id, claimed_coxeter_matrix(2).relators)
     assert all(c.holds for c in checks)
 
 
 def test_check_relations_three_step(three_step_id):
-    checks = check_relations(closure(_gens(three_step_id)), claimed_coxeter_matrix(3).relators)
+    checks = check_relations(three_step_id, claimed_coxeter_matrix(3).relators)
     assert all(c.holds for c in checks)
 
 
 def test_check_relations_false_presentation(two_step_id):
     wrong = ((0, 0), (1, 1), (0, 1) * 2)
-    checks = check_relations(closure(_gens(two_step_id)), wrong)
+    checks = check_relations(two_step_id, wrong)
     by_relator = {c.relator: c.holds for c in checks}
     assert by_relator[(0, 0)] and by_relator[(1, 1)]
     assert not by_relator[(0, 1, 0, 1)]
@@ -301,7 +301,7 @@ def test_check_relations_false_presentation(two_step_id):
 def test_squares_and_distant_commutators_always_hold(seed):
     pipeline = random_pipeline(seed, steps=3, max_width=2)
     gens = _gens(pipeline)
-    checks = check_relations(closure(gens), claimed_coxeter_matrix(3).relators)
+    checks = check_relations(pipeline, claimed_coxeter_matrix(3).relators)
     for check in checks:
         if len(check.relator) == 2 or len(check.relator) == 4:
             # squares (the XOR cancels) and distant commutators (disjoint
@@ -322,9 +322,9 @@ def test_check_relations_matches_evaluate_word(seed, steps, data):
     # a word followed by its reverse is trivial (the generators are
     # involutions); the shortest word of the last element is not, unless |G| = 1
     words = (word, word + word[::-1], group.words[element], group.words[-1])
-    checks = check_relations(group, words)
+    checks = check_relations(pipeline, words)
     assert [c.relator for c in checks] == list(words)
-    assert [c.holds for c in checks] == [evaluate_word(gens, w).is_identity for w in words]
+    assert [c.holds for c in checks] == [perm_is_identity(evaluate_word(gens, w)) for w in words]
     assert checks[1].holds
     assert checks[3].holds == (len(group) == 1)
 
@@ -334,8 +334,8 @@ def test_check_relations_length_twelve_relator(three_step_id):
     # while its first eleven symbols do not
     r = (0, 1, 2, 0, 1, 0, 2, 1, 0, 2, 1, 2)
     gens = _gens(three_step_id)
-    checks = check_relations(closure(gens), (r, r[:-1]))
-    assert [c.holds for c in checks] == [evaluate_word(gens, w).is_identity for w in (r, r[:-1])]
+    checks = check_relations(three_step_id, (r, r[:-1]))
+    assert [c.holds for c in checks] == [perm_is_identity(evaluate_word(gens, w)) for w in (r, r[:-1])]
     assert [c.holds for c in checks] == [True, False]
 
 
@@ -391,12 +391,14 @@ def test_verify_two_step_confirmed(two_step_id):
     assert report.product_orders == ((1, 4), (4, 1))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_identity_pipeline_order(n):
-    # the n-step 1-bit identity group is unitriangular: order 2^(n(n+1)/2);
-    # n = 5 (32768 elements) needs no Cayley table to be counted
-    report = verify_pipeline(PipelineSpec((1,) * (n + 1), (ID1,) * n), coset_cap=1000)
+    # the n-step 1-bit identity group is unitriangular: order 2^(n(n+1)/2),
+    # read from the polycyclic layers without listing the group (n = 8 has 2^36 elements)
+    report = verify_pipeline(PipelineSpec((1,) * (n + 1), (ID1,) * n), coset_cap=1000, element_cap=1 << 36)
     assert report.concrete_order == 2 ** (n * (n + 1) // 2)
+    assert report.layer_dimensions == tuple(range(1, n + 1))
+    assert report.relations_hold
     assert report.verdict == (CONFIRMED if n == 2 else BOUND_EXCEEDED)
 
 
@@ -442,7 +444,7 @@ def test_verification_report_invariants():
         VerificationReport(
             verdict=CONFIRMED,
             relations_hold=True,
-            concrete_order=8,
+            layer_dimensions=(1, 2),
             abstract_order=16,
             coset_cap=100,
             relation_checks=(),
@@ -453,7 +455,7 @@ def test_verification_report_invariants():
         VerificationReport(
             verdict=PROPER_QUOTIENT,
             relations_hold=True,
-            concrete_order=8,
+            layer_dimensions=(1, 2),
             abstract_order=8,
             coset_cap=100,
             relation_checks=(),

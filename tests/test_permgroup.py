@@ -1,11 +1,12 @@
 from collections import Counter
+from functools import reduce
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from involift import permgroup
-from involift.boolfn import BoolFunc
+from involift.boolfn import BoolFunc, random_fn
 from involift.lifting import (
     Perm,
     PipelineSpec,
@@ -16,10 +17,17 @@ from involift.lifting import (
     random_pipeline,
     step_involution,
 )
-from involift.permgroup import ClosureCapExceeded, closure, element_order_histogram, is_dihedral_8
+from involift.permgroup import (
+    ClosureCapExceeded,
+    closure,
+    element_order_histogram,
+    is_dihedral_8,
+    lifted_tableaux,
+    polycyclic_layers,
+)
 from involift.rng import SplitMix64
 
-from conftest import ID1, evaluate_word, perm_compose, perm_order, zero_fn
+from conftest import ID1, evaluate_word, perm_compose, perm_is_identity, perm_order, zero_fn
 
 seeds = st.integers(0, 2**64 - 1)
 
@@ -31,7 +39,7 @@ def _two_step_gens(pipeline):
 def _brute_force_order(perm):
     power = perm
     k = 1
-    while not power.is_identity:
+    while not perm_is_identity(power):
         power = perm_compose(power, perm)
         k += 1
     return k
@@ -58,18 +66,18 @@ def test_perm_compose_forward_trace(seed):
     s21 = perm_compose(s2, s1)
     for x in range(1 << pipeline.widths[0]):
         assert lay.unpack_registers(s21(lay.pack_registers((x, 0, 0)))) == (x, f(x), g(f(x)))
-    assert perm_compose(perm_compose(s1, s2), s21).is_identity
+    assert perm_is_identity(perm_compose(perm_compose(s1, s2), s21))
 
 
 def test_perm_inverse_examples(two_step_id):
     # q is the inverse of p when p after q is the identity
     s1, s2 = _two_step_gens(two_step_id)
-    assert perm_compose(Perm.identity(3), Perm.identity(3)).is_identity
-    assert perm_compose(s1, s1).is_identity
+    assert perm_is_identity(perm_compose(Perm.identity(3), Perm.identity(3)))
+    assert perm_is_identity(perm_compose(s1, s1))
     s21 = perm_compose(s2, s1)
     s21_cu = perm_compose(s21, perm_compose(s21, s21))
-    assert perm_compose(s21, s21_cu).is_identity and perm_compose(s21_cu, s21).is_identity
-    assert not perm_compose(s21, s21).is_identity
+    assert perm_is_identity(perm_compose(s21, s21_cu)) and perm_is_identity(perm_compose(s21_cu, s21))
+    assert not perm_is_identity(perm_compose(s21, s21))
 
 
 def test_perm_order_examples(two_step_id, two_step_zero_first):
@@ -99,7 +107,7 @@ def test_perm_order_lcm_of_cycles():
 def test_closure_two_step_identity(two_step_id):
     grp = closure(_two_step_gens(two_step_id))
     assert len(grp) == 8
-    assert grp.elements[0].is_identity
+    assert perm_is_identity(grp.elements[0])
     assert grp.words[0] == ()
 
 
@@ -318,7 +326,7 @@ def test_closure_invariant_under_conjugation(two_step_id):
         points[i], points[j] = points[j], points[i]
     sigma = Perm(3, tuple(points))
     sigma_inv = Perm(3, tuple(points.index(i) for i in range(8)))
-    assert perm_compose(sigma, sigma_inv).is_identity
+    assert perm_is_identity(perm_compose(sigma, sigma_inv))
     conjugated = [perm_compose(sigma, perm_compose(g, sigma_inv)) for g in (s1, s2)]
     original = closure([s1, s2])
     image = closure(conjugated)
@@ -362,15 +370,9 @@ def _is_power_of_two(k):
 STEP_KINDS = ("random", "zero", "constant", "sparse")
 
 
-# the examples pin down every case: orders 1 (two zero steps side by side),
-# 2 (constant steps, and one zero neighbour) and 4 (random steps), and both
-# defect messages
-@given(seed=seeds, steps=st.integers(1, 4), kinds=st.lists(st.sampled_from(STEP_KINDS), min_size=4, max_size=4))
-@example(seed=7, steps=3, kinds=["zero", "zero", "random", "random"])
-@example(seed=8, steps=2, kinds=["constant", "constant", "random", "random"])
-@example(seed=9, steps=4, kinds=["random", "sparse", "random", "zero"])
-@settings(max_examples=60, deadline=None)
-def test_table_rules_match_permutations(seed, steps, kinds):
+def _kinded_pipeline(seed, steps, kinds):
+    """A seeded pipeline of 1-4 steps whose step k is replaced by the kind
+    kinds[k]: random (kept), zero, constant nonzero, or one nonzero entry."""
     # register widths capped so that the steps + 1 registers span W <= 9 bits
     base = random_pipeline(seed, steps=steps, max_width=9 // (steps + 1))
     rng = SplitMix64(seed)
@@ -386,7 +388,19 @@ def test_table_rules_match_permutations(seed, steps, kinds):
             table[rng.next_u64() % size] = 1 << rng.next_u64() % f.arity_out
             f = BoolFunc(f.arity_in, f.arity_out, tuple(table))
         fns.append(f)
-    pipeline = PipelineSpec(base.widths, tuple(fns))
+    return PipelineSpec(base.widths, tuple(fns))
+
+
+# the examples pin down every case: orders 1 (two zero steps side by side),
+# 2 (constant steps, and one zero neighbour) and 4 (random steps), and both
+# defect messages
+@given(seed=seeds, steps=st.integers(1, 4), kinds=st.lists(st.sampled_from(STEP_KINDS), min_size=4, max_size=4))
+@example(seed=7, steps=3, kinds=["zero", "zero", "random", "random"])
+@example(seed=8, steps=2, kinds=["constant", "constant", "random", "random"])
+@example(seed=9, steps=4, kinds=["random", "sparse", "random", "zero"])
+@settings(max_examples=60, deadline=None)
+def test_table_rules_match_permutations(seed, steps, kinds):
+    pipeline = _kinded_pipeline(seed, steps, kinds)
     gens = [step_involution(pipeline, i) for i in range(1, steps + 1)]
 
     assert generator_defects(pipeline) == _reference_defects(gens)
@@ -401,3 +415,86 @@ def test_table_rules_match_permutations(seed, steps, kinds):
     assert all(_is_power_of_two(k) for k in walked)
     for i, j in combinations(range(steps), 2):
         assert orders[i][j] in ({1, 2, 4} if j == i + 1 else {1, 2})
+
+
+def _tableau_tables(perm, pipeline):
+    """T_1..T_n of a permutation of the lifted group, read from its images of
+    the states whose registers j..n are zero (None for an all-zero table)."""
+    offsets = layout(pipeline).offsets
+    tables = []
+    for j in range(1, pipeline.n_steps + 1):
+        mask = (1 << pipeline.widths[j]) - 1
+        table = [(perm(x) >> offsets[j]) & mask for x in range(1 << offsets[j])]
+        tables.append(table if any(table) else None)
+    return tuple(tables)
+
+
+@given(
+    seed=seeds,
+    steps=st.integers(1, 4),
+    kinds=st.lists(st.sampled_from(STEP_KINDS), min_size=4, max_size=4),
+    data=st.data(),
+)
+@example(seed=7, steps=3, kinds=["zero", "zero", "random", "random"], data=None)
+@example(seed=9, steps=4, kinds=["random", "sparse", "random", "zero"], data=None)
+@settings(max_examples=60, deadline=None)
+def test_tableau_order_matches_closure(seed, steps, kinds, data):
+    pipeline = _kinded_pipeline(seed, steps, kinds)
+    gens = [step_involution(pipeline, i) for i in range(1, steps + 1)]
+    group = closure(gens)
+    layers = polycyclic_layers(pipeline)
+    assert len(layers) == steps
+    assert 1 << sum(layers) == len(group)
+    # layer j counts the factor N_j / N_{j+1}, N_j the elements fixing registers 0..j-1
+    bounds = layout(pipeline).offsets[1:] + (pipeline.total_width,)
+    fixing = [
+        sum(all(e(x) & ((1 << bound) - 1) == x for x in range(1 << bound)) for e in group.elements) for bound in bounds
+    ]
+    assert [fixing[j] // fixing[j + 1] for j in range(steps)] == [1 << d for d in layers]
+    # products and inverses agree with the permutations they stand for
+    tableaux = lifted_tableaux(pipeline)
+    assert [g.tables for g in tableaux] == [_tableau_tables(g, pipeline) for g in gens]
+    words = st.lists(st.integers(0, steps - 1), min_size=1, max_size=10)
+    left, right = ([0], list(range(steps))) if data is None else (data.draw(words), data.draw(words))
+    a, b = (reduce(lambda x, y: x * y, (tableaux[s] for s in w)) for w in (left, right))
+    assert (a * b).tables == _tableau_tables(evaluate_word(gens, left + right), pipeline)
+    # the generators are involutions, so the reversed word is the inverse
+    assert b.inverse().tables == _tableau_tables(evaluate_word(gens, right[::-1]), pipeline)
+    assert (a * b.inverse()).tables == _tableau_tables(evaluate_word(gens, left + right[::-1]), pipeline)
+    assert (b * b.inverse()).is_identity and b.is_identity == perm_is_identity(evaluate_word(gens, right))
+
+
+def test_identity_pipeline_layers():
+    # the n-step 1-bit identity group is unitriangular: layer j has dimension j
+    for n in range(2, 9):
+        pipeline = PipelineSpec((1,) * (n + 1), (ID1,) * n)
+        assert polycyclic_layers(pipeline, element_cap=1 << 36) == tuple(range(1, n + 1))
+
+
+@pytest.mark.parametrize("cap, raises", [(63, True), (64, False)])
+def test_polycyclic_cap_is_the_order(cap, raises):
+    # the 3-step identity group has order 64: the cap fails exactly above it
+    pipeline = PipelineSpec((1,) * 4, (ID1,) * 3)
+    if raises:
+        with pytest.raises(ClosureCapExceeded, match=f"the cap of {cap} elements"):
+            polycyclic_layers(pipeline, element_cap=cap)
+    else:
+        assert polycyclic_layers(pipeline, element_cap=cap) == (1, 2, 3)
+    with pytest.raises(ValueError, match="element_cap must be >= 1"):
+        polycyclic_layers(pipeline, element_cap=0)
+
+
+@pytest.mark.parametrize("high_only", [False, True])
+@pytest.mark.parametrize("widths", [(2, 9, 1), (1, 2, 10), (3, 12), (1, 9, 2, 1)])
+def test_tableau_order_with_registers_wider_than_a_byte(widths, high_only):
+    # a layer vector packs entries of more than 8 bits as byte planes; with
+    # high_only the steps writing a wide register set none of its low 8 bits
+    fns = []
+    for i in range(len(widths) - 1):
+        f = random_fn(widths[i], widths[i + 1], 40 + i)
+        if high_only and widths[i + 1] > 8:
+            f = BoolFunc(f.arity_in, f.arity_out, tuple((v | 256) & ~255 for v in f.table))
+        fns.append(f)
+    pipeline = PipelineSpec(widths, tuple(fns))
+    group = closure([step_involution(pipeline, i) for i in range(1, len(fns) + 1)])
+    assert 1 << sum(polycyclic_layers(pipeline)) == len(group)

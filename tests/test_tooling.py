@@ -1,7 +1,8 @@
 """Rules about the package's shape: it stays pure standard library (every
 absolute import in ``src/involift`` names a standard-library module), and
-every name it exports is used by the package itself or by a script, so no
-public API exists only for the tests."""
+every name it exports and every public method or property of its classes
+is used by the package itself or by a script, so no public API exists only
+for the tests."""
 
 import ast
 import sys
@@ -52,11 +53,29 @@ def _uses(path: Path) -> set[str]:
     return names
 
 
+def _public_methods(path: Path) -> dict[str, str]:
+    """Methods and properties of the module's public classes whose names do
+    not start with an underscore (dunders and private helpers are skipped;
+    dataclass fields are annotations, not functions), as name -> Class.name."""
+    methods = {}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                    methods.setdefault(item.name, f"{node.name}.{item.name}")
+    return methods
+
+
 def test_every_export_is_used_outside_the_tests():
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     exported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert len(exported) >= 40
     sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    methods = {}
+    for path in sources:
+        methods.update(_public_methods(path))
+    assert len(methods) >= 15
     sources += sorted((ROOT / "scripts").glob("*.py"))
     used = set().union(*map(_uses, sources))
     assert not exported - used, sorted(exported - used)
+    assert not methods.keys() - used, sorted(methods[name] for name in methods.keys() - used)
