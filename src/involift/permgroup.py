@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .lifting import Perm, PipelineSpec, layout
@@ -61,8 +62,9 @@ class GroupClosure:
         elements[parents[k]], g = words[k][0], so row k is that row through left[g]."""
         rows = [tuple(range(len(self)))]
         for k in range(1, len(self)):
-            step = self.left[self.words[k][0]]
-            rows.append(tuple([step[x] for x in rows[self.parents[k]]]))
+            # itemgetter with one index returns a scalar, not a tuple; a row
+            # past the identity exists only when |G| >= 2, so it has two or more
+            rows.append(itemgetter(*rows[self.parents[k]])(self.left[self.words[k][0]]))
         return tuple(rows)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,16 +7,17 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from involift.cli import (
     PipelineFormatError,
+    _json_chunks,
     main,
     parse_pipeline,
     pipeline_from_document,
 )
 import involift
-from involift import coxeter, lifting, permgroup
+from involift import cli, coxeter, lifting, permgroup
 from involift.boolfn import random_fn
 from involift.coxeter import RelationCheck
 from involift.lifting import PipelineSpec, random_pipeline, step_involution
@@ -23,6 +25,7 @@ from involift.permgroup import GroupClosure
 
 from conftest import ID1, emit_pipeline, perm_is_identity, perm_order, zero_fn
 
+PIPELINES = Path(__file__).resolve().parents[1] / "pipelines"
 P1_DOC = {
     "format_version": 1,
     "registers": [1, 1, 1],
@@ -482,6 +485,87 @@ def test_json_reports_are_byte_identical(tmp_path):
     assert json.loads(json.dumps(report)) == report  # lossless round-trip
     assert report["input_digest"].startswith("sha256:")
     assert report["results"]["counts"] == {"1": 50}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group", "three_step_identity.json", "--cayley"],
+        ["lift", "two_step_identity.json"],
+        ["coxeter", "two_step_identity.json"],
+        ["verify", "two_step_identity.json"],
+        ["run", "two_step_identity.json", "--input", "1"],
+        ["qrun", "two_step_identity.json", "--word", "f", "g", "--input", "0", "0", "0",
+         "--superpose", "0", "--measure", "2", "--shots", "20"],
+    ],
+    ids=["group_cayley", "lift", "coxeter", "verify", "run", "qrun"],
+)
+def test_report_is_indented_sorted_json(tmp_path, argv):
+    # the report form is pinned to the json module's, so any JSON tool can rebuild a fixture
+    report_path = tmp_path / "report.json"
+    command, name, *options = argv
+    assert main([command, str(PIPELINES / name), *options, "--json", str(report_path)]) == 0
+    written = report_path.read_bytes()
+    assert written == (json.dumps(json.loads(written), indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_cayley_report_is_written_row_by_row():
+    # a report never exists as one string: the largest piece of a --cayley
+    # report is one row of its table, so the writer's memory stays flat
+    spec = parse_pipeline((PIPELINES / "three_step_identity.json").read_bytes())
+    gens = [step_involution(spec, i) for i in (1, 2, 3)]
+    group = permgroup.closure(gens)
+    pieces = list(_json_chunks({"results": {"cayley": group.cayley, "words": group.words}}))
+    row = "".join(_json_chunks(group.cayley[-1], "      "))
+    assert len(group) == 64 and max(map(len, pieces)) == len(row)
+    assert len(pieces) > 2 * len(group)
+
+
+def _nested(depth):
+    value = [1, "x"]
+    for i in range(depth):
+        value = {"k": value, "n": None} if i % 2 else [value, i, []]
+    return value
+
+
+_KEYS = st.text() | st.sampled_from(["é", "ключ", "😀", '"', "\\", "\x00\x1f\n", "\u2028"])
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**80), 2**80)
+    | st.sampled_from([2**64, -(2**64) - 1, -1])
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+    | _KEYS
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_KEYS, inner),
+    max_leaves=30,
+)
+
+
+@given(value=_VALUES)
+@settings(max_examples=200)
+@example(value=[])
+@example(value={})
+@example(value=[[], {}, (), 1, "a", [None]])
+@example(value={"\u00e9\"\\\x01": (True, False, 2**70, -(2**64), -0.0, math.nan, math.inf, -math.inf)})
+@example(value=_nested(60))
+def test_json_chunks_match_json(value):
+    assert "".join(_json_chunks(value)) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_out_of_memory_exit_2(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "closure", exhausted)
+    report_path = tmp_path / "report.json"
+    assert main(["group", _write(tmp_path, P1_DOC), "--json", str(report_path)]) == 2
+    assert capsys.readouterr().err == "error: group ran out of memory\n"
+    assert not report_path.exists()
 
 
 def test_unknown_subcommand_exit_1(capsys):

@@ -1,8 +1,9 @@
 """Rules about the package's shape: it stays pure standard library (every
-absolute import in ``src/involift`` names a standard-library module), and
-every name it exports and every public method or property of its classes
-is used by the package itself or by a script, so no public API exists only
-for the tests."""
+absolute import in ``src/involift`` names a standard-library module), it
+has one report writer (no ``json.dumps(..., indent=...)`` beside
+``cli._json_chunks``), and every name it exports and every public method or
+property of its classes is used by the package itself or by a script, so
+no public API exists only for the tests."""
 
 import ast
 import sys
@@ -32,6 +33,19 @@ def test_package_imports_only_the_standard_library():
         if name not in sys.stdlib_module_names
     }
     assert not foreign, sorted(foreign)
+
+
+def test_reports_have_one_writer():
+    indented = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("dump", "dumps")
+        and any(keyword.arg == "indent" for keyword in node.keywords)
+    ]
+    assert not indented, indented
 
 
 def _uses(path: Path) -> set[str]:
