@@ -6,7 +6,7 @@ dihedral of order 8."""
 import argparse
 from collections import Counter
 
-from involift.lifting import nondegeneracy_defects, random_pipeline, step_involution
+from involift.lifting import nondegeneracy_defects, random_pipeline
 from involift.permgroup import closure, element_order_histogram, is_dihedral_8
 
 
@@ -25,7 +25,7 @@ def main() -> None:
         pipeline = random_pipeline(args.seed + k, steps=2, max_width=args.max_width)
         for d in nondegeneracy_defects(pipeline):
             defect_kinds[d.split(" has order")[0]] += 1
-        group = closure((step_involution(pipeline, 1), step_involution(pipeline, 2)))
+        group = closure(pipeline)
         orders[len(group)] += 1
         histograms[tuple(sorted(element_order_histogram(group).items()))] += 1
         if is_dihedral_8(group) is not None:

@@ -15,7 +15,6 @@ from .lifting import (
     ClassicalTrace,
     DEFAULT_WIDTH_CAP,
     LiftingCheckFailed,
-    Perm,
     PipelineSpec,
     RegisterLayout,
     apply_word,
@@ -25,7 +24,6 @@ from .lifting import (
     product_orders,
     random_pipeline,
     run_classical,
-    step_involution,
 )
 from .permgroup import (
     ClosureCapExceeded,

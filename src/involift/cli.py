@@ -41,7 +41,6 @@ from .lifting import (
     nondegeneracy_defects,
     product_orders,
     run_classical,
-    step_involution,
 )
 from .permgroup import (
     ClosureCapExceeded,
@@ -234,8 +233,7 @@ def _cmd_lift(args, pipeline: PipelineSpec):
 
 
 def _cmd_group(args, pipeline: PipelineSpec):
-    gens = [step_involution(pipeline, i) for i in range(1, pipeline.n_steps + 1)]
-    group = closure(gens, element_cap=args.element_cap)
+    group = closure(pipeline, element_cap=args.element_cap)
     histogram = element_order_histogram(group)
     defects = nondegeneracy_defects(pipeline)
     witness = is_dihedral_8(group)

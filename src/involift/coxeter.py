@@ -7,11 +7,11 @@ and 2 everywhere else; that matrix is the whole claim, and its relators
 are read from it.  Whether the concrete group IS that Coxeter group
 (rather than a proper quotient of it) is checked, never assumed: the
 concrete order comes from a polycyclic sequence of tableaux
-(:func:`involift.permgroup.polycyclic_layers`), every relator is evaluated
-as a tableau product of the lifted steps, and the abstract group is
-decided independently: infinite from three steps on (the matrix contains
-affine C~2), otherwise of the order found by coset enumeration.  The
-empirical matrix is read from the truth tables
+(:func:`involift.permgroup.polycyclic_layers`), every relator is walked
+on the tables of the lifted steps with the closure's multiplication rule,
+and the abstract group is decided independently: infinite from three
+steps on (the matrix contains affine C~2), otherwise of the order found by
+coset enumeration.  The empirical matrix is read from the truth tables
 (:func:`involift.lifting.product_orders`); no permutation is built.
 """
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .lifting import LiftingCheckFailed, PipelineSpec, generator_defects, product_orders
-from .permgroup import DEFAULT_ELEMENT_CAP, Tableau, lifted_tableaux, polycyclic_layers
+from .permgroup import DEFAULT_ELEMENT_CAP, _identity_tables, _times_step, polycyclic_layers
 
 DEFAULT_COSET_CAP = 100_000
 
@@ -90,19 +90,20 @@ class RelationCheck:
 
 
 def check_relations(pipeline: PipelineSpec, relators) -> tuple[RelationCheck, ...]:
-    """Evaluate every relator as a product of the lifted steps in tableau
-    form, leftmost symbol outermost (the rightmost acts first).  A relator
-    holds when every table of the product is zero; each symbol costs one
-    tableau product, sum_j 2^offset_j lookups, and no 2^W permutation is
-    built."""
-    generators = lifted_tableaux(pipeline)
-    identity = Tableau(generators[0].offsets, [None] * len(generators))
+    """Evaluate every relator on the lifted steps in tableau form, leftmost
+    symbol outermost (the rightmost acts first): the word is walked right to
+    left from the identity, each symbol a left multiplication by its step
+    that rewrites one table, as in the closure
+    (:func:`involift.permgroup._times_step`).  A relator holds when every
+    table ends zero; no 2^W permutation is built."""
+    steps = [f.table for f in pipeline.steps]
+    identity = _identity_tables(pipeline)
     checks = []
     for word in relators:
-        product = identity
-        for symbol in word:
-            product = product * generators[symbol]
-        checks.append(RelationCheck(word, product.is_identity))
+        tables = identity
+        for symbol in reversed(word):
+            tables = _times_step(tables, symbol, steps[symbol])
+        checks.append(RelationCheck(word, tables == identity))
     return tuple(checks)
 
 
@@ -292,7 +293,7 @@ def verify_pipeline(
     group of ``claimed_coxeter_matrix(n)``.
 
     Reads the concrete order from the polycyclic layers of the lifted
-    group, evaluates every claimed relator as a tableau product, runs coset
+    group, walks every claimed relator on the step tables, runs coset
     enumeration on the relators when the claimed group is finite (one or two
     steps; otherwise no cap would be reached), and classifies the outcome
     (see :class:`VerificationReport`).  No element is listed and no 2^W

@@ -22,15 +22,18 @@ from typing import Callable, NamedTuple, Sequence
 from .boolfn import BoolFunc, random_fn
 from .rng import SplitMix64
 
-# The group closure behind `group` materializes its elements as full 2^W
-# mapping arrays, so the summed register width is capped.  `verify` holds
-# tableaux instead, sum_j 2^offset_j entries per element.
+# The summed register width W is capped: it bounds the size of a group
+# element, a tableau of sum_j 2^offset_j < 2^W entries.
 DEFAULT_WIDTH_CAP = 20
 
 
 @dataclass(frozen=True)
 class Perm:
-    """A bijection of {0, ..., 2^total_width - 1}, stored as a mapping array."""
+    """A bijection of {0, ..., 2^total_width - 1}, stored as a mapping array
+    and checked on construction.  The package builds none: group elements
+    are tableaux.  The class stays as the reference form the tableaux are
+    tested against, and as the construction hook the benchmark's tracer
+    counts."""
 
     total_width: int
     mapping: tuple[int, ...]
@@ -45,19 +48,6 @@ class Perm:
             if not 0 <= v < size or seen[v]:
                 raise ValueError(f"mapping is not a bijection of 0..{size - 1}")
             seen[v] = 1
-
-    @classmethod
-    def _trusted(cls, total_width: int, mapping: tuple[int, ...]) -> "Perm":
-        """A Perm built without the O(2^W) bijectivity check, for mappings
-        that are bijections by construction (products of checked Perms)."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "total_width", total_width)
-        object.__setattr__(p, "mapping", mapping)
-        return p
-
-    @classmethod
-    def identity(cls, total_width: int) -> "Perm":
-        return cls(total_width, tuple(range(1 << total_width)))
 
     def __call__(self, state: int) -> int:
         return self.mapping[state]
@@ -104,9 +94,9 @@ class PipelineSpec:
     """Register widths w0..wn and step functions f1..fn.
 
     Step i reads register i-1 and writes register i, so f_i must map
-    w_{i-1} bits to w_i bits.  The summed width is capped because the group
-    closure behind ``group`` materializes its elements as permutations of
-    2^W points.
+    w_{i-1} bits to w_i bits.  The summed width W is capped at
+    ``DEFAULT_WIDTH_CAP``, which bounds the size of a group element: a
+    tableau of fewer than 2^W entries.
     """
 
     widths: tuple[int, ...]
@@ -153,17 +143,6 @@ def _step_params(pipeline: PipelineSpec, lay: RegisterLayout, step: int) -> tupl
         raise ValueError(f"step {step} out of range 1..{pipeline.n_steps}")
     f = pipeline.steps[step - 1]
     return f.table, lay.offsets[step - 1], (1 << f.arity_in) - 1, lay.offsets[step]
-
-
-def step_involution(pipeline: PipelineSpec, step: int) -> Perm:
-    """Pipeline-wide involution of step i (1-based): register i picks up
-    f_i(register i-1) by XOR, every other register is untouched."""
-    lay = layout(pipeline)
-    table, src, mask, dst = _step_params(pipeline, lay, step)
-    return Perm(
-        lay.total_width,
-        tuple(s ^ (table[(s >> src) & mask] << dst) for s in range(1 << lay.total_width)),
-    )
 
 
 def generator_defects(pipeline: PipelineSpec) -> tuple[str, ...]:

@@ -2,25 +2,28 @@
 dihedral-of-order-8 classification for two-step pipelines, and the order
 of the group from a polycyclic sequence of tableaux.
 
-The closure (behind ``group``) is the only place where permutations are
-composed.  Element orders and the Cayley table walk generator words through
-the closure's action table ``left`` instead.  ``verify`` lists no element:
-it holds group elements as tableaux (:class:`Tableau`), one table per
-register, reads the order from the layers of a polycyclic sequence
-(:func:`polycyclic_layers`), and :mod:`involift.coxeter` checks relators as
-tableau products.
+Every element is held in Kaloujnine's tableau form, one table per register,
+and no 2^W permutation is built.  The closure (behind ``group``) lists the
+elements by left multiplication with the lifted steps, one rewritten table
+per product (:func:`_times_step`); element orders and the Cayley table walk
+generator words through its action table ``left``.  ``verify`` lists no
+element: it reads the order from the layers of a polycyclic sequence of
+:class:`Tableau` products (:func:`polycyclic_layers`), and
+:mod:`involift.coxeter` walks relators with the same rule as the closure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
-from typing import Iterable, Sequence
+from operator import itemgetter, xor
+from typing import Sequence
 
-from .lifting import Perm, PipelineSpec, layout
+from .lifting import PipelineSpec, layout
 
 DEFAULT_ELEMENT_CAP = 1_000_000
+
+Tables = tuple[tuple[int, ...], ...]
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -33,24 +36,24 @@ class ClosureCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class GroupClosure:
-    """A fully enumerated finite permutation group.
+    """The fully enumerated group of the lifted steps.
 
-    elements[0] is the identity; words[e] is a minimal-length generator word
-    evaluating to elements[e] (ties broken toward the lexicographically
-    smallest word); left[g][e] is the index of generators[g] composed with
-    elements[e]; parents[e] is the index of the element whose word is
-    words[e] without its first symbol (parents[0] is 0).
+    elements[0] is the identity, and every element is a :class:`Tableau`;
+    words[e] is a minimal-length generator word evaluating to elements[e]
+    (ties broken toward the lexicographically smallest word); left[g][e] is
+    the index of step g + 1 composed with elements[e]; parents[e] is the
+    index of the element whose word is words[e] without its first symbol
+    (parents[0] is 0).
     """
 
-    generators: tuple[Perm, ...]
-    elements: tuple[Perm, ...]
+    elements: tuple[Tableau, ...]
     words: tuple[tuple[int, ...], ...]
     left: tuple[tuple[int, ...], ...]
     parents: tuple[int, ...]
 
     @property
     def generator_count(self) -> int:
-        return len(self.generators)
+        return len(self.left)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -58,7 +61,7 @@ class GroupClosure:
     @cached_property
     def cayley(self) -> tuple[tuple[int, ...], ...]:
         """cayley[i][j] is the index of elements[i] composed with elements[j],
-        built on first use by lookup only: elements[k] is generators[g] after
+        built on first use by lookup only: elements[k] is step g + 1 after
         elements[parents[k]], g = words[k][0], so row k is that row through left[g]."""
         rows = [tuple(range(len(self)))]
         for k in range(1, len(self)):
@@ -68,41 +71,54 @@ class GroupClosure:
         return tuple(rows)
 
 
-def closure(generators: Sequence[Perm], element_cap: int = DEFAULT_ELEMENT_CAP) -> GroupClosure:
-    """Enumerate the generated group by breadth-first left multiplication.
+def _identity_tables(pipeline: PipelineSpec) -> Tables:
+    """The tables T_1..T_n of the identity: all zero, T_j of 2^offset_j entries."""
+    return tuple((0,) * (1 << offset) for offset in layout(pipeline).offsets[1:])
+
+
+def _times_step(tables: Tables, i: int, f: tuple[int, ...]) -> Tables:
+    """The tables of step i + 1, truth table f, after the element with these
+    tables (``tables[j - 1]`` is T_j).  Only T_{i+1} changes:
+
+        T_{i+1}[x] ^= f[(x >> offset_i) ^ T_i[x mod 2^offset_i]]   (T_0 = 0)
+
+    where f reads register i of the element's image of x.  That costs
+    2^offset_{i+1} lookups; no action array is built, and the other tables
+    are shared with the element."""
+    if i:
+        lower = tables[i - 1]
+        f = [f[y ^ t] for y in range(len(f)) for t in lower]
+    return (*tables[:i], tuple(map(xor, tables[i], f)), *tables[i + 1 :])
+
+
+def closure(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> GroupClosure:
+    """Enumerate the group of the lifted steps by breadth-first left
+    multiplication.
 
     Starting from the identity, each frontier element is multiplied on the
-    left by every generator (generators in given order, frontier in
-    discovery order), which makes the discovery order deterministic and
-    yields shortest, lexicographically smallest words.  No other code
-    composes elements: the Cayley table is read from ``left`` on demand.
-    Raises :class:`ClosureCapExceeded` when the group has more than
+    left by every step (steps in order, frontier in discovery order), which
+    makes the discovery order deterministic and yields shortest,
+    lexicographically smallest words.  Elements are indexed by their
+    tables, and each product rewrites one table (:func:`_times_step`); the
+    Cayley table is read from ``left`` on demand.  Raises :class:`ClosureCapExceeded` when the group has more than
     ``element_cap`` elements.
     """
-    gens = tuple(generators)
-    if not gens:
-        raise ValueError("at least one generator is required")
-    width = gens[0].total_width
-    for g in gens[1:]:
-        if g.total_width != width:
-            raise ValueError("generators must all act on the same width")
     if element_cap < 1:
         raise ValueError("element_cap must be >= 1")
-
-    identity = Perm.identity(width)
+    steps = [f.table for f in pipeline.steps]
+    identity = _identity_tables(pipeline)
     elements = [identity]
     words: list[tuple[int, ...]] = [()]
     parents = [0]
-    left: list[list[int]] = [[] for _ in gens]
-    index = {identity.mapping: 0}
+    left: list[list[int]] = [[] for _ in steps]
+    index = {identity: 0}
     # frontiers are contiguous index ranges, so each left[g] fills in index order
     frontier = range(1)
     while frontier:
-        for gi, gen in enumerate(gens):
-            gm = gen.mapping
+        for gi, f in enumerate(steps):
             row = left[gi]
             for ei in frontier:
-                product = tuple(gm[v] for v in elements[ei].mapping)
+                product = _times_step(elements[ei], gi, f)
                 k = index.get(product)
                 if k is None:
                     if len(elements) >= element_cap:
@@ -110,11 +126,16 @@ def closure(generators: Sequence[Perm], element_cap: int = DEFAULT_ELEMENT_CAP) 
                     k = index[product] = len(elements)
                     words.append((gi,) + words[ei])
                     parents.append(ei)
-                    # a product of checked bijections is one: skip the O(2^W) check
-                    elements.append(Perm._trusted(width, product))
+                    elements.append(product)
                 row.append(k)
         frontier = range(frontier.stop, len(elements))
-    return GroupClosure(gens, tuple(elements), tuple(words), tuple(map(tuple, left)), tuple(parents))
+    offsets = layout(pipeline).offsets[1:]
+    return GroupClosure(
+        tuple(Tableau(offsets, tables) for tables in elements),
+        tuple(words),
+        tuple(map(tuple, left)),
+        tuple(parents),
+    )
 
 
 def _walk(group: GroupClosure, word: Sequence[int], start: int = 0) -> int:
@@ -148,23 +169,6 @@ def element_order_histogram(group: GroupClosure) -> dict[int, int]:
     return dict(sorted(histogram.items()))
 
 
-def _span(cayley: Sequence[Sequence[int]], seeds: Iterable[int]) -> int:
-    """Size of the subgroup generated by the seed element indices."""
-    seeds = tuple(seeds)
-    members = {0}
-    frontier = [0]
-    while frontier:
-        next_frontier = []
-        for m in frontier:
-            for s in seeds:
-                t = cayley[s][m]
-                if t not in members:
-                    members.add(t)
-                    next_frontier.append(t)
-        frontier = next_frontier
-    return len(members)
-
-
 @dataclass(frozen=True)
 class Dihedral8Witness:
     """Indices of a rotation A (order 4) and reflection B (order 2) with
@@ -187,11 +191,14 @@ def is_dihedral_8(group: GroupClosure) -> Dihedral8Witness | None:
     orders = _element_orders(group)
 
     def qualifies(a: int, b: int) -> bool:
-        if orders[a] != 4 or orders[b] != 2:
-            return False
-        if group.cayley[b][group.cayley[a][b]] != group.cayley[a].index(0):
-            return False
-        return _span(group.cayley, (a, b)) == len(group)
+        # such a pair generates the whole group of order 8: b in <a> would
+        # force b = a^2 (the only involution of <a>), and then b a b = a,
+        # which is not a^-1; so <a, b> strictly contains <a> of order 4
+        return (
+            orders[a] == 4
+            and orders[b] == 2
+            and group.cayley[b][group.cayley[a][b]] == group.cayley[a].index(0)
+        )
 
     if group.generator_count == 2:
         b = group.left[1][0]
@@ -206,7 +213,7 @@ def is_dihedral_8(group: GroupClosure) -> Dihedral8Witness | None:
 
 
 # ---------------------------------------------------------------------------
-# Tableaux: the order of the group without listing it
+# Tableau products: the order of the group without listing it
 
 
 class Tableau:
@@ -223,14 +230,10 @@ class Tableau:
 
     __slots__ = ("offsets", "tables", "_action_cache")
 
-    def __init__(self, offsets: tuple[int, ...], tables: Sequence[list[int] | None]):
+    def __init__(self, offsets: tuple[int, ...], tables: Sequence[Sequence[int] | None]):
         self.offsets = offsets
         self.tables = tuple(t if t is not None and any(t) else None for t in tables)
         self._action_cache: list[Sequence[int] | None] | None = None
-
-    @property
-    def is_identity(self) -> bool:
-        return all(t is None for t in self.tables)
 
     def _actions(self) -> list[Sequence[int] | None]:
         """A_1..A_n: A_j is the element's action on the packed registers
@@ -263,7 +266,7 @@ class Tableau:
         y_j ^ T_j[x], x the preimage of the lower registers, so the inverse
         table is T_j read through the inverse's own lower action, built
         layer by layer."""
-        tables: list[list[int] | None] = []
+        tables: list[Sequence[int] | None] = []
         actions: list[Sequence[int] | None] = [None]
         for j, t in enumerate(self.tables):
             action = actions[j]
@@ -277,7 +280,7 @@ class Tableau:
         return inverse
 
 
-def _next_action(action: Sequence[int] | None, table: list[int] | None, offset: int, next_offset: int) -> Sequence[int] | None:
+def _next_action(action: Sequence[int] | None, table: Sequence[int] | None, offset: int, next_offset: int) -> Sequence[int] | None:
     """A_{j+1} from A_j and T_j: the point x | (y << offset_j) goes to
     A_j[x] | ((y ^ T_j[x]) << offset_j).  Kept as a C int array: its values
     reach 2^19, and in a list each would be an int object of its own, about
@@ -300,18 +303,15 @@ def _next_action(action: Sequence[int] | None, table: list[int] | None, offset: 
 
 
 def lifted_tableaux(pipeline: PipelineSpec) -> tuple[Tableau, ...]:
-    """The lifted steps as tableaux: step i has the single table
+    """The lifted steps as tableaux, each the identity multiplied on the left
+    by its step (:func:`_times_step`): step i has the single table
     T_i[x] = f_i(x_{i-1}), and register i-1 is the top of x < 2^offset_i."""
-    offsets = layout(pipeline).offsets
-    gens = []
-    for i, f in enumerate(pipeline.steps):
-        tables: list[list[int] | None] = [None] * pipeline.n_steps
-        tables[i] = [f.table[x >> offsets[i]] for x in range(1 << offsets[i + 1])]
-        gens.append(Tableau(offsets[1:], tables))
-    return tuple(gens)
+    offsets = layout(pipeline).offsets[1:]
+    identity = _identity_tables(pipeline)
+    return tuple(Tableau(offsets, _times_step(identity, i, f.table)) for i, f in enumerate(pipeline.steps))
 
 
-def _vector(table: list[int], width: int) -> int:
+def _vector(table: Sequence[int], width: int) -> int:
     """A layer table as a vector over F2, so that XOR of tables is XOR of
     vectors: byte plane s holds bits 8s..8s+7 of every entry."""
     if width <= 8:

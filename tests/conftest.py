@@ -1,8 +1,14 @@
 """Shared fixtures: canonical small pipelines, the seeded random corpus, an
 oracle that builds permutations straight from register-tuple rules,
-reference permutation algebra (composition, order, word evaluation,
-identity test), the identity test of a truth table, the norm of a state,
-seeded random states, constant-zero steps and pipeline documents."""
+reference permutation algebra (identity, lifted steps, composition, order,
+word evaluation, identity test, the closure of arbitrary permutations and
+the tableau of a permutation), the identity test of a truth table, the norm
+of a state, seeded random states, constant-zero steps and pipeline
+documents.
+
+The package builds no permutation: its group elements are tableaux.  The
+permutations here are the reference they are checked against, kept to
+small state spaces (W <= 12)."""
 
 import json
 import math
@@ -12,6 +18,7 @@ import pytest
 from involift.boolfn import BoolFunc, identity_fn
 from involift.cli import FORMAT_VERSION
 from involift.lifting import Perm, PipelineSpec, layout, random_pipeline
+from involift.permgroup import GroupClosure
 from involift.quantum import PRUNE_THRESHOLD, QState
 from involift.rng import SplitMix64
 
@@ -36,6 +43,23 @@ def emit_pipeline(pipeline: PipelineSpec, name: str | None = None) -> str:
 def fn_is_identity(f: BoolFunc) -> bool:
     """Whether the truth table is the identity on its bits."""
     return f.arity_in == f.arity_out and all(v == x for x, v in enumerate(f.table))
+
+
+def perm_identity(width: int) -> Perm:
+    return Perm(width, tuple(range(1 << width)))
+
+
+def step_perm(pipeline: PipelineSpec, step: int) -> Perm:
+    """The lifted step i (1-based) as a permutation of the packed states:
+    register i picks up f_i(register i-1) by XOR."""
+    lay = layout(pipeline)
+    f = pipeline.steps[step - 1]
+    src, dst, mask = lay.offsets[step - 1], lay.offsets[step], (1 << f.arity_in) - 1
+    return Perm(lay.total_width, tuple(s ^ (f.table[(s >> src) & mask] << dst) for s in range(1 << lay.total_width)))
+
+
+def step_perms(pipeline: PipelineSpec) -> tuple[Perm, ...]:
+    return tuple(step_perm(pipeline, i) for i in range(1, pipeline.n_steps + 1))
 
 
 def perm_is_identity(p: Perm) -> bool:
@@ -79,10 +103,50 @@ def evaluate_word(generators, word) -> Perm:
     symbol acts on a state first.
     """
     generators = tuple(generators)
-    acc = Perm.identity(generators[0].total_width)
+    acc = perm_identity(generators[0].total_width)
     for symbol in word:
         acc = perm_compose(acc, generators[symbol])
     return acc
+
+
+def reference_closure(generators) -> GroupClosure:
+    """Reference closure of arbitrary permutations, with Perm elements: the
+    same breadth-first left multiplication as ``permgroup.closure`` (each
+    frontier, generators in given order, frontier in discovery order) over
+    2^W-point mapping arrays.  Its words, ``left``, ``parents`` and Cayley
+    table are what the closure of the same steps must give."""
+    gens = tuple(generators)
+    identity = perm_identity(gens[0].total_width)
+    elements, words, parents = [identity], [()], [0]
+    left = [[] for _ in gens]
+    index = {identity.mapping: 0}
+    frontier = range(1)
+    while frontier:
+        for gi, gen in enumerate(gens):
+            for ei in frontier:
+                product = perm_compose(gen, elements[ei])
+                k = index.get(product.mapping)
+                if k is None:
+                    k = index[product.mapping] = len(elements)
+                    elements.append(product)
+                    words.append((gi,) + words[ei])
+                    parents.append(ei)
+                left[gi].append(k)
+        frontier = range(frontier.stop, len(elements))
+    return GroupClosure(tuple(elements), tuple(words), tuple(map(tuple, left)), tuple(parents))
+
+
+def perm_tables(perm: Perm, pipeline: PipelineSpec) -> tuple:
+    """T_1..T_n of a permutation of the lifted group, read from its images of
+    the states whose registers j..n are zero (None for an all-zero table),
+    as a ``Tableau`` of the closure holds them."""
+    offsets = layout(pipeline).offsets
+    tables = []
+    for j in range(1, pipeline.n_steps + 1):
+        mask = (1 << pipeline.widths[j]) - 1
+        table = tuple((perm(x) >> offsets[j]) & mask for x in range(1 << offsets[j]))
+        tables.append(table if any(table) else None)
+    return tuple(tables)
 
 
 SUITE_BASE_SEED = 1000

@@ -20,10 +20,10 @@ import involift
 from involift import cli, coxeter, lifting, permgroup
 from involift.boolfn import random_fn
 from involift.coxeter import RelationCheck
-from involift.lifting import PipelineSpec, random_pipeline, step_involution
+from involift.lifting import PipelineSpec, random_pipeline
 from involift.permgroup import GroupClosure
 
-from conftest import ID1, emit_pipeline, perm_is_identity, perm_order, zero_fn
+from conftest import ID1, emit_pipeline, perm_is_identity, perm_order, step_perm, zero_fn
 
 PIPELINES = Path(__file__).resolve().parents[1] / "pipelines"
 P1_DOC = {
@@ -374,6 +374,31 @@ def test_verify_builds_no_permutation(tmp_path, capsys, monkeypatch, widths, fns
     assert f"concrete group order: {1 << sum(layers)}\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "widths, fns",
+    [
+        ((1,) * 6, (ID1,) * 5),
+        ((8, 4, 4, 4), (random_fn(8, 4, 101), random_fn(4, 4, 102), random_fn(4, 4, 103))),
+    ],
+    ids=["identity5", "wide"],
+)
+def test_group_builds_no_permutation(tmp_path, capsys, monkeypatch, widths, fns):
+    # the closure lists tableaux: the (8, 4, 4, 4) group of 128 elements
+    # would otherwise hold 128 mappings of 2^20 entries
+    def refuse(self):
+        raise AssertionError("a 2^W permutation was built")
+
+    path = tmp_path / "pipeline.json"
+    path.write_text(emit_pipeline(PipelineSpec(widths, fns)), encoding="utf-8")
+    report_path = tmp_path / "report.json"
+    assert main(["verify", str(path), "--json", str(report_path)]) == 2
+    concrete_order = json.loads(report_path.read_text())["results"]["concrete_order"]
+    monkeypatch.setattr(lifting.Perm, "__post_init__", refuse)
+    assert main(["group", str(path), "--json", str(report_path)]) == 0
+    assert json.loads(report_path.read_text())["results"]["order"] == concrete_order
+    assert f"closure order: {concrete_order}\n" in capsys.readouterr().out
+
+
 def test_verify_default_cap_stops_six_steps(tmp_path, capsys):
     # |G| = 2^21 exceeds the default cap of 10^6 elements
     doc = {"format_version": 1, "registers": [1] * 7, "functions": [{"table": ["0", "1"]}] * 6}
@@ -439,7 +464,7 @@ def test_lift_orders_match_permutations(tmp_path_factory, seed, steps, zeroed):
     assert main(["lift", str(path), "--json", str(report_path)]) == 0
     reported = json.loads(report_path.read_text())["results"]["steps"]
     for i, step in enumerate(reported, start=1):
-        perm = step_involution(pipeline, i)
+        perm = step_perm(pipeline, i)
         assert (step["order"], step["is_identity"]) == (perm_order(perm), perm_is_identity(perm))
 
 
@@ -513,8 +538,7 @@ def test_cayley_report_is_written_row_by_row():
     # a report never exists as one string: the largest piece of a --cayley
     # report is one row of its table, so the writer's memory stays flat
     spec = parse_pipeline((PIPELINES / "three_step_identity.json").read_bytes())
-    gens = [step_involution(spec, i) for i in (1, 2, 3)]
-    group = permgroup.closure(gens)
+    group = permgroup.closure(spec)
     pieces = list(_json_chunks({"results": {"cayley": group.cayley, "words": group.words}}))
     row = "".join(_json_chunks(group.cayley[-1], "      "))
     assert len(group) == 64 and max(map(len, pieces)) == len(row)

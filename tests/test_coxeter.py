@@ -23,17 +23,21 @@ from involift.lifting import (
     layout,
     product_orders,
     random_pipeline,
-    step_involution,
 )
 from involift.permgroup import closure
 
-from conftest import ID1, evaluate_word, perm_compose, perm_is_identity, zero_fn
+from conftest import (
+    ID1,
+    evaluate_word,
+    perm_compose,
+    perm_identity,
+    perm_is_identity,
+    reference_closure,
+    step_perms,
+    zero_fn,
+)
 
 seeds = st.integers(0, 2**64 - 1)
-
-
-def _gens(pipeline):
-    return tuple(step_involution(pipeline, i) for i in range(1, pipeline.n_steps + 1))
 
 
 def _dihedral_relators(m):
@@ -55,7 +59,7 @@ def _dihedral_perms(m):
 def _germinate(perms):
     """Independent closure oracle: compose all pairs until a fixed point."""
     width = perms[0].total_width
-    current = {Perm.identity(width).mapping} | {p.mapping for p in perms}
+    current = {perm_identity(width).mapping} | {p.mapping for p in perms}
     while True:
         extended = set(current)
         for a in current:
@@ -289,7 +293,7 @@ def test_check_relations_false_presentation(two_step_id):
     assert by_relator[(0, 0)] and by_relator[(1, 1)]
     assert not by_relator[(0, 1, 0, 1)]
     # witness: the square of the adjacent product moves packed state (1,0,0)
-    g1, g2 = _gens(two_step_id)
+    g1, g2 = step_perms(two_step_id)
     s21 = perm_compose(g2, g1)
     s21_sq = perm_compose(s21, s21)
     lay = layout(two_step_id)
@@ -300,7 +304,7 @@ def test_check_relations_false_presentation(two_step_id):
 @settings(max_examples=30)
 def test_squares_and_distant_commutators_always_hold(seed):
     pipeline = random_pipeline(seed, steps=3, max_width=2)
-    gens = _gens(pipeline)
+    gens = step_perms(pipeline)
     checks = check_relations(pipeline, claimed_coxeter_matrix(3).relators)
     for check in checks:
         if len(check.relator) == 2 or len(check.relator) == 4:
@@ -315,8 +319,8 @@ def test_squares_and_distant_commutators_always_hold(seed):
 def test_check_relations_matches_evaluate_word(seed, steps, data):
     # register widths capped so that the steps + 1 registers span W <= 9 bits
     pipeline = random_pipeline(seed, steps=steps, max_width=9 // (steps + 1))
-    gens = _gens(pipeline)
-    group = closure(gens)
+    gens = step_perms(pipeline)
+    group = closure(pipeline)
     word = tuple(data.draw(st.lists(st.integers(0, steps - 1), max_size=12)))
     element = data.draw(st.integers(0, len(group) - 1))
     # a word followed by its reverse is trivial (the generators are
@@ -333,7 +337,7 @@ def test_check_relations_length_twelve_relator(three_step_id):
     # R = f1 f2 f3 f1 f2 f1 f3 f2 f1 f3 f2 f3 holds on the 3-step identity group,
     # while its first eleven symbols do not
     r = (0, 1, 2, 0, 1, 0, 2, 1, 0, 2, 1, 2)
-    gens = _gens(three_step_id)
+    gens = step_perms(three_step_id)
     checks = check_relations(three_step_id, (r, r[:-1]))
     assert [c.holds for c in checks] == [perm_is_identity(evaluate_word(gens, w)) for w in (r, r[:-1])]
     assert [c.holds for c in checks] == [True, False]
@@ -356,7 +360,7 @@ def test_todd_coxeter_dihedral_family(m):
     abstract = todd_coxeter(2, _dihedral_relators(m), 1000)
     assert abstract == 2 * m
     s1, s2 = _dihedral_perms(m)
-    assert len(closure([s1, s2])) == 2 * m
+    assert len(reference_closure([s1, s2])) == 2 * m
     assert len(_germinate([s1, s2])) == 2 * m
 
 

@@ -11,10 +11,10 @@ from involift.lifting import (
     layout,
     random_pipeline,
     run_classical,
-    step_involution,
 )
+from involift.permgroup import lifted_tableaux
 
-from conftest import ID1, NOT1, evaluate_word, perm_compose, perm_is_identity, zero_fn
+from conftest import ID1, NOT1, evaluate_word, perm_compose, perm_is_identity, step_perm, step_perms, zero_fn
 
 seeds = st.integers(0, 2**64 - 1)
 
@@ -46,20 +46,23 @@ def test_layout_pack_unpack():
 def test_lift_identity_mapping():
     # y flips exactly when x = 1; states packed with x least significant
     one_step = PipelineSpec((1, 1), (ID1,))
-    assert step_involution(one_step, 1).mapping == (0, 3, 2, 1)
+    assert lifted_tableaux(one_step)[0].tables == ((0, 1),)
     assert [apply_word(one_step, (1,), s) for s in range(4)] == [0, 3, 2, 1]
+    assert step_perm(one_step, 1).mapping == (0, 3, 2, 1)
 
 
 def test_lift_constant_zero_is_identity():
-    assert step_involution(PipelineSpec((1, 1), (zero_fn(1, 1),)), 1).mapping == (0, 1, 2, 3)
+    zero_step = PipelineSpec((1, 1), (zero_fn(1, 1),))
+    assert not any(lifted_tableaux(zero_step)[0].tables)
+    assert [apply_word(zero_step, (1,), s) for s in range(4)] == [0, 1, 2, 3]
 
 
 @given(a=st.integers(1, 3), b=st.integers(1, 3), seed=seeds)
 @settings(max_examples=100)
 def test_lift_is_involution(a, b, seed):
     one_step = PipelineSpec((a, b), (random_fn(a, b, seed),))
-    p = step_involution(one_step, 1)
-    assert perm_is_identity(perm_compose(p, p))
+    (t,) = lifted_tableaux(one_step)
+    assert not any((t * t).tables)
     assert all(apply_word(one_step, (1, 1), s) == s for s in range(1 << (a + b)))
 
 
@@ -69,15 +72,18 @@ def test_lift_width_cap():
 
 
 def test_step_involution_mappings(two_step_id):
-    assert step_involution(two_step_id, 1).mapping == (0, 3, 2, 1, 4, 7, 6, 5)
-    assert step_involution(two_step_id, 2).mapping == (0, 1, 6, 7, 4, 5, 2, 3)
+    # the lifted steps act on states through apply_word; the reference
+    # permutations of the tests agree
+    for step, mapping in ((1, [0, 3, 2, 1, 4, 7, 6, 5]), (2, [0, 1, 6, 7, 4, 5, 2, 3])):
+        assert [apply_word(two_step_id, (step,), s) for s in range(8)] == mapping
+        assert list(step_perm(two_step_id, step).mapping) == mapping
 
 
 def test_step_involution_index_errors(two_step_id):
     with pytest.raises(ValueError, match="out of range"):
-        step_involution(two_step_id, 0)
+        apply_word(two_step_id, (0,), 0)
     with pytest.raises(ValueError, match="out of range"):
-        step_involution(two_step_id, 3)
+        apply_word(two_step_id, (3,), 0)
 
 
 @given(seed=seeds, step=st.integers(1, 3))
@@ -85,10 +91,9 @@ def test_step_involution_index_errors(two_step_id):
 def test_step_involution_touches_only_its_registers(seed, step):
     pipeline = random_pipeline(seed, steps=3, max_width=2)
     lay = layout(pipeline)
-    perm = step_involution(pipeline, step)
     for state in range(1 << lay.total_width):
         before = lay.unpack_registers(state)
-        after = lay.unpack_registers(perm(state))
+        after = lay.unpack_registers(apply_word(pipeline, (step,), state))
         for r in range(len(before)):
             if r != step:
                 assert before[r] == after[r]
@@ -98,9 +103,10 @@ def test_step_involution_touches_only_its_registers(seed, step):
 @settings(max_examples=100)
 def test_step_involutions_square_to_identity(seed):
     pipeline = random_pipeline(seed, steps=2, max_width=3)
+    for t in lifted_tableaux(pipeline):
+        assert not any((t * t).tables)
     for i in (1, 2):
-        perm = step_involution(pipeline, i)
-        assert perm_is_identity(perm_compose(perm, perm))
+        assert all(apply_word(pipeline, (i, i), s) == s for s in range(1 << pipeline.total_width))
 
 
 @given(seed=seeds)
@@ -128,7 +134,7 @@ def test_forward_perm_three_step_trace():
 @settings(max_examples=50)
 def test_forward_reversed_word_is_inverse(seed, steps):
     pipeline = random_pipeline(seed, steps=steps, max_width=2)
-    gens = [step_involution(pipeline, i) for i in range(1, steps + 1)]
+    gens = step_perms(pipeline)
     forward = list(range(steps - 1, -1, -1))
     reverse = list(range(steps))
     assert perm_is_identity(evaluate_word(gens, reverse + forward))
@@ -144,7 +150,7 @@ def test_apply_word_matches_evaluate_word(data, seed, steps):
     pipeline = random_pipeline(seed, steps=steps, max_width=9 // (steps + 1))
     assert pipeline.total_width <= 9
     word = data.draw(st.lists(st.integers(1, steps), max_size=6))
-    gens = [step_involution(pipeline, i) for i in range(1, steps + 1)]
+    gens = step_perms(pipeline)
     reference = evaluate_word(gens, [i - 1 for i in word])
     for s in range(1 << pipeline.total_width):
         assert apply_word(pipeline, word, s) == reference(s)
@@ -218,8 +224,8 @@ def test_two_step_product_closed_forms(rule_perm):
         pipeline = random_pipeline(seed, steps=2, max_width=4)
         if pipeline.total_width > 12:
             continue
-        s1 = step_involution(pipeline, 1)
-        s2 = step_involution(pipeline, 2)
+        s1 = step_perm(pipeline, 1)
+        s2 = step_perm(pipeline, 2)
         s21 = perm_compose(s2, s1)
         assert s1 == rule_perm(pipeline, rule_s1)
         assert s2 == rule_perm(pipeline, rule_s2)
@@ -238,7 +244,7 @@ def test_two_step_product_closed_forms(rule_perm):
 @settings(max_examples=100)
 def test_adjacent_product_fourth_power_is_identity(seed):
     pipeline = random_pipeline(seed, steps=2, max_width=3)
-    gp = perm_compose(step_involution(pipeline, 2), step_involution(pipeline, 1))
+    gp = perm_compose(step_perm(pipeline, 2), step_perm(pipeline, 1))
     gp2 = perm_compose(gp, gp)
     assert perm_is_identity(perm_compose(gp2, gp2))
 

@@ -1,9 +1,10 @@
 """Rules about the package's shape: it stays pure standard library (every
 absolute import in ``src/involift`` names a standard-library module), it
 has one report writer (no ``json.dumps(..., indent=...)`` beside
-``cli._json_chunks``), and every name it exports and every public method or
-property of its classes is used by the package itself or by a script, so
-no public API exists only for the tests."""
+``cli._json_chunks``), it builds no 2^W permutation (group elements are
+tableaux), and every name it exports and every public method or property
+of its classes is used by the package itself or by a script, so no public
+API exists only for the tests."""
 
 import ast
 import sys
@@ -46,6 +47,24 @@ def test_reports_have_one_writer():
         and any(keyword.arg == "indent" for keyword in node.keywords)
     ]
     assert not indented, indented
+
+
+def test_package_builds_no_permutation():
+    # Perm stays defined in lifting.py as the tests' reference form; no module
+    # imports or loads the name elsewhere, and lifting.py never calls it
+    named, called = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func.value if isinstance(node.func, ast.Attribute) else node.func
+                if isinstance(func, ast.Name) and func.id == "Perm":
+                    called.append(f"{path.name}:{node.lineno}")
+            loads = isinstance(node, ast.Name) and node.id == "Perm" and isinstance(node.ctx, ast.Load)
+            imports = isinstance(node, ast.ImportFrom) and any(alias.name == "Perm" for alias in node.names)
+            if (loads or imports) and path.name != "lifting.py":
+                named.append(f"{path.name}:{node.lineno}")
+    assert not named, named
+    assert not called, called
 
 
 def _uses(path: Path) -> set[str]:
