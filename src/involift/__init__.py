@@ -28,13 +28,10 @@ from .lifting import (
 from .permgroup import (
     ClosureCapExceeded,
     DEFAULT_ELEMENT_CAP,
-    Dihedral8Witness,
     GroupClosure,
     Tableau,
     closure,
     element_order_histogram,
-    is_dihedral_8,
-    lifted_tableaux,
     polycyclic_layers,
 )
 from .coxeter import (

@@ -7,11 +7,12 @@ and 2 everywhere else; that matrix is the whole claim, and its relators
 are read from it.  Whether the concrete group IS that Coxeter group
 (rather than a proper quotient of it) is checked, never assumed: the
 concrete order comes from a polycyclic sequence of tableaux
-(:func:`involift.permgroup.polycyclic_layers`), every relator is walked
-on the tables of the lifted steps with the closure's multiplication rule,
-and the abstract group is decided independently: infinite from three
-steps on (the matrix contains affine C~2), otherwise of the order found by
-coset enumeration.  The empirical matrix is read from the truth tables
+(:func:`involift.permgroup.polycyclic_layers`), every relator is evaluated
+as a tableau (:func:`involift.permgroup.word_tableau`), which in its normal
+form is the identity exactly when every table is ``None``, and the
+abstract group is decided independently: infinite from three steps on (the
+matrix contains affine C~2), otherwise of the order found by coset
+enumeration.  The empirical matrix is read from the truth tables
 (:func:`involift.lifting.product_orders`); no permutation is built.
 """
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .lifting import LiftingCheckFailed, PipelineSpec, generator_defects, product_orders
-from .permgroup import DEFAULT_ELEMENT_CAP, _identity_tables, _times_step, polycyclic_layers
+from .permgroup import DEFAULT_ELEMENT_CAP, polycyclic_layers, word_tableau
 
 DEFAULT_COSET_CAP = 100_000
 
@@ -91,20 +92,12 @@ class RelationCheck:
 
 def check_relations(pipeline: PipelineSpec, relators) -> tuple[RelationCheck, ...]:
     """Evaluate every relator on the lifted steps in tableau form, leftmost
-    symbol outermost (the rightmost acts first): the word is walked right to
-    left from the identity, each symbol a left multiplication by its step
-    that rewrites one table, as in the closure
-    (:func:`involift.permgroup._times_step`).  A relator holds when every
-    table ends zero; no 2^W permutation is built."""
-    steps = [f.table for f in pipeline.steps]
-    identity = _identity_tables(pipeline)
-    checks = []
-    for word in relators:
-        tables = identity
-        for symbol in reversed(word):
-            tables = _times_step(tables, symbol, steps[symbol])
-        checks.append(RelationCheck(word, tables == identity))
-    return tuple(checks)
+    symbol outermost (:func:`involift.permgroup.word_tableau`).  In the
+    normal form the identity has no table, so a relator holds when every
+    table is ``None``; no 2^W permutation is built."""
+    return tuple(
+        RelationCheck(word, all(t is None for t in word_tableau(pipeline, word).tables)) for word in relators
+    )
 
 
 class _CosetBoundExceeded(Exception):

@@ -203,10 +203,10 @@ def nondegeneracy_defects(pipeline: PipelineSpec) -> tuple[str, ...]:
 def apply_word(pipeline: PipelineSpec, word: Sequence[int], state: int) -> int:
     """Apply the lifted steps of a word (1-based step indices) to one packed
     state, rightmost step first, without building any permutation."""
-    return _word_action(pipeline, word)(state)
+    return word_action(pipeline, word)(state)
 
 
-def _word_action(pipeline: PipelineSpec, word: Sequence[int]) -> Callable[[int], int]:
+def word_action(pipeline: PipelineSpec, word: Sequence[int]) -> Callable[[int], int]:
     """The action of a word on packed states, with every step's parameters
     resolved once, so that applying it to many states costs only
     |word| table lookups per state."""

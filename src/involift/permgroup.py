@@ -1,29 +1,32 @@
-"""The group generated by lifted steps: closure, orders, words, the
-dihedral-of-order-8 classification for two-step pipelines, and the order
-of the group from a polycyclic sequence of tableaux.
+"""The group generated by lifted steps: closure, orders, words, and the
+order of the group from a polycyclic sequence of tableaux.
 
-Every element is held in Kaloujnine's tableau form, one table per register,
-and no 2^W permutation is built.  The closure (behind ``group``) lists the
-elements by left multiplication with the lifted steps, one rewritten table
-per product (:func:`_times_step`); element orders and the Cayley table walk
-generator words through its action table ``left``.  ``verify`` lists no
-element: it reads the order from the layers of a polycyclic sequence of
-:class:`Tableau` products (:func:`polycyclic_layers`), and
-:mod:`involift.coxeter` walks relators with the same rule as the closure.
+Every element is a :class:`Tableau`, Kaloujnine's form with one table per
+register, and no 2^W permutation is built.  The normal form is the
+contract: a table that is all zero is held as ``None``, never as zeros, so
+two elements are equal exactly when their ``tables`` are, and an element is
+the identity exactly when every table is ``None``.  The operations that
+write a table keep that form: a left multiplication by a step
+(:func:`_times_step`, behind :func:`closure` and :func:`word_tableau`) and
+the XOR of :meth:`Tableau.__mul__`.  The closure (behind ``group``) lists
+the elements by left multiplication with the lifted steps; element orders
+and the Cayley table walk generator words through its action table
+``left``.  ``verify`` lists no element: it reads the order from the layers
+of a polycyclic sequence of tableau products (:func:`polycyclic_layers`),
+and :mod:`involift.coxeter` evaluates relators with :func:`word_tableau`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from operator import itemgetter, xor
 from typing import Sequence
 
 from .lifting import PipelineSpec, layout
 
 DEFAULT_ELEMENT_CAP = 1_000_000
-
-Tables = tuple[tuple[int, ...], ...]
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -38,9 +41,10 @@ class ClosureCapExceeded(RuntimeError):
 class GroupClosure:
     """The fully enumerated group of the lifted steps.
 
-    elements[0] is the identity, and every element is a :class:`Tableau`;
-    words[e] is a minimal-length generator word evaluating to elements[e]
-    (ties broken toward the lexicographically smallest word); left[g][e] is
+    elements[0] is the identity, and every element is a :class:`Tableau`
+    in normal form (``None`` for each all-zero table); words[e] is a
+    minimal-length generator word evaluating to elements[e] (ties broken
+    toward the lexicographically smallest word); left[g][e] is
     the index of step g + 1 composed with elements[e]; parents[e] is the
     index of the element whose word is words[e] without its first symbol
     (parents[0] is 0).
@@ -71,24 +75,31 @@ class GroupClosure:
         return tuple(rows)
 
 
-def _identity_tables(pipeline: PipelineSpec) -> Tables:
-    """The tables T_1..T_n of the identity: all zero, T_j of 2^offset_j entries."""
-    return tuple((0,) * (1 << offset) for offset in layout(pipeline).offsets[1:])
+def _step(pipeline: PipelineSpec, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Lifted step i + 1 as (f, T): its truth table, and its own table
+    T_{i+1}[x] = f[x >> offset_i] over x < 2^offset_{i+1}."""
+    f = pipeline.steps[i].table
+    return f, tuple(chain.from_iterable(repeat(v, 1 << layout(pipeline).offsets[i]) for v in f))
 
 
-def _times_step(tables: Tables, i: int, f: tuple[int, ...]) -> Tables:
-    """The tables of step i + 1, truth table f, after the element with these
-    tables (``tables[j - 1]`` is T_j).  Only T_{i+1} changes:
+def _times_step(tables: tuple, i: int, step: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple:
+    """The tables of step i + 1, ``step`` as :func:`_step` gives it, after
+    the element with these tables (``tables[j - 1]`` is T_j, None when all
+    zero).  Only T_{i+1} changes:
 
         T_{i+1}[x] ^= f[(x >> offset_i) ^ T_i[x mod 2^offset_i]]   (T_0 = 0)
 
-    where f reads register i of the element's image of x.  That costs
-    2^offset_{i+1} lookups; no action array is built, and the other tables
-    are shared with the element."""
-    if i:
-        lower = tables[i - 1]
-        f = [f[y ^ t] for y in range(len(f)) for t in lower]
-    return (*tables[:i], tuple(map(xor, tables[i], f)), *tables[i + 1 :])
+    where f reads register i of the element's image of x; with T_i = None
+    the term is the step's own table.  That costs 2^offset_{i+1} lookups;
+    no action array is built, the other tables are shared with the element,
+    and the new table is None when it is all zero."""
+    f, t = step
+    if i and (lower := tables[i - 1]) is not None:
+        t = [f[y ^ u] for y in range(len(f)) for u in lower]
+    if tables[i] is not None:
+        t = map(xor, tables[i], t)
+    t = tuple(t)
+    return (*tables[:i], t if any(t) else None, *tables[i + 1 :])
 
 
 def closure(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> GroupClosure:
@@ -99,15 +110,17 @@ def closure(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> G
     left by every step (steps in order, frontier in discovery order), which
     makes the discovery order deterministic and yields shortest,
     lexicographically smallest words.  Elements are indexed by their
-    tables, and each product rewrites one table (:func:`_times_step`); the
-    Cayley table is read from ``left`` on demand.  Raises :class:`ClosureCapExceeded` when the group has more than
-    ``element_cap`` elements.
+    tables, which the normal form makes unique, and each product rewrites
+    one table (:func:`_times_step`); the Cayley table is read from ``left``
+    on demand.  Raises :class:`ClosureCapExceeded` when the group has more
+    than ``element_cap`` elements.
     """
     if element_cap < 1:
         raise ValueError("element_cap must be >= 1")
-    steps = [f.table for f in pipeline.steps]
-    identity = _identity_tables(pipeline)
-    elements = [identity]
+    steps = [_step(pipeline, i) for i in range(pipeline.n_steps)]
+    offsets = layout(pipeline).offsets[1:]
+    identity = (None,) * len(steps)
+    elements = [Tableau(offsets, identity)]
     words: list[tuple[int, ...]] = [()]
     parents = [0]
     left: list[list[int]] = [[] for _ in steps]
@@ -115,10 +128,10 @@ def closure(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> G
     # frontiers are contiguous index ranges, so each left[g] fills in index order
     frontier = range(1)
     while frontier:
-        for gi, f in enumerate(steps):
+        for gi, step in enumerate(steps):
             row = left[gi]
             for ei in frontier:
-                product = _times_step(elements[ei], gi, f)
+                product = _times_step(elements[ei].tables, gi, step)
                 k = index.get(product)
                 if k is None:
                     if len(elements) >= element_cap:
@@ -126,16 +139,22 @@ def closure(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> G
                     k = index[product] = len(elements)
                     words.append((gi,) + words[ei])
                     parents.append(ei)
-                    elements.append(product)
+                    elements.append(Tableau(offsets, product))
                 row.append(k)
         frontier = range(frontier.stop, len(elements))
-    offsets = layout(pipeline).offsets[1:]
-    return GroupClosure(
-        tuple(Tableau(offsets, tables) for tables in elements),
-        tuple(words),
-        tuple(map(tuple, left)),
-        tuple(parents),
-    )
+    return GroupClosure(tuple(elements), tuple(words), tuple(map(tuple, left)), tuple(parents))
+
+
+def word_tableau(pipeline: PipelineSpec, word: Sequence[int]) -> Tableau:
+    """The element of a word of step indices (0-based), leftmost symbol
+    outermost (the rightmost acts first): the word is walked right to left
+    from the identity, each symbol one left multiplication by its step
+    (:func:`_times_step`)."""
+    steps = {symbol: _step(pipeline, symbol) for symbol in set(word)}
+    tables = (None,) * pipeline.n_steps
+    for symbol in reversed(word):
+        tables = _times_step(tables, symbol, steps[symbol])
+    return Tableau(layout(pipeline).offsets[1:], tables)
 
 
 def _walk(group: GroupClosure, word: Sequence[int], start: int = 0) -> int:
@@ -169,51 +188,8 @@ def element_order_histogram(group: GroupClosure) -> dict[int, int]:
     return dict(sorted(histogram.items()))
 
 
-@dataclass(frozen=True)
-class Dihedral8Witness:
-    """Indices of a rotation A (order 4) and reflection B (order 2) with
-    B A B = A^-1 and <A, B> the whole group."""
-
-    rotation: int
-    reflection: int
-    from_generators: bool  # True when A = gen1 composed with gen2, B = gen2
-
-
-def is_dihedral_8(group: GroupClosure) -> Dihedral8Witness | None:
-    """Dihedral-of-order-8 test with an explicit witness pair.
-
-    For a group built from exactly two generators (p, q), the pair
-    A = p composed with q, B = q is tried first and reported when it works;
-    otherwise all element pairs are searched in index order.
-    """
-    if len(group) != 8:
-        return None
-    orders = _element_orders(group)
-
-    def qualifies(a: int, b: int) -> bool:
-        # such a pair generates the whole group of order 8: b in <a> would
-        # force b = a^2 (the only involution of <a>), and then b a b = a,
-        # which is not a^-1; so <a, b> strictly contains <a> of order 4
-        return (
-            orders[a] == 4
-            and orders[b] == 2
-            and group.cayley[b][group.cayley[a][b]] == group.cayley[a].index(0)
-        )
-
-    if group.generator_count == 2:
-        b = group.left[1][0]
-        a = group.left[0][b]
-        if qualifies(a, b):
-            return Dihedral8Witness(a, b, from_generators=True)
-    for a in range(len(group)):
-        for b in range(len(group)):
-            if qualifies(a, b):
-                return Dihedral8Witness(a, b, from_generators=False)
-    return None
-
-
 # ---------------------------------------------------------------------------
-# Tableau products: the order of the group without listing it
+# The element form, its products, and the order of the group without listing it
 
 
 class Tableau:
@@ -223,16 +199,20 @@ class Tableau:
     of such maps keep that form, so an element is its tables T_1..T_n:
     ``tables[j - 1]`` is T_j, indexed by the packed registers 0..j-1
     (x < 2^offset_j), and the element maps register j to x_j ^ T_j[x].
-    ``None`` stands for an all-zero table.  ``offsets`` holds offset_1 ..
-    offset_n of the register layout.  The tables are the whole element: no
-    2^W mapping is built, and a product costs sum_j 2^offset_j lookups.
+    ``offsets`` holds offset_1 .. offset_n of the register layout.  The
+    tables are the whole element: no 2^W mapping is built, and a product
+    costs sum_j 2^offset_j lookups.
+
+    Normal form, the contract of every constructor call: a table is
+    ``None`` exactly when it is all zero.  The constructor takes the tables
+    as they are; the operations that write a table keep the form.
     """
 
     __slots__ = ("offsets", "tables", "_action_cache")
 
     def __init__(self, offsets: tuple[int, ...], tables: Sequence[Sequence[int] | None]):
         self.offsets = offsets
-        self.tables = tuple(t if t is not None and any(t) else None for t in tables)
+        self.tables = tuple(tables)
         self._action_cache: list[Sequence[int] | None] | None = None
 
     def _actions(self) -> list[Sequence[int] | None]:
@@ -248,7 +228,9 @@ class Tableau:
 
     def __mul__(self, other: "Tableau") -> "Tableau":
         """self after other: register j picks up T^other_j[x], then
-        T^self_j at other's image of the lower registers."""
+        T^self_j at other's image of the lower registers.  A gather through
+        the bijective action keeps a nonzero table nonzero, so only the XOR
+        is checked for zero."""
         tables = []
         for t, u, action in zip(self.tables, other.tables, other._actions()):
             if t is not None:
@@ -256,6 +238,8 @@ class Tableau:
                     t = [t[a] for a in action]
                 if u is not None:
                     t = [a ^ b for a, b in zip(t, u)]
+                    if not any(t):
+                        t = None
             else:
                 t = u
             tables.append(t)
@@ -265,7 +249,8 @@ class Tableau:
         """The inverse element: register j of the preimage is
         y_j ^ T_j[x], x the preimage of the lower registers, so the inverse
         table is T_j read through the inverse's own lower action, built
-        layer by layer."""
+        layer by layer.  Only gathers through bijections: the normal form
+        is kept."""
         tables: list[Sequence[int] | None] = []
         actions: list[Sequence[int] | None] = [None]
         for j, t in enumerate(self.tables):
@@ -302,15 +287,6 @@ def _next_action(action: Sequence[int] | None, table: Sequence[int] | None, offs
     return out
 
 
-def lifted_tableaux(pipeline: PipelineSpec) -> tuple[Tableau, ...]:
-    """The lifted steps as tableaux, each the identity multiplied on the left
-    by its step (:func:`_times_step`): step i has the single table
-    T_i[x] = f_i(x_{i-1}), and register i-1 is the top of x < 2^offset_i."""
-    offsets = layout(pipeline).offsets[1:]
-    identity = _identity_tables(pipeline)
-    return tuple(Tableau(offsets, _times_step(identity, i, f.table)) for i, f in enumerate(pipeline.steps))
-
-
 def _vector(table: Sequence[int], width: int) -> int:
     """A layer table as a vector over F2, so that XOR of tables is XOR of
     vectors: byte plane s holds bits 8s..8s+7 of every entry."""
@@ -345,7 +321,7 @@ def polycyclic_layers(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT
     sequence: list[Tableau] = []
     inverses: list[Tableau] = []
     work: list[tuple[int, ...]] = []  # (i,): square of sequence[i]; (i, k): their commutator
-    generators = iter(lifted_tableaux(pipeline))
+    generators = (word_tableau(pipeline, (i,)) for i in range(pipeline.n_steps))
     while True:
         if not work:
             g = next(generators, None)

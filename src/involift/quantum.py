@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .lifting import PipelineSpec, RegisterLayout, _word_action
+from .lifting import PipelineSpec, RegisterLayout, word_action
 from .rng import SplitMix64
 
 AMPLITUDE_TOLERANCE = 1e-12  # slack for normalization arithmetic only
@@ -83,7 +83,7 @@ def apply_steps(pipeline: PipelineSpec, word: Sequence[int], state: QState) -> Q
         raise ValueError(
             f"width mismatch: pipeline acts on {pipeline.total_width}, state on {state.total_width}"
         )
-    act = _word_action(pipeline, word)
+    act = word_action(pipeline, word)
     return QState(state.total_width, {act(i): a for i, a in state.amplitudes.items()})
 
 

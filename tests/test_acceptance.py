@@ -9,6 +9,7 @@ bounds.
 
 import functools
 import itertools
+import json
 import time
 
 from involift.boolfn import identity_fn, random_fn
@@ -30,10 +31,12 @@ from involift.lifting import (
     product_orders,
     run_classical,
 )
-from involift.permgroup import closure, is_dihedral_8
+from involift.cli import main
+from involift.permgroup import closure
 from involift.quantum import AMPLITUDE_TOLERANCE, apply_steps, basis_state, measure, uniform_superposition
 
 from conftest import (
+    emit_pipeline,
     evaluate_word,
     perm_compose,
     perm_identity,
@@ -67,6 +70,14 @@ def criterion(label):
 
 def _two_step(pipeline):
     return step_perm(pipeline, 1), step_perm(pipeline, 2)
+
+
+def _group_results(pipeline, tmp_path):
+    """The results of the ``group`` command's JSON report on the pipeline."""
+    path, report = tmp_path / "pipeline.json", tmp_path / "group.json"
+    path.write_text(emit_pipeline(pipeline), encoding="utf-8")
+    assert main(["group", str(path), "--json", str(report)]) == 0
+    return json.loads(report.read_text(encoding="utf-8"))["results"]
 
 
 def _germinate(perms):
@@ -143,19 +154,20 @@ def test_two_step_product_identities(pipeline_suite, rule_perm):
 
 
 @criterion("nondegenerate two-step closures are dihedral of order 8")
-def test_two_step_group_is_dihedral_8(pipeline_suite):
+def test_two_step_group_is_dihedral_8(pipeline_suite, tmp_path):
     checked = 0
     for pipeline in pipeline_suite:
         s1, s2 = _two_step(pipeline)
         if nondegeneracy_defects(pipeline):
             continue
         started = time.perf_counter()
+        results = _group_results(pipeline, tmp_path)
+        assert results["order"] == 8 and results["dihedral_8"] is True
+        # the rotation f1 f2 has order 4, and the closure holds it in table form
+        rotation = perm_compose(s1, s2)
+        assert perm_order(rotation) == 4
         group = closure(pipeline)
-        assert len(group) == 8
-        witness = is_dihedral_8(group)
-        assert witness is not None and witness.from_generators
-        assert group.elements[witness.rotation].tables == perm_tables(perm_compose(s1, s2), pipeline)
-        assert group.elements[witness.reflection].tables == perm_tables(s2, pipeline)
+        assert group.elements[group.left[0][group.left[1][0]]].tables == perm_tables(rotation, pipeline)
         assert time.perf_counter() - started < 1.0
         checked += 1
     assert checked >= 30, f"suite produced only {checked} nondegenerate pipelines"
@@ -287,7 +299,7 @@ def test_quantum_evaluation(pipeline_suite, two_step_id):
 
 
 @criterion("constant-zero steps yield DEGENERATE verdicts, never a false dihedral claim")
-def test_zero_step_degeneracy():
+def test_zero_step_degeneracy(tmp_path):
     cases = [
         PipelineSpec((1, 1, 1), (zero_fn(1, 1), identity_fn(1))),
         PipelineSpec((1, 1, 1), (zero_fn(1, 1), zero_fn(1, 1))),
@@ -300,4 +312,4 @@ def test_zero_step_degeneracy():
         group = closure(pipeline)
         assert len(group) in (1, 2)
         assert report.concrete_order == len(group)
-        assert is_dihedral_8(group) is None
+        assert _group_results(pipeline, tmp_path)["dihedral_8"] is False

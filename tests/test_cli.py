@@ -40,7 +40,7 @@ def _write(tmp_path, document, name="pipeline.json"):
 
 
 def test_parse_two_step_identity(tmp_path):
-    pipeline = parse_pipeline(_write(tmp_path, P1_DOC))
+    pipeline = parse_pipeline(Path(_write(tmp_path, P1_DOC)).read_bytes())
     assert pipeline == PipelineSpec((1, 1, 1), (ID1, ID1))
 
 

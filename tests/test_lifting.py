@@ -12,7 +12,7 @@ from involift.lifting import (
     random_pipeline,
     run_classical,
 )
-from involift.permgroup import lifted_tableaux
+from involift.permgroup import word_tableau
 
 from conftest import ID1, NOT1, evaluate_word, perm_compose, perm_is_identity, step_perm, step_perms, zero_fn
 
@@ -46,14 +46,14 @@ def test_layout_pack_unpack():
 def test_lift_identity_mapping():
     # y flips exactly when x = 1; states packed with x least significant
     one_step = PipelineSpec((1, 1), (ID1,))
-    assert lifted_tableaux(one_step)[0].tables == ((0, 1),)
+    assert word_tableau(one_step, (0,)).tables == ((0, 1),)
     assert [apply_word(one_step, (1,), s) for s in range(4)] == [0, 3, 2, 1]
     assert step_perm(one_step, 1).mapping == (0, 3, 2, 1)
 
 
 def test_lift_constant_zero_is_identity():
     zero_step = PipelineSpec((1, 1), (zero_fn(1, 1),))
-    assert not any(lifted_tableaux(zero_step)[0].tables)
+    assert word_tableau(zero_step, (0,)).tables == (None,)
     assert [apply_word(zero_step, (1,), s) for s in range(4)] == [0, 1, 2, 3]
 
 
@@ -61,7 +61,7 @@ def test_lift_constant_zero_is_identity():
 @settings(max_examples=100)
 def test_lift_is_involution(a, b, seed):
     one_step = PipelineSpec((a, b), (random_fn(a, b, seed),))
-    (t,) = lifted_tableaux(one_step)
+    t = word_tableau(one_step, (0,))
     assert not any((t * t).tables)
     assert all(apply_word(one_step, (1, 1), s) == s for s in range(1 << (a + b)))
 
@@ -103,8 +103,10 @@ def test_step_involution_touches_only_its_registers(seed, step):
 @settings(max_examples=100)
 def test_step_involutions_square_to_identity(seed):
     pipeline = random_pipeline(seed, steps=2, max_width=3)
-    for t in lifted_tableaux(pipeline):
+    for i in (0, 1):
+        t = word_tableau(pipeline, (i,))
         assert not any((t * t).tables)
+        assert word_tableau(pipeline, (i, i)).tables == (None, None)
     for i in (1, 2):
         assert all(apply_word(pipeline, (i, i), s) == s for s in range(1 << pipeline.total_width))
 

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from functools import reduce
 from itertools import combinations
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from involift import permgroup
 from involift.boolfn import BoolFunc, random_fn
+from involift.cli import main
 from involift.lifting import (
     Perm,
     PipelineSpec,
@@ -20,14 +22,14 @@ from involift.permgroup import (
     ClosureCapExceeded,
     closure,
     element_order_histogram,
-    is_dihedral_8,
-    lifted_tableaux,
     polycyclic_layers,
+    word_tableau,
 )
 from involift.rng import SplitMix64
 
 from conftest import (
     ID1,
+    emit_pipeline,
     evaluate_word,
     perm_compose,
     perm_identity,
@@ -243,36 +245,6 @@ def test_element_order_histogram(two_step_id, two_step_zero_first):
     assert element_order_histogram(closure(two_step_id)) == {1: 1, 2: 5, 4: 2}
     assert element_order_histogram(closure(ONE_ZERO_STEP)) == {1: 1}
     assert element_order_histogram(closure(two_step_zero_first)) == {1: 1, 2: 1}
-
-
-def test_is_dihedral_8_two_step(two_step_id):
-    s1, s2 = _two_step_gens(two_step_id)
-    grp = closure(two_step_id)
-    witness = is_dihedral_8(grp)
-    assert witness is not None and witness.from_generators
-    assert _tables(grp.elements[witness.rotation]) == perm_tables(perm_compose(s1, s2), two_step_id)
-    assert _tables(grp.elements[witness.reflection]) == perm_tables(s2, two_step_id)
-
-
-def test_is_dihedral_8_cyclic_false(two_step_id):
-    # a cyclic group of order 4 from one generator, closed by the reference
-    s1, s2 = _two_step_gens(two_step_id)
-    cyclic = reference_closure([perm_compose(s2, s1)])
-    assert len(cyclic) == 4
-    assert is_dihedral_8(cyclic) is None
-
-
-def test_is_dihedral_8_trivial_false():
-    assert is_dihedral_8(closure(ONE_ZERO_STEP)) is None
-
-
-def test_is_dihedral_8_without_canonical_generators(two_step_id):
-    # generate by rotation and reflection directly, closed by the reference:
-    # witness found by search
-    s1, s2 = _two_step_gens(two_step_id)
-    grp = reference_closure([perm_compose(s1, s2), s2])
-    witness = is_dihedral_8(grp)
-    assert witness is not None and not witness.from_generators
 
 
 @given(seed=seeds)
@@ -496,12 +468,13 @@ def test_tableau_order_matches_closure(seed, steps, kinds, data):
     fixing = [sum(all(e(x) & ((1 << bound) - 1) == x for x in range(1 << bound)) for e in elements) for bound in bounds]
     assert [fixing[j] // fixing[j + 1] for j in range(steps)] == [1 << d for d in layers]
     # products and inverses agree with the permutations they stand for
-    tableaux = lifted_tableaux(pipeline)
+    tableaux = [word_tableau(pipeline, (s,)) for s in range(steps)]
     assert [_tables(g) for g in tableaux] == [perm_tables(g, pipeline) for g in gens]
     words = st.lists(st.integers(0, steps - 1), min_size=1, max_size=10)
     left, right = ([0], list(range(steps))) if data is None else (data.draw(words), data.draw(words))
     a, b = (reduce(lambda x, y: x * y, (tableaux[s] for s in w)) for w in (left, right))
     assert _tables(a * b) == perm_tables(evaluate_word(gens, left + right), pipeline)
+    assert _tables(word_tableau(pipeline, left + right)) == _tables(a * b)
     # the generators are involutions, so the reversed word is the inverse
     assert _tables(b.inverse()) == perm_tables(evaluate_word(gens, right[::-1]), pipeline)
     assert _tables(a * b.inverse()) == perm_tables(evaluate_word(gens, left + right[::-1]), pipeline)
@@ -542,3 +515,72 @@ def test_tableau_order_with_registers_wider_than_a_byte(widths, high_only):
         fns.append(f)
     pipeline = PipelineSpec(widths, tuple(fns))
     assert 1 << sum(polycyclic_layers(pipeline)) == len(closure(pipeline))
+
+
+def _in_normal_form(tableau):
+    """Every table None or nonzero: the form that makes equal elements have
+    equal tables."""
+    return all(t is None or any(t) for t in tableau.tables)
+
+
+@given(
+    seed=seeds,
+    steps=st.integers(1, 4),
+    kinds=st.lists(st.sampled_from(STEP_KINDS), min_size=4, max_size=4),
+    data=st.data(),
+)
+@example(seed=7, steps=3, kinds=["zero", "zero", "random", "random"], data=None)
+@example(seed=8, steps=2, kinds=["constant", "constant", "random", "random"], data=None)
+@example(seed=9, steps=4, kinds=["random", "sparse", "random", "zero"], data=None)
+@settings(max_examples=60, deadline=None)
+def test_every_operation_keeps_the_normal_form(seed, steps, kinds, data):
+    pipeline = _kinded_pipeline(seed, steps, kinds)
+    group = closure(pipeline)
+    assert all(map(_in_normal_form, group.elements))
+    # a word and its reverse multiply to the identity, so a table written
+    # back to zero by the XOR must come out None
+    words = st.lists(st.integers(0, steps - 1), max_size=12)
+    u, v = (list(range(steps)), [steps - 1, 0] * 3) if data is None else (data.draw(words), data.draw(words))
+    a, b = word_tableau(pipeline, u), word_tableau(pipeline, v)
+    assert all(t is None for t in word_tableau(pipeline, u + u[::-1]).tables)
+    generators = [word_tableau(pipeline, (s,)) for s in range(steps)]
+    for x in (a, b, *generators):
+        for y in (a, b, x, x.inverse(), *generators):
+            assert _in_normal_form(x * y)
+        assert _in_normal_form(x.inverse())
+    assert all(t is None for t in (a * a.inverse()).tables)
+    assert all(t is None for g in generators for t in (g * g).tables)
+
+
+def _reference_is_dihedral_8(reference):
+    """Brute-force D8 test on a closure of permutations: order 8, with some
+    a of order 4 and b of order 2 such that b a b = a^-1."""
+    if len(reference) != 8:
+        return False
+    orders = [perm_order(e) for e in reference.elements]
+    return any(
+        perm_is_identity(perm_compose(perm_compose(b, perm_compose(a, b)), a))
+        for a, ka in zip(reference.elements, orders)
+        if ka == 4
+        for b, kb in zip(reference.elements, orders)
+        if kb == 2
+    )
+
+
+def test_group_dihedral_flag_matches_brute_force(tmp_path):
+    # seeded 1-4-step pipelines with zero, constant and one-entry steps: the
+    # order-8 groups among them are D8 and Z2^3, and the report tells them apart
+    seen = Counter()
+    for k in range(96):
+        steps = 1 + k % 4
+        kinds = [STEP_KINDS[(k // 4 + j * (k % 3 + 1)) % 4] for j in range(4)]
+        pipeline = _kinded_pipeline(500 + k, steps, kinds)
+        path = tmp_path / "pipeline.json"
+        path.write_text(emit_pipeline(pipeline), encoding="utf-8")
+        report = tmp_path / "group.json"
+        assert main(["group", str(path), "--json", str(report)]) == 0
+        results = json.loads(report.read_text(encoding="utf-8"))["results"]
+        expected = _reference_is_dihedral_8(reference_closure(step_perms(pipeline)))
+        assert results["dihedral_8"] is expected
+        seen[results["order"], expected] += 1
+    assert seen[8, True] and seen[8, False], seen

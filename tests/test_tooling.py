@@ -2,9 +2,10 @@
 absolute import in ``src/involift`` names a standard-library module), it
 has one report writer (no ``json.dumps(..., indent=...)`` beside
 ``cli._json_chunks``), it builds no 2^W permutation (group elements are
-tableaux), and every name it exports and every public method or property
-of its classes is used by the package itself or by a script, so no public
-API exists only for the tests."""
+tableaux), no module imports a private name of another, and every name it
+exports and every public method or property of its classes is used by the
+package itself or by a script, so no public API exists only for the
+tests."""
 
 import ast
 import sys
@@ -65,6 +66,21 @@ def test_package_builds_no_permutation():
                 named.append(f"{path.name}:{node.lineno}")
     assert not named, named
     assert not called, called
+
+
+def test_no_private_imports_across_modules():
+    # a name with a leading underscore belongs to its module: another module
+    # that needs it is asking for public API (dunders such as __version__ are
+    # public)
+    private = [
+        f"{path.name}:{node.lineno}: {node.module}.{alias.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert not private, private
 
 
 def _uses(path: Path) -> set[str]:
