@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .boolfn import (
     BoolFunc,
     MAX_FN_ARITY,
-    identity_fn,
     random_fn,
 )
 from .lifting import (

@@ -54,11 +54,6 @@ class BoolFunc:
         return all(v == 0 for v in self.table)
 
 
-def identity_fn(width: int) -> BoolFunc:
-    """The identity function on ``width`` bits."""
-    return BoolFunc(width, width, tuple(range(1 << width)))
-
-
 def random_fn(arity_in: int, arity_out: int, seed: int) -> BoolFunc:
     """Seeded pseudo-random function, reproducible bit for bit.
 

@@ -3,8 +3,8 @@ oracle that builds permutations straight from register-tuple rules,
 reference permutation algebra (identity, lifted steps, composition, order,
 word evaluation, identity test, the closure of arbitrary permutations and
 the tableau of a permutation), the identity test of a truth table, the norm
-of a state, seeded random states, constant-zero steps and pipeline
-documents.
+of a state, seeded random states, identity and constant-zero steps and
+pipeline documents.
 
 The package builds no permutation: its group elements are tableaux.  The
 permutations here are the reference they are checked against, kept to
@@ -15,12 +15,17 @@ import math
 
 import pytest
 
-from involift.boolfn import BoolFunc, identity_fn
+from involift.boolfn import BoolFunc
 from involift.cli import FORMAT_VERSION
 from involift.lifting import Perm, PipelineSpec, layout, random_pipeline
 from involift.permgroup import GroupClosure
 from involift.quantum import PRUNE_THRESHOLD, QState
 from involift.rng import SplitMix64
+
+
+def identity_fn(width: int) -> BoolFunc:
+    """The identity function on ``width`` bits."""
+    return BoolFunc(width, width, tuple(range(1 << width)))
 
 
 def zero_fn(arity_in: int, arity_out: int) -> BoolFunc:

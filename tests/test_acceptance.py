@@ -12,7 +12,7 @@ import itertools
 import json
 import time
 
-from involift.boolfn import identity_fn, random_fn
+from involift.boolfn import random_fn
 from involift.coxeter import (
     BOUND_EXCEEDED,
     CONFIRMED,
@@ -38,6 +38,7 @@ from involift.quantum import AMPLITUDE_TOLERANCE, apply_steps, basis_state, meas
 from conftest import (
     emit_pipeline,
     evaluate_word,
+    identity_fn,
     perm_compose,
     perm_identity,
     perm_is_identity,

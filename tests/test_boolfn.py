@@ -3,10 +3,10 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from involift.boolfn import BoolFunc, MAX_FN_ARITY, identity_fn, random_fn
+from involift.boolfn import BoolFunc, MAX_FN_ARITY, random_fn
 from involift.lifting import RegisterLayout
 
-from conftest import fn_is_identity, zero_fn
+from conftest import fn_is_identity, identity_fn, zero_fn
 
 seeds = st.integers(0, 2**64 - 1)
 

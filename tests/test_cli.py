@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -644,15 +645,123 @@ def test_invalid_document_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _child_env(**extra: str) -> dict[str, str]:
+    # a child imports the package from where this process found it
+    search = [str(Path(involift.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search)), **extra}
+
+
 def test_module_invocation_subprocess(tmp_path):
     path = _write(tmp_path, P1_DOC)
-    # the child imports the package from where this process found it
-    search = [str(Path(involift.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     result = subprocess.run(
         [sys.executable, "-m", "involift", "verify", path],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search))},
+        env=_child_env(),
         capture_output=True,
         text=True,
         check=True,
     )
     assert "CONFIRMED" in result.stdout
+
+
+def test_import_builds_no_parser():
+    # the parser is built by the first main() call, never at import, so its
+    # cost stays out of the start-up of a one-shot command
+    result = subprocess.run(
+        [sys.executable, "-c", "import involift.cli as cli; print(cli._build_parser.cache_info().currsize)"],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "0\n"
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    roots = []
+    init = cli._Parser.__init__
+
+    def spy(self, *args, **kwargs):
+        if kwargs.get("prog") == "involift":
+            roots.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", spy)
+    cli._build_parser.cache_clear()
+    path = _write(tmp_path, P1_DOC)
+    calls = [
+        ["lift", path],
+        ["group", path],
+        ["coxeter", path],
+        ["verify", path],
+        ["run", path, "--input", "1"],
+        ["qrun", path, "--word", "f", "--input", "1", "0", "0", "--measure", "1", "--shots", "5"],
+        ["verify", path, "--frobnicate"],
+    ]
+    assert [main(argv) for argv in calls] == [0, 0, 0, 0, 0, 0, 1]
+    assert len(roots) == 1
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, len(calls) - 1, 1)
+
+
+def test_parser_holds_no_per_call_state():
+    parser = cli._build_parser()
+    argv = ["qrun", "p.json", "--word", "g", "f", "--input", "1", "0", "0", "--measure", "2"]
+    first, second = parser.parse_args(argv), parser.parse_args(argv)
+    assert first is not second and first == second
+    assert first.word is not second.word and first.input is not second.input
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    parsers = [parser, *subparsers[0].choices.values()]
+    assert len(parsers) == 7
+    accumulating = (argparse._AppendAction, argparse._AppendConstAction, argparse._ExtendAction)
+    for p in parsers:
+        for action in p._actions:
+            assert not isinstance(action, accumulating), (p.prog, action.dest)
+            assert isinstance(action.default, (type(None), bool, int, str)), (p.prog, action.dest)
+        assert all(callable(v) for v in p._defaults.values()), p.prog
+
+
+def _in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as e:  # --help
+        code = e.code
+    out, err = capsys.readouterr()
+    return code, out.encode(), err.encode()
+
+
+# One process runs these in order.  Each pair's second call would inherit
+# the first one's option (superposition, element cap, coset cap) if parser
+# or namespace state leaked between calls.
+_SEQUENCE = [
+    ["verify", "p.json", "--frobnicate"],
+    ["--help"],
+    ["qrun", "p.json", "--word", "g", "f", "--input", "0", "0", "0", "--superpose", "0",
+     "--measure", "2", "--shots", "20", "--json", "qrun_superposed.json"],
+    ["qrun", "p.json", "--word", "g", "f", "--input", "1", "0", "0",
+     "--measure", "2", "--shots", "20", "--json", "qrun.json"],
+    ["group", "p.json", "--element-cap", "2", "--json", "group_capped.json"],
+    ["group", "p.json", "--cayley", "--json", "group.json"],
+    ["verify", "p.json", "--coset-cap", "4", "--json", "verify_capped.json"],
+    ["verify", "p.json", "--json", "verify.json"],
+]
+
+
+def test_in_process_calls_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    # help text wraps at the terminal width; pin it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    here, child = tmp_path / "in_process", tmp_path / "child"
+    for directory in (here, child):
+        directory.mkdir()
+        _write(directory, P1_DOC, name="p.json")
+    monkeypatch.chdir(here)
+    results = [_in_process(argv, capsys) for argv in _SEQUENCE]
+    assert [code for code, _, _ in results] == [1, 0, 0, 0, 2, 0, 2, 0]
+    for argv, (code, out, err) in zip(_SEQUENCE, results):
+        alone = subprocess.run(
+            [sys.executable, "-m", "involift", *argv], cwd=child, env=_child_env(COLUMNS="80"), capture_output=True
+        )
+        assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr), argv
+    reports = sorted(path.name for path in here.glob("*.json") if path.name != "p.json")
+    assert reports == ["group.json", "qrun.json", "qrun_superposed.json", "verify.json", "verify_capped.json"]
+    for name in reports:
+        assert (here / name).read_bytes() == (child / name).read_bytes(), name

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from involift.boolfn import BoolFunc, identity_fn, random_fn
+from involift.boolfn import BoolFunc, random_fn
 from involift.lifting import (
     DEFAULT_WIDTH_CAP,
     Perm,
@@ -14,7 +14,17 @@ from involift.lifting import (
 )
 from involift.permgroup import word_tableau
 
-from conftest import ID1, NOT1, evaluate_word, perm_compose, perm_is_identity, step_perm, step_perms, zero_fn
+from conftest import (
+    ID1,
+    NOT1,
+    evaluate_word,
+    identity_fn,
+    perm_compose,
+    perm_is_identity,
+    step_perm,
+    step_perms,
+    zero_fn,
+)
 
 seeds = st.integers(0, 2**64 - 1)
 
