@@ -1,7 +1,10 @@
 """Lift pipelines of non-invertible Boolean functions to involutions on a
-shared register space, enumerate the group those involutions generate,
-test it against its claimed Coxeter matrix by coset enumeration, and apply the
-induced unitaries to sparse qubit-register states."""
+shared register space, enumerate the group those involutions generate as
+tableaux, test it against its claimed Coxeter matrix, and apply the
+induced unitaries to sparse qubit-register states.  The test reads the
+concrete order from a polycyclic sequence of tableaux and checks every
+claimed relator as a tableau; coset enumeration runs only on the finite
+one- and two-step claims."""
 
 __version__ = "0.1.0"
 
@@ -15,10 +18,8 @@ from .lifting import (
     DEFAULT_WIDTH_CAP,
     LiftingCheckFailed,
     PipelineSpec,
-    RegisterLayout,
     apply_word,
     generator_defects,
-    layout,
     nondegeneracy_defects,
     product_orders,
     random_pipeline,

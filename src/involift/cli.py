@@ -41,7 +41,6 @@ from .lifting import (
     PipelineSpec,
     apply_word,
     generator_defects,
-    layout,
     nondegeneracy_defects,
     product_orders,
     run_classical,
@@ -56,7 +55,7 @@ from .quantum import apply_steps, basis_state, marginal_distribution, measure, u
 
 FORMAT_VERSION = 1
 REPORT_VERSION = 1
-# one-letter step aliases, accepted only for pipelines of up to four steps
+# one-letter aliases of the symbols f1..f4, accepted only for pipelines of up to four steps
 WORD_ALIASES = {"f": 1, "g": 2, "h": 3, "r": 4}
 
 
@@ -173,17 +172,18 @@ def _parse_hex(texts: Sequence[object], what: str) -> list[int]:
 
 
 def _step_index(symbol: str, n_steps: int) -> int:
+    """The step index (from 0) of a word symbol: fk or its alias names step k - 1."""
     s = symbol.lower()
     if s in WORD_ALIASES and n_steps <= 4:
-        index = WORD_ALIASES[s]
-        if index <= n_steps:
-            return index
-        raise ValueError(f"word symbol {symbol!r} names step {index}, but the pipeline has {n_steps}")
+        k = WORD_ALIASES[s]
+        if k <= n_steps:
+            return k - 1
+        raise ValueError(f"word symbol {symbol!r} names step {k}, but the pipeline has {n_steps}")
     # ASCII digits only: str.isdigit also accepts superscripts and other scripts' digits
     if s.startswith("f") and s[1:].isascii() and s[1:].isdigit():
-        index = int(s[1:])
-        if 1 <= index <= n_steps:
-            return index
+        k = int(s[1:])
+        if 1 <= k <= n_steps:
+            return k - 1
     raise ValueError(f"unknown word symbol {symbol!r} (use f1..f{n_steps})")
 
 
@@ -194,6 +194,7 @@ def _print_matrix(label: str, orders) -> None:
 
 
 def _render_word(word: Sequence[int]) -> list[str]:
+    """Step indices as the symbols the command line shows: step i is f{i+1}."""
     return [f"f{s + 1}" for s in word]
 
 
@@ -202,8 +203,7 @@ def _render_word(word: Sequence[int]) -> list[str]:
 
 
 def _cmd_lift(args, pipeline: PipelineSpec):
-    lay = layout(pipeline)
-    print(f"registers: widths {tuple(lay.widths)}, offsets {tuple(lay.offsets)}, total width {lay.total_width}")
+    print(f"registers: widths {pipeline.widths}, offsets {pipeline.offsets}, total width {pipeline.total_width}")
     steps = []
     for i, f in enumerate(pipeline.steps, start=1):
         # XOR into a register it does not read: an involution, the identity iff f is zero
@@ -222,9 +222,9 @@ def _cmd_lift(args, pipeline: PipelineSpec):
         print(f"step {i} (f{i}): {f.arity_in} -> {f.arity_out} bits, lifted involution: {note}")
     results = {
         "layout": {
-            "widths": list(lay.widths),
-            "offsets": list(lay.offsets),
-            "total_width": lay.total_width,
+            "widths": list(pipeline.widths),
+            "offsets": list(pipeline.offsets),
+            "total_width": pipeline.total_width,
         },
         "steps": steps,
     }
@@ -276,7 +276,7 @@ def _cmd_coxeter(args, pipeline: PipelineSpec):
     _print_matrix("empirical matrix (orders of pairwise products)", empirical.orders)
     _print_matrix("claimed matrix (adjacent 4, distant 2)", claimed.orders)
     print(f"match: {'yes' if matches else 'NO (surfaced, not an error)'}")
-    generators = ", ".join(f"f{i}" for i in range(1, pipeline.n_steps + 1))
+    generators = ", ".join(_render_word(range(pipeline.n_steps)))
     print(f"claimed presentation: <{generators} | {', '.join(relators)}>")
     results = {
         "degenerate": False,
@@ -325,10 +325,10 @@ def _cmd_verify(args, pipeline: PipelineSpec):
 def _cmd_run(args, pipeline: PipelineSpec):
     (x,) = _parse_hex([args.input], "--input")
     trace = run_classical(pipeline, x)
-    lay = layout(pipeline)
-    # the reversed word f1 f2 .. fn (step n applied first) undoes the forward run
-    restored = lay.unpack_registers(
-        apply_word(pipeline, range(1, pipeline.n_steps + 1), lay.pack_registers(trace.registers))
+    # the reversed word, steps 0..n-1 from the left (the last step applied
+    # first), undoes the forward run
+    restored = pipeline.unpack_registers(
+        apply_word(pipeline, range(pipeline.n_steps), pipeline.pack_registers(trace.registers))
     )
     initial = (x,) + (0,) * pipeline.n_steps
     restoration_ok = restored == initial
@@ -350,26 +350,25 @@ def _cmd_run(args, pipeline: PipelineSpec):
 
 
 def _cmd_qrun(args, pipeline: PipelineSpec):
-    lay = layout(pipeline)
-    indices = [_step_index(s, pipeline.n_steps) for s in args.word]
-    word = [f"f{i}" for i in indices]
-    if len(args.input) != len(lay.widths):
-        raise ValueError(f"--input needs {len(lay.widths)} register values, got {len(args.input)}")
+    word = [_step_index(s, pipeline.n_steps) for s in args.word]
+    if len(args.input) != len(pipeline.widths):
+        raise ValueError(f"--input needs {len(pipeline.widths)} register values, got {len(args.input)}")
     values = _parse_hex(args.input, "--input register {}")
-    state = basis_state(lay, values)
+    state = basis_state(pipeline, values)
     if args.superpose is not None:
-        state = uniform_superposition(lay, args.superpose, state)
-    state = apply_steps(pipeline, indices, state)
-    result = measure(state, lay, args.measure, seed=args.seed, shots=args.shots)
-    distribution = marginal_distribution(state, lay, args.measure)
-    print(f"word: {' '.join(word)} (rightmost symbol applied first)")
+        state = uniform_superposition(pipeline, args.superpose, state)
+    state = apply_steps(pipeline, word, state)
+    result = measure(state, pipeline, args.measure, seed=args.seed, shots=args.shots)
+    distribution = marginal_distribution(state, pipeline, args.measure)
+    symbols = _render_word(word)
+    print(f"word: {' '.join(symbols)} (rightmost symbol applied first)")
     print("initial registers: (" + ", ".join("0x" + _hex(v) for v in values) + ")")
     if args.superpose is not None:
         print(f"register {args.superpose} prepared in uniform superposition")
     counts_text = ", ".join(f"0x{_hex(v)}: {c}" for v, c in sorted(result.counts.items()))
     print(f"measured register {args.measure} over {args.shots} shots (seed {args.seed}): {{{counts_text}}}")
     results = {
-        "word": word,
+        "word": symbols,
         "input": [_hex(v) for v in values],
         "superpose": args.superpose,
         "measured_register": args.measure,

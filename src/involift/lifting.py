@@ -1,9 +1,15 @@
 """Lifting pipeline steps to involutions on the full register space.
 
-A pipeline of non-invertible steps f1..fn becomes reversible once every
-step gets its own output register and is replaced by the XOR update
+A pipeline of non-invertible steps becomes reversible once every step gets
+its own output register and is replaced by the XOR update
 
-    register[i] ^= f_i(register[i-1])
+    register[i + 1] ^= f_i(register[i])
+
+Steps are numbered from 0 throughout the package, so step i reads register
+i and writes register i + 1, and a word is a sequence of step indices
+whose rightmost symbol acts first; only the command line names the steps
+f1..fn.  :class:`PipelineSpec` is the one description of the registers:
+their widths, their bit offsets in a packed state, and packing.
 
 Each lifted step is an involution of the packed state space (repeating the
 XOR cancels it), and composing the steps in order computes the whole
@@ -15,8 +21,8 @@ they are read from the tables here and never from permutations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from itertools import accumulate, combinations
 from typing import Callable, NamedTuple, Sequence
 
 from .boolfn import BoolFunc, random_fn
@@ -54,29 +60,55 @@ class Perm:
 
 
 @dataclass(frozen=True)
-class RegisterLayout:
-    """Bit positions of each register inside the packed state index."""
+class PipelineSpec:
+    """Register widths w_0..w_n and step functions, and the one description
+    of the register space.
+
+    Step i reads register i and writes register i + 1, so ``steps[i]`` must
+    map w_i bits to w_{i+1} bits.  Register i sits at bit ``offsets[i]`` of
+    a packed state, the earliest register least significant; the offsets
+    are derived once, on construction, and take no part in equality.  The
+    summed width W is capped at ``DEFAULT_WIDTH_CAP``, which bounds the
+    size of a group element: a tableau of fewer than 2^W entries.
+    """
 
     widths: tuple[int, ...]
-    offsets: tuple[int, ...]
-    total_width: int
+    steps: tuple[BoolFunc, ...]
+    offsets: tuple[int, ...] = field(init=False, compare=False)
 
-    @classmethod
-    def from_widths(cls, widths: Sequence[int]) -> "RegisterLayout":
-        widths = tuple(widths)
-        offsets = []
-        position = 0
-        for w in widths:
-            offsets.append(position)
-            position += w
-        return cls(widths, tuple(offsets), position)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "widths", tuple(self.widths))
+        object.__setattr__(self, "steps", tuple(self.steps))
+        if len(self.steps) < 1:
+            raise ValueError("a pipeline needs at least one step")
+        if len(self.widths) != len(self.steps) + 1:
+            raise ValueError(
+                f"{len(self.steps)} steps need {len(self.steps) + 1} register widths, "
+                f"got {len(self.widths)}"
+            )
+        for i, f in enumerate(self.steps):
+            if f.arity_in != self.widths[i] or f.arity_out != self.widths[i + 1]:
+                raise ValueError(
+                    f"step {i} maps {f.arity_in}->{f.arity_out} bits, "
+                    f"expected {self.widths[i]}->{self.widths[i + 1]}"
+                )
+        total = sum(self.widths)
+        if total > DEFAULT_WIDTH_CAP:
+            raise ValueError(f"total width {total} exceeds the cap of {DEFAULT_WIDTH_CAP}")
+        object.__setattr__(self, "offsets", tuple(accumulate(self.widths[:-1], initial=0)))
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.steps)
+
+    @property
+    def total_width(self) -> int:
+        return sum(self.widths)
 
     def unpack_registers(self, state: int) -> tuple[int, ...]:
         if not 0 <= state < 1 << self.total_width:
             raise ValueError(f"state {state} out of range for width {self.total_width}")
-        return tuple(
-            (state >> off) & ((1 << w) - 1) for off, w in zip(self.offsets, self.widths)
-        )
+        return tuple((state >> off) & ((1 << w) - 1) for off, w in zip(self.offsets, self.widths))
 
     def pack_registers(self, values: Sequence[int]) -> int:
         if len(values) != len(self.widths):
@@ -89,60 +121,13 @@ class RegisterLayout:
         return state
 
 
-@dataclass(frozen=True)
-class PipelineSpec:
-    """Register widths w0..wn and step functions f1..fn.
-
-    Step i reads register i-1 and writes register i, so f_i must map
-    w_{i-1} bits to w_i bits.  The summed width W is capped at
-    ``DEFAULT_WIDTH_CAP``, which bounds the size of a group element: a
-    tableau of fewer than 2^W entries.
-    """
-
-    widths: tuple[int, ...]
-    steps: tuple[BoolFunc, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "widths", tuple(self.widths))
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if len(self.steps) < 1:
-            raise ValueError("a pipeline needs at least one step")
-        if len(self.widths) != len(self.steps) + 1:
-            raise ValueError(
-                f"{len(self.steps)} steps need {len(self.steps) + 1} register widths, "
-                f"got {len(self.widths)}"
-            )
-        for i, f in enumerate(self.steps, start=1):
-            if f.arity_in != self.widths[i - 1] or f.arity_out != self.widths[i]:
-                raise ValueError(
-                    f"step {i} maps {f.arity_in}->{f.arity_out} bits, "
-                    f"expected {self.widths[i - 1]}->{self.widths[i]}"
-                )
-        total = sum(self.widths)
-        if total > DEFAULT_WIDTH_CAP:
-            raise ValueError(f"total width {total} exceeds the cap of {DEFAULT_WIDTH_CAP}")
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.steps)
-
-    @property
-    def total_width(self) -> int:
-        return sum(self.widths)
-
-
-def layout(pipeline: PipelineSpec) -> RegisterLayout:
-    """Register layout of the pipeline, earliest register least significant."""
-    return RegisterLayout.from_widths(pipeline.widths)
-
-
-def _step_params(pipeline: PipelineSpec, lay: RegisterLayout, step: int) -> tuple[tuple[int, ...], int, int, int]:
-    """Table, source offset, source mask and destination offset of step i
-    (1-based): the lifted step maps s to s ^ (table[(s >> src) & mask] << dst)."""
-    if not 1 <= step <= pipeline.n_steps:
-        raise ValueError(f"step {step} out of range 1..{pipeline.n_steps}")
-    f = pipeline.steps[step - 1]
-    return f.table, lay.offsets[step - 1], (1 << f.arity_in) - 1, lay.offsets[step]
+def _step_params(pipeline: PipelineSpec, step: int) -> tuple[tuple[int, ...], int, int, int]:
+    """Table, source offset, source mask and destination offset of step i:
+    the lifted step maps s to s ^ (table[(s >> src) & mask] << dst)."""
+    if not 0 <= step < pipeline.n_steps:
+        raise ValueError(f"step {step} out of range 0..{pipeline.n_steps - 1}")
+    f = pipeline.steps[step]
+    return f.table, pipeline.offsets[step], (1 << f.arity_in) - 1, pipeline.offsets[step + 1]
 
 
 def generator_defects(pipeline: PipelineSpec) -> tuple[str, ...]:
@@ -201,7 +186,7 @@ def nondegeneracy_defects(pipeline: PipelineSpec) -> tuple[str, ...]:
 
 
 def apply_word(pipeline: PipelineSpec, word: Sequence[int], state: int) -> int:
-    """Apply the lifted steps of a word (1-based step indices) to one packed
+    """Apply the lifted steps of a word of step indices to one packed
     state, rightmost step first, without building any permutation."""
     return word_action(pipeline, word)(state)
 
@@ -210,13 +195,13 @@ def word_action(pipeline: PipelineSpec, word: Sequence[int]) -> Callable[[int], 
     """The action of a word on packed states, with every step's parameters
     resolved once, so that applying it to many states costs only
     |word| table lookups per state."""
-    lay = layout(pipeline)
-    params = [_step_params(pipeline, lay, i) for i in reversed(word)]
-    size = 1 << lay.total_width
+    params = [_step_params(pipeline, i) for i in reversed(word)]
+    width = pipeline.total_width
+    size = 1 << width
 
     def act(state: int) -> int:
         if not 0 <= state < size:
-            raise ValueError(f"state {state} out of range for width {lay.total_width}")
+            raise ValueError(f"state {state} out of range for width {width}")
         for table, src, mask, dst in params:
             state ^= table[(state >> src) & mask] << dst
         return state
@@ -237,16 +222,15 @@ class ClassicalTrace(NamedTuple):
 def run_classical(pipeline: PipelineSpec, x: int) -> ClassicalTrace:
     """Evaluate the pipeline on input x by both routes and cross-check.
 
-    The invertible route applies the lifted steps 1..n to the state with
-    register 0 = x and all other registers zero, then unpacks the registers;
-    the direct route chains the truth tables.  A mismatch raises
-    LiftingCheckFailed.
+    The invertible route applies the lifted steps 0..n-1 in order to the
+    state with register 0 = x and all other registers zero, then unpacks
+    the registers; the direct route chains the truth tables.  A mismatch
+    raises LiftingCheckFailed.
     """
     if not 0 <= x < 1 << pipeline.widths[0]:
         raise ValueError(f"input {x} out of range for register width {pipeline.widths[0]}")
-    lay = layout(pipeline)
     # register 0 sits in the low bits, so the packed initial state equals x
-    registers = lay.unpack_registers(apply_word(pipeline, range(pipeline.n_steps, 0, -1), x))
+    registers = pipeline.unpack_registers(apply_word(pipeline, range(pipeline.n_steps)[::-1], x))
     value = x
     direct = [x]
     for f in pipeline.steps:

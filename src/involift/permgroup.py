@@ -24,7 +24,7 @@ from itertools import chain, repeat
 from operator import itemgetter, xor
 from typing import Sequence
 
-from .lifting import PipelineSpec, layout
+from .lifting import PipelineSpec
 
 DEFAULT_ELEMENT_CAP = 1_000_000
 
@@ -45,7 +45,7 @@ class GroupClosure:
     in normal form (``None`` for each all-zero table); words[e] is a
     minimal-length generator word evaluating to elements[e] (ties broken
     toward the lexicographically smallest word); left[g][e] is
-    the index of step g + 1 composed with elements[e]; parents[e] is the
+    the index of step g composed with elements[e]; parents[e] is the
     index of the element whose word is words[e] without its first symbol
     (parents[0] is 0).
     """
@@ -65,7 +65,7 @@ class GroupClosure:
     @cached_property
     def cayley(self) -> tuple[tuple[int, ...], ...]:
         """cayley[i][j] is the index of elements[i] composed with elements[j],
-        built on first use by lookup only: elements[k] is step g + 1 after
+        built on first use by lookup only: elements[k] is step g after
         elements[parents[k]], g = words[k][0], so row k is that row through left[g]."""
         rows = [tuple(range(len(self)))]
         for k in range(1, len(self)):
@@ -76,14 +76,14 @@ class GroupClosure:
 
 
 def _step(pipeline: PipelineSpec, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Lifted step i + 1 as (f, T): its truth table, and its own table
-    T_{i+1}[x] = f[x >> offset_i] over x < 2^offset_{i+1}."""
+    """Lifted step i as (f, T): its truth table, and the table of the
+    register it writes, T_{i+1}[x] = f[x >> offset_i] over x < 2^offset_{i+1}."""
     f = pipeline.steps[i].table
-    return f, tuple(chain.from_iterable(repeat(v, 1 << layout(pipeline).offsets[i]) for v in f))
+    return f, tuple(chain.from_iterable(repeat(v, 1 << pipeline.offsets[i]) for v in f))
 
 
 def _times_step(tables: tuple, i: int, step: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple:
-    """The tables of step i + 1, ``step`` as :func:`_step` gives it, after
+    """The tables of step i, ``step`` as :func:`_step` gives it, after
     the element with these tables (``tables[j - 1]`` is T_j, None when all
     zero).  Only T_{i+1} changes:
 
@@ -118,7 +118,7 @@ def closure(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> G
     if element_cap < 1:
         raise ValueError("element_cap must be >= 1")
     steps = [_step(pipeline, i) for i in range(pipeline.n_steps)]
-    offsets = layout(pipeline).offsets[1:]
+    offsets = pipeline.offsets[1:]
     identity = (None,) * len(steps)
     elements = [Tableau(offsets, identity)]
     words: list[tuple[int, ...]] = [()]
@@ -146,7 +146,7 @@ def closure(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> G
 
 
 def word_tableau(pipeline: PipelineSpec, word: Sequence[int]) -> Tableau:
-    """The element of a word of step indices (0-based), leftmost symbol
+    """The element of a word of step indices, leftmost symbol
     outermost (the rightmost acts first): the word is walked right to left
     from the identity, each symbol one left multiplication by its step
     (:func:`_times_step`)."""
@@ -154,7 +154,7 @@ def word_tableau(pipeline: PipelineSpec, word: Sequence[int]) -> Tableau:
     tables = (None,) * pipeline.n_steps
     for symbol in reversed(word):
         tables = _times_step(tables, symbol, steps[symbol])
-    return Tableau(layout(pipeline).offsets[1:], tables)
+    return Tableau(pipeline.offsets[1:], tables)
 
 
 def _walk(group: GroupClosure, word: Sequence[int], start: int = 0) -> int:
@@ -199,7 +199,7 @@ class Tableau:
     of such maps keep that form, so an element is its tables T_1..T_n:
     ``tables[j - 1]`` is T_j, indexed by the packed registers 0..j-1
     (x < 2^offset_j), and the element maps register j to x_j ^ T_j[x].
-    ``offsets`` holds offset_1 .. offset_n of the register layout.  The
+    ``offsets`` holds offset_1 .. offset_n of the pipeline's registers.  The
     tables are the whole element: no 2^W mapping is built, and a product
     costs sum_j 2^offset_j lookups.
 

@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .lifting import PipelineSpec, RegisterLayout, word_action
+from .lifting import PipelineSpec, word_action
 from .rng import SplitMix64
 
 AMPLITUDE_TOLERANCE = 1e-12  # slack for normalization arithmetic only
@@ -47,27 +47,27 @@ class QState:
             raise ValueError(f"squared norm {squared} is not 1 within {AMPLITUDE_TOLERANCE}")
 
 
-def basis_state(layout: RegisterLayout, values: Sequence[int]) -> QState:
+def basis_state(pipeline: PipelineSpec, values: Sequence[int]) -> QState:
     """The computational basis state with the given per-register values."""
-    return QState(layout.total_width, {layout.pack_registers(values): 1.0 + 0j})
+    return QState(pipeline.total_width, {pipeline.pack_registers(values): 1.0 + 0j})
 
 
-def uniform_superposition(layout: RegisterLayout, register: int, base: QState) -> QState:
+def uniform_superposition(pipeline: PipelineSpec, register: int, base: QState) -> QState:
     """Spread one register of a basis state uniformly over all its values.
 
     ``base`` must be a basis state whose chosen register is zero (the usual
     all-zeros preparation before evaluating a pipeline on every input at
     once); the other registers are untouched and the norm stays 1.
     """
-    if base.total_width != layout.total_width:
-        raise ValueError("layout and state widths differ")
-    if not 0 <= register < len(layout.widths):
-        raise ValueError(f"register {register} out of range 0..{len(layout.widths) - 1}")
+    if base.total_width != pipeline.total_width:
+        raise ValueError("pipeline and state widths differ")
+    if not 0 <= register < len(pipeline.widths):
+        raise ValueError(f"register {register} out of range 0..{len(pipeline.widths) - 1}")
     if len(base.amplitudes) != 1:
         raise ValueError("base must be a basis state")
     ((index, amp),) = base.amplitudes.items()
-    width = layout.widths[register]
-    offset = layout.offsets[register]
+    width = pipeline.widths[register]
+    offset = pipeline.offsets[register]
     if (index >> offset) & ((1 << width) - 1):
         raise ValueError(f"register {register} of the base state must be 0")
     scale = amp * 2.0 ** (-width / 2)
@@ -75,7 +75,7 @@ def uniform_superposition(layout: RegisterLayout, register: int, base: QState) -
 
 
 def apply_steps(pipeline: PipelineSpec, word: Sequence[int], state: QState) -> QState:
-    """Apply the unitary of a word of lifted steps (1-based, rightmost
+    """Apply the unitary of a word of lifted steps (step indices, rightmost
     first) by routing each amplitude through the word's action on basis
     states (the one behind :func:`involift.lifting.apply_word`, resolved
     once per word): |support| * |word| table lookups, no 2^W permutation."""
@@ -87,14 +87,14 @@ def apply_steps(pipeline: PipelineSpec, word: Sequence[int], state: QState) -> Q
     return QState(state.total_width, {act(i): a for i, a in state.amplitudes.items()})
 
 
-def marginal_distribution(state: QState, layout: RegisterLayout, register: int) -> dict[int, float]:
+def marginal_distribution(state: QState, pipeline: PipelineSpec, register: int) -> dict[int, float]:
     """Exact Born probabilities of one register, from squared amplitudes."""
-    if state.total_width != layout.total_width:
-        raise ValueError("layout and state widths differ")
-    if not 0 <= register < len(layout.widths):
-        raise ValueError(f"register {register} out of range 0..{len(layout.widths) - 1}")
-    offset = layout.offsets[register]
-    mask = (1 << layout.widths[register]) - 1
+    if state.total_width != pipeline.total_width:
+        raise ValueError("pipeline and state widths differ")
+    if not 0 <= register < len(pipeline.widths):
+        raise ValueError(f"register {register} out of range 0..{len(pipeline.widths) - 1}")
+    offset = pipeline.offsets[register]
+    mask = (1 << pipeline.widths[register]) - 1
     probabilities: dict[int, float] = {}
     for index, amp in state.amplitudes.items():
         value = (index >> offset) & mask
@@ -113,7 +113,7 @@ class MeasurementResult:
 
 
 def measure(
-    state: QState, layout: RegisterLayout, register: int, seed: int, shots: int
+    state: QState, pipeline: PipelineSpec, register: int, seed: int, shots: int
 ) -> MeasurementResult:
     """Sample one register ``shots`` times from its exact marginal.
 
@@ -124,7 +124,7 @@ def measure(
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probabilities = marginal_distribution(state, layout, register)
+    probabilities = marginal_distribution(state, pipeline, register)
     values = sorted(probabilities)
     cumulative = []
     total = 0.0

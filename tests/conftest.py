@@ -17,7 +17,7 @@ import pytest
 
 from involift.boolfn import BoolFunc
 from involift.cli import FORMAT_VERSION
-from involift.lifting import Perm, PipelineSpec, layout, random_pipeline
+from involift.lifting import Perm, PipelineSpec, random_pipeline
 from involift.permgroup import GroupClosure
 from involift.quantum import PRUNE_THRESHOLD, QState
 from involift.rng import SplitMix64
@@ -55,16 +55,16 @@ def perm_identity(width: int) -> Perm:
 
 
 def step_perm(pipeline: PipelineSpec, step: int) -> Perm:
-    """The lifted step i (1-based) as a permutation of the packed states:
-    register i picks up f_i(register i-1) by XOR."""
-    lay = layout(pipeline)
-    f = pipeline.steps[step - 1]
-    src, dst, mask = lay.offsets[step - 1], lay.offsets[step], (1 << f.arity_in) - 1
-    return Perm(lay.total_width, tuple(s ^ (f.table[(s >> src) & mask] << dst) for s in range(1 << lay.total_width)))
+    """The lifted step i as a permutation of the packed states: register
+    i + 1 picks up f_i(register i) by XOR."""
+    f = pipeline.steps[step]
+    src, dst, mask = pipeline.offsets[step], pipeline.offsets[step + 1], (1 << f.arity_in) - 1
+    width = pipeline.total_width
+    return Perm(width, tuple(s ^ (f.table[(s >> src) & mask] << dst) for s in range(1 << width)))
 
 
 def step_perms(pipeline: PipelineSpec) -> tuple[Perm, ...]:
-    return tuple(step_perm(pipeline, i) for i in range(1, pipeline.n_steps + 1))
+    return tuple(step_perm(pipeline, i) for i in range(pipeline.n_steps))
 
 
 def perm_is_identity(p: Perm) -> bool:
@@ -145,7 +145,7 @@ def perm_tables(perm: Perm, pipeline: PipelineSpec) -> tuple:
     """T_1..T_n of a permutation of the lifted group, read from its images of
     the states whose registers j..n are zero (None for an all-zero table),
     as a ``Tableau`` of the closure holds them."""
-    offsets = layout(pipeline).offsets
+    offsets = pipeline.offsets
     tables = []
     for j in range(1, pipeline.n_steps + 1):
         mask = (1 << pipeline.widths[j]) - 1
@@ -187,18 +187,17 @@ def rule_perm():
     """Build the permutation acting on register tuples by an explicit rule.
 
     The rule receives the register values and the step functions and returns
-    the new register values; packing goes through the layout contract, so
-    the result is independent of how the lifting module builds its
-    permutations.
+    the new register values; packing goes through the pipeline's register
+    contract, so the result is independent of how the lifting module acts
+    on states.
     """
 
     def build(pipeline: PipelineSpec, rule) -> Perm:
-        lay = layout(pipeline)
         mapping = []
-        for state in range(1 << lay.total_width):
-            registers = lay.unpack_registers(state)
-            mapping.append(lay.pack_registers(rule(registers, pipeline.steps)))
-        return Perm(lay.total_width, tuple(mapping))
+        for state in range(1 << pipeline.total_width):
+            registers = pipeline.unpack_registers(state)
+            mapping.append(pipeline.pack_registers(rule(registers, pipeline.steps)))
+        return Perm(pipeline.total_width, tuple(mapping))
 
     return build
 

@@ -26,7 +26,6 @@ from involift.lifting import (
     Perm,
     PipelineSpec,
     apply_word,
-    layout,
     nondegeneracy_defects,
     product_orders,
     run_classical,
@@ -70,7 +69,7 @@ def criterion(label):
 
 
 def _two_step(pipeline):
-    return step_perm(pipeline, 1), step_perm(pipeline, 2)
+    return step_perm(pipeline, 0), step_perm(pipeline, 1)
 
 
 def _group_results(pipeline, tmp_path):
@@ -183,7 +182,6 @@ def test_invertible_evaluation_matches_direct():
                 for i in range(steps)
             )
             pipeline = PipelineSpec(widths, fns)
-            lay = layout(pipeline)
             gens = step_perms(pipeline)
             fwd = evaluate_word(gens, range(steps - 1, -1, -1))
             reverse = evaluate_word(gens, range(steps))
@@ -196,12 +194,12 @@ def test_invertible_evaluation_matches_direct():
                     expected.append(value)
                 assert trace.registers == tuple(expected)
                 assert trace.registers == trace.direct
-                initial = lay.pack_registers((x,) + (0,) * steps)
+                initial = pipeline.pack_registers((x,) + (0,) * steps)
                 final = fwd(initial)
-                assert lay.unpack_registers(final) == tuple(expected)
+                assert pipeline.unpack_registers(final) == tuple(expected)
                 assert reverse(final) == initial
-                assert apply_word(pipeline, range(steps, 0, -1), initial) == final
-                assert apply_word(pipeline, range(1, steps + 1), final) == initial
+                assert apply_word(pipeline, range(steps - 1, -1, -1), initial) == final
+                assert apply_word(pipeline, range(steps), final) == initial
 
 
 @criterion("three-step identity pipeline has Coxeter matrix [[1,4,2],[4,1,4],[2,4,1]]")
@@ -262,14 +260,13 @@ def test_unitary_representation_exhaustive(pipeline_suite):
             continue
         group = closure(pipeline)
         assert len(group) == 8
-        steps = [tuple(s + 1 for s in w) for w in group.words]  # 1-based, as apply_steps takes them
         for a in range(8):
             for b in range(8):
                 for trial in range(5):
                     state = random_state(pipeline.total_width, 50_000 + 1000 * k + 64 * trial + 8 * a + b)
-                    product = apply_steps(pipeline, steps[group.cayley[a][b]], state)
-                    assert apply_steps(pipeline, steps[a], apply_steps(pipeline, steps[b], state)) == product
-                    assert apply_steps(pipeline, steps[a] + steps[b], state) == product
+                    product = apply_steps(pipeline, group.words[group.cayley[a][b]], state)
+                    assert apply_steps(pipeline, group.words[a], apply_steps(pipeline, group.words[b], state)) == product
+                    assert apply_steps(pipeline, group.words[a] + group.words[b], state) == product
         checked += 1
     assert checked >= 10, f"suite produced only {checked} small nondegenerate pipelines"
     assert time.perf_counter() - started < 10.0
@@ -280,20 +277,18 @@ def test_quantum_evaluation(pipeline_suite, two_step_id):
     started = time.perf_counter()
     for k, pipeline in enumerate(pipeline_suite):
         assert pipeline.total_width <= 9
-        lay = layout(pipeline)
         f, g = pipeline.steps
         for x in range(1 << pipeline.widths[0]):
-            out = apply_steps(pipeline, (2, 1), basis_state(lay, (x, 0, 0)))
-            expected = basis_state(lay, (x, f(x), g(f(x))))
+            out = apply_steps(pipeline, (1, 0), basis_state(pipeline, (x, 0, 0)))
+            expected = basis_state(pipeline, (x, f(x), g(f(x))))
             assert out.amplitudes == expected.amplitudes
-            shots = measure(out, lay, 2, seed=60_000 + 17 * k + x, shots=20)
+            shots = measure(out, pipeline, 2, seed=60_000 + 17 * k + x, shots=20)
             assert shots.counts == {g(f(x)): 20}
 
-    lay = layout(two_step_id)
-    prepared = uniform_superposition(lay, 0, basis_state(lay, (0, 0, 0)))
-    out = apply_steps(two_step_id, (2, 1), prepared)
+    prepared = uniform_superposition(two_step_id, 0, basis_state(two_step_id, (0, 0, 0)))
+    out = apply_steps(two_step_id, (1, 0), prepared)
     assert abs(state_norm(out) - 1.0) <= AMPLITUDE_TOLERANCE
-    result = measure(out, lay, 2, seed=20250810, shots=10_000)
+    result = measure(out, two_step_id, 2, seed=20250810, shots=10_000)
     for value in (0, 1):
         assert abs(result.counts.get(value, 0) / 10_000 - 0.5) <= 0.03
     assert time.perf_counter() - started < 5.0

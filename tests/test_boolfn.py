@@ -4,16 +4,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from involift.boolfn import BoolFunc, MAX_FN_ARITY, random_fn
-from involift.lifting import RegisterLayout
+from involift.lifting import PipelineSpec
 
-from conftest import fn_is_identity, identity_fn, zero_fn
+from conftest import ID1, fn_is_identity, identity_fn, zero_fn
 
 seeds = st.integers(0, 2**64 - 1)
 
 
 def _bits(width):
-    # a bit tuple packs as a layout of 1-bit registers
-    return RegisterLayout.from_widths((1,) * width)
+    # a bit tuple packs as the registers of a pipeline of 1-bit registers
+    # (a pipeline has at least two)
+    return PipelineSpec((1,) * width, (ID1,) * (width - 1))
 
 
 def test_pack_bits_examples():
@@ -39,7 +40,7 @@ def test_unpack_bits_range():
 
 
 def test_pack_unpack_roundtrip_exhaustive():
-    for width in range(1, 9):
+    for width in range(2, 9):
         bits = _bits(width)
         for value in range(1 << width):
             assert bits.pack_registers(bits.unpack_registers(value)) == value

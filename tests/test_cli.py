@@ -464,7 +464,7 @@ def test_lift_orders_match_permutations(tmp_path_factory, seed, steps, zeroed):
     path.write_text(emit_pipeline(pipeline), encoding="utf-8")
     assert main(["lift", str(path), "--json", str(report_path)]) == 0
     reported = json.loads(report_path.read_text())["results"]["steps"]
-    for i, step in enumerate(reported, start=1):
+    for i, step in enumerate(reported):
         perm = step_perm(pipeline, i)
         assert (step["order"], step["is_identity"]) == (perm_order(perm), perm_is_identity(perm))
 

@@ -6,9 +6,7 @@ from involift.lifting import (
     DEFAULT_WIDTH_CAP,
     Perm,
     PipelineSpec,
-    RegisterLayout,
     apply_word,
-    layout,
     random_pipeline,
     run_classical,
 )
@@ -36,35 +34,44 @@ def test_perm_rejects_non_bijection():
         Perm(1, (0, 1, 2))
 
 
+def _widths(widths):
+    """A pipeline with the given register widths (its steps are zero)."""
+    return PipelineSpec(widths, tuple(zero_fn(a, b) for a, b in zip(widths, widths[1:])))
+
+
 def test_layout_examples():
-    assert RegisterLayout.from_widths((1, 1, 1)).offsets == (0, 1, 2)
-    lay = RegisterLayout.from_widths((2, 3, 1))
-    assert lay.offsets == (0, 2, 5) and lay.total_width == 6
-    assert RegisterLayout.from_widths((1, 1, 1, 1)).offsets == (0, 1, 2, 3)
+    assert _widths((1, 1, 1)).offsets == (0, 1, 2)
+    pipeline = _widths((2, 3, 1))
+    assert pipeline.offsets == (0, 2, 5) and pipeline.total_width == 6
+    assert _widths((1, 1, 1, 1)).offsets == (0, 1, 2, 3)
+    # the offsets are derived: not a constructor argument, not part of equality
+    with pytest.raises(TypeError):
+        PipelineSpec((1, 1), (ID1,), offsets=(0, 1))
+    assert pipeline == _widths((2, 3, 1)) and hash(pipeline) == hash(_widths((2, 3, 1)))
 
 
 def test_layout_pack_unpack():
-    lay = RegisterLayout.from_widths((2, 3, 1))
-    state = lay.pack_registers((3, 5, 1))
-    assert lay.unpack_registers(state) == (3, 5, 1)
+    pipeline = _widths((2, 3, 1))
+    state = pipeline.pack_registers((3, 5, 1))
+    assert pipeline.unpack_registers(state) == (3, 5, 1)
     with pytest.raises(ValueError, match="register 1 value 8"):
-        lay.pack_registers((0, 8, 0))
+        pipeline.pack_registers((0, 8, 0))
     with pytest.raises(ValueError, match="expected 3 register values"):
-        lay.pack_registers((0, 0))
+        pipeline.pack_registers((0, 0))
 
 
 def test_lift_identity_mapping():
     # y flips exactly when x = 1; states packed with x least significant
     one_step = PipelineSpec((1, 1), (ID1,))
     assert word_tableau(one_step, (0,)).tables == ((0, 1),)
-    assert [apply_word(one_step, (1,), s) for s in range(4)] == [0, 3, 2, 1]
-    assert step_perm(one_step, 1).mapping == (0, 3, 2, 1)
+    assert [apply_word(one_step, (0,), s) for s in range(4)] == [0, 3, 2, 1]
+    assert step_perm(one_step, 0).mapping == (0, 3, 2, 1)
 
 
 def test_lift_constant_zero_is_identity():
     zero_step = PipelineSpec((1, 1), (zero_fn(1, 1),))
     assert word_tableau(zero_step, (0,)).tables == (None,)
-    assert [apply_word(zero_step, (1,), s) for s in range(4)] == [0, 1, 2, 3]
+    assert [apply_word(zero_step, (0,), s) for s in range(4)] == [0, 1, 2, 3]
 
 
 @given(a=st.integers(1, 3), b=st.integers(1, 3), seed=seeds)
@@ -73,7 +80,7 @@ def test_lift_is_involution(a, b, seed):
     one_step = PipelineSpec((a, b), (random_fn(a, b, seed),))
     t = word_tableau(one_step, (0,))
     assert not any((t * t).tables)
-    assert all(apply_word(one_step, (1, 1), s) == s for s in range(1 << (a + b)))
+    assert all(apply_word(one_step, (0, 0), s) == s for s in range(1 << (a + b)))
 
 
 def test_lift_width_cap():
@@ -84,28 +91,27 @@ def test_lift_width_cap():
 def test_step_involution_mappings(two_step_id):
     # the lifted steps act on states through apply_word; the reference
     # permutations of the tests agree
-    for step, mapping in ((1, [0, 3, 2, 1, 4, 7, 6, 5]), (2, [0, 1, 6, 7, 4, 5, 2, 3])):
+    for step, mapping in ((0, [0, 3, 2, 1, 4, 7, 6, 5]), (1, [0, 1, 6, 7, 4, 5, 2, 3])):
         assert [apply_word(two_step_id, (step,), s) for s in range(8)] == mapping
         assert list(step_perm(two_step_id, step).mapping) == mapping
 
 
 def test_step_involution_index_errors(two_step_id):
     with pytest.raises(ValueError, match="out of range"):
-        apply_word(two_step_id, (0,), 0)
+        apply_word(two_step_id, (-1,), 0)
     with pytest.raises(ValueError, match="out of range"):
-        apply_word(two_step_id, (3,), 0)
+        apply_word(two_step_id, (2,), 0)
 
 
-@given(seed=seeds, step=st.integers(1, 3))
+@given(seed=seeds, step=st.integers(0, 2))
 @settings(max_examples=50)
 def test_step_involution_touches_only_its_registers(seed, step):
     pipeline = random_pipeline(seed, steps=3, max_width=2)
-    lay = layout(pipeline)
-    for state in range(1 << lay.total_width):
-        before = lay.unpack_registers(state)
-        after = lay.unpack_registers(apply_word(pipeline, (step,), state))
+    for state in range(1 << pipeline.total_width):
+        before = pipeline.unpack_registers(state)
+        after = pipeline.unpack_registers(apply_word(pipeline, (step,), state))
         for r in range(len(before)):
-            if r != step:
+            if r != step + 1:
                 assert before[r] == after[r]
 
 
@@ -117,29 +123,26 @@ def test_step_involutions_square_to_identity(seed):
         t = word_tableau(pipeline, (i,))
         assert not any((t * t).tables)
         assert word_tableau(pipeline, (i, i)).tables == (None, None)
-    for i in (1, 2):
         assert all(apply_word(pipeline, (i, i), s) == s for s in range(1 << pipeline.total_width))
 
 
 @given(seed=seeds)
 @settings(max_examples=50)
 def test_forward_perm_two_step_trace(seed):
-    # the forward word f2 f1 applies step 1 first
+    # the forward word (1, 0), f2 f1 on the command line, applies step 0 first
     pipeline = random_pipeline(seed, steps=2, max_width=3)
-    lay = layout(pipeline)
     f, g = pipeline.steps
     for x in range(1 << pipeline.widths[0]):
-        state = apply_word(pipeline, (2, 1), lay.pack_registers((x, 0, 0)))
-        assert lay.unpack_registers(state) == (x, f(x), g(f(x)))
+        state = apply_word(pipeline, (1, 0), pipeline.pack_registers((x, 0, 0)))
+        assert pipeline.unpack_registers(state) == (x, f(x), g(f(x)))
 
 
 def test_forward_perm_three_step_trace():
     pipeline = PipelineSpec((1, 1, 1, 1), (ID1, NOT1, ID1))
-    lay = layout(pipeline)
     f, g, h = pipeline.steps
     for x in range(2):
-        state = apply_word(pipeline, (3, 2, 1), lay.pack_registers((x, 0, 0, 0)))
-        assert lay.unpack_registers(state) == (x, f(x), g(f(x)), h(g(f(x))))
+        state = apply_word(pipeline, (2, 1, 0), pipeline.pack_registers((x, 0, 0, 0)))
+        assert pipeline.unpack_registers(state) == (x, f(x), g(f(x)), h(g(f(x))))
 
 
 @given(seed=seeds, steps=st.integers(1, 3))
@@ -151,8 +154,8 @@ def test_forward_reversed_word_is_inverse(seed, steps):
     reverse = list(range(steps))
     assert perm_is_identity(evaluate_word(gens, reverse + forward))
     for s in range(1 << pipeline.total_width):
-        final = apply_word(pipeline, [i + 1 for i in forward], s)
-        assert apply_word(pipeline, [i + 1 for i in reverse], final) == s
+        final = apply_word(pipeline, forward, s)
+        assert apply_word(pipeline, reverse, final) == s
 
 
 @given(data=st.data(), seed=seeds, steps=st.integers(1, 4))
@@ -161,16 +164,16 @@ def test_apply_word_matches_evaluate_word(data, seed, steps):
     # the permutation product stays the reference for the per-state action
     pipeline = random_pipeline(seed, steps=steps, max_width=9 // (steps + 1))
     assert pipeline.total_width <= 9
-    word = data.draw(st.lists(st.integers(1, steps), max_size=6))
+    word = data.draw(st.lists(st.integers(0, steps - 1), max_size=6))
     gens = step_perms(pipeline)
-    reference = evaluate_word(gens, [i - 1 for i in word])
+    reference = evaluate_word(gens, word)
     for s in range(1 << pipeline.total_width):
         assert apply_word(pipeline, word, s) == reference(s)
     size = 1 << pipeline.total_width
     for bad_state in (-1, size):
         with pytest.raises(ValueError, match="out of range"):
             apply_word(pipeline, word, bad_state)
-    for bad_step in (0, steps + 1):
+    for bad_step in (-1, steps):
         with pytest.raises(ValueError, match="out of range"):
             apply_word(pipeline, word + [bad_step], 0)
 
@@ -236,8 +239,8 @@ def test_two_step_product_closed_forms(rule_perm):
         pipeline = random_pipeline(seed, steps=2, max_width=4)
         if pipeline.total_width > 12:
             continue
-        s1 = step_perm(pipeline, 1)
-        s2 = step_perm(pipeline, 2)
+        s1 = step_perm(pipeline, 0)
+        s2 = step_perm(pipeline, 1)
         s21 = perm_compose(s2, s1)
         assert s1 == rule_perm(pipeline, rule_s1)
         assert s2 == rule_perm(pipeline, rule_s2)
@@ -256,7 +259,7 @@ def test_two_step_product_closed_forms(rule_perm):
 @settings(max_examples=100)
 def test_adjacent_product_fourth_power_is_identity(seed):
     pipeline = random_pipeline(seed, steps=2, max_width=3)
-    gp = perm_compose(step_perm(pipeline, 2), step_perm(pipeline, 1))
+    gp = perm_compose(step_perm(pipeline, 1), step_perm(pipeline, 0))
     gp2 = perm_compose(gp, gp)
     assert perm_is_identity(perm_compose(gp2, gp2))
 
@@ -266,7 +269,7 @@ def test_pipeline_spec_validation():
         PipelineSpec((1,), ())
     with pytest.raises(ValueError, match="register widths"):
         PipelineSpec((1, 1), (ID1, ID1))
-    with pytest.raises(ValueError, match="step 2 maps"):
+    with pytest.raises(ValueError, match="step 1 maps"):
         PipelineSpec((1, 1, 2), (ID1, ID1))
 
 

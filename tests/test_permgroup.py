@@ -10,13 +10,14 @@ from involift import permgroup
 from involift.boolfn import BoolFunc, random_fn
 from involift.cli import main
 from involift.lifting import (
+    DEFAULT_WIDTH_CAP,
     Perm,
     PipelineSpec,
     generator_defects,
-    layout,
     nondegeneracy_defects,
     product_orders,
     random_pipeline,
+    word_action,
 )
 from involift.permgroup import (
     ClosureCapExceeded,
@@ -46,7 +47,7 @@ seeds = st.integers(0, 2**64 - 1)
 
 
 def _two_step_gens(pipeline):
-    return step_perm(pipeline, 1), step_perm(pipeline, 2)
+    return step_perm(pipeline, 0), step_perm(pipeline, 1)
 
 
 def _tables(tableau):
@@ -82,12 +83,11 @@ def test_perm_compose_width_mismatch():
 @settings(max_examples=50)
 def test_perm_compose_forward_trace(seed):
     pipeline = random_pipeline(seed, steps=2, max_width=3)
-    lay = layout(pipeline)
     f, g = pipeline.steps
     s1, s2 = _two_step_gens(pipeline)
     s21 = perm_compose(s2, s1)
     for x in range(1 << pipeline.widths[0]):
-        assert lay.unpack_registers(s21(lay.pack_registers((x, 0, 0)))) == (x, f(x), g(f(x)))
+        assert pipeline.unpack_registers(s21(pipeline.pack_registers((x, 0, 0)))) == (x, f(x), g(f(x)))
     assert perm_is_identity(perm_compose(perm_compose(s1, s2), s21))
 
 
@@ -156,18 +156,40 @@ def test_closure_cap_exceeded(two_step_id):
         closure(two_step_id, element_cap=0)
 
 
+def _tableau_image(tableau, pipeline, s):
+    """The image of the packed state s under a tableau: register j of the
+    image is register j of s XOR T_j at the lower registers of s."""
+    offsets = pipeline.offsets
+    image = s
+    for j, t in enumerate(tableau.tables, start=1):
+        if t is not None:
+            image ^= t[s & ((1 << offsets[j]) - 1)] << offsets[j]
+    return image
+
+
 def _tableau_mapping(tableau, pipeline):
-    """The 2^W-point mapping of a tableau: register j of the image of s is
-    register j of s XOR T_j at the lower registers of s."""
-    offsets = layout(pipeline).offsets
-    mapping = []
-    for s in range(1 << pipeline.total_width):
-        image = s
-        for j, t in enumerate(tableau.tables, start=1):
-            if t is not None:
-                image ^= t[s & ((1 << offsets[j]) - 1)] << offsets[j]
-        mapping.append(image)
-    return mapping
+    """The 2^W-point mapping of a tableau."""
+    return [_tableau_image(tableau, pipeline, s) for s in range(1 << pipeline.total_width)]
+
+
+def test_word_action_matches_word_tableau():
+    # the package's two evaluators of a word, the per-state action and the
+    # tableau, agree on seeded states, up to the 20-bit width cap (the
+    # reference permutations stop at W <= 12)
+    pipelines = [random_pipeline(700 + k, steps=2 + k % 4, max_width=3) for k in range(6)]
+    for k, widths in enumerate(((4, 4, 4, 8), (2, 3, 5, 10), (1, 2, 3, 14), (5, 5, 10), (6, 6, 6, 2))):
+        steps = tuple(random_fn(a, b, 800 + 10 * k + i) for i, (a, b) in enumerate(zip(widths, widths[1:])))
+        pipelines.append(PipelineSpec(widths, steps))
+    assert max(p.total_width for p in pipelines) == DEFAULT_WIDTH_CAP
+    rng = SplitMix64(900)
+    for pipeline in pipelines:
+        for _ in range(3):
+            word = [rng.next_u64() % pipeline.n_steps for _ in range(rng.next_u64() % 9)]
+            act = word_action(pipeline, word)
+            tableau = word_tableau(pipeline, word)
+            for _ in range(200):
+                x = rng.next_bits(pipeline.total_width)
+                assert act(x) == _tableau_image(tableau, pipeline, x)
 
 
 @given(seed=seeds, steps=st.sampled_from([2, 3]))
@@ -463,7 +485,7 @@ def test_tableau_order_matches_closure(seed, steps, kinds, data):
     assert len(layers) == steps
     assert 1 << sum(layers) == len(group)
     # layer j counts the factor N_j / N_{j+1}, N_j the elements fixing registers 0..j-1
-    bounds = layout(pipeline).offsets[1:] + (pipeline.total_width,)
+    bounds = pipeline.offsets[1:] + (pipeline.total_width,)
     elements = reference_closure(gens).elements
     fixing = [sum(all(e(x) & ((1 << bound) - 1) == x for x in range(1 << bound)) for e in elements) for bound in bounds]
     assert [fixing[j] // fixing[j + 1] for j in range(steps)] == [1 << d for d in layers]
