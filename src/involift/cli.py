@@ -51,7 +51,7 @@ from .permgroup import (
     closure,
     element_order_histogram,
 )
-from .quantum import apply_steps, basis_state, marginal_distribution, measure, uniform_superposition
+from .quantum import apply_steps, basis_state, measure, uniform_superposition
 
 FORMAT_VERSION = 1
 REPORT_VERSION = 1
@@ -359,7 +359,6 @@ def _cmd_qrun(args, pipeline: PipelineSpec):
         state = uniform_superposition(pipeline, args.superpose, state)
     state = apply_steps(pipeline, word, state)
     result = measure(state, pipeline, args.measure, seed=args.seed, shots=args.shots)
-    distribution = marginal_distribution(state, pipeline, args.measure)
     symbols = _render_word(word)
     print(f"word: {' '.join(symbols)} (rightmost symbol applied first)")
     print("initial registers: (" + ", ".join("0x" + _hex(v) for v in values) + ")")
@@ -375,7 +374,7 @@ def _cmd_qrun(args, pipeline: PipelineSpec):
         "seed": args.seed,
         "shots": args.shots,
         "counts": {_hex(v): c for v, c in sorted(result.counts.items())},
-        "distribution": {_hex(v): p for v, p in sorted(distribution.items())},
+        "distribution": {_hex(v): p for v, p in sorted(result.distribution.items())},
     }
     return 0, results
 

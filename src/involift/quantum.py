@@ -6,13 +6,18 @@ reroutes amplitudes: states are kept as sparse index -> amplitude maps,
 :func:`apply_steps` routes each amplitude through the word, and norms are
 preserved exactly.  Measurement samples a register's exact Born
 distribution with a seeded generator and never collapses the state (every
-shot is an independent preparation).
+shot is an independent preparation); :func:`measure` draws its shots a
+block of SplitMix64 words at a time and counts them in C, and returns the
+distribution with the counts.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul, rshift
 from typing import Sequence
 
 from .lifting import PipelineSpec, word_action
@@ -106,10 +111,14 @@ def marginal_distribution(state: QState, pipeline: PipelineSpec, register: int) 
 
 @dataclass(frozen=True)
 class MeasurementResult:
+    """Counts of ``shots`` draws of one register, and the exact marginal
+    (register value -> Born probability) they were drawn from."""
+
     register: int
     counts: dict[int, int]
     seed: int
     shots: int
+    distribution: dict[int, float]
 
 
 def measure(
@@ -117,26 +126,26 @@ def measure(
 ) -> MeasurementResult:
     """Sample one register ``shots`` times from its exact marginal.
 
-    Shots are independent preparations; no collapse is modelled.  Each shot
-    inverts the cumulative distribution (register values in ascending
-    order) at a SplitMix64 double, so equal seeds give identical counts on
-    any platform.
+    Shots are independent preparations; no collapse is modelled.  Shot i
+    takes word i of the SplitMix64 stream over ``seed``, scales its top 53
+    bits to u = m * 2^-53 * total and counts the register value at
+    ``bisect_right`` of u in the running sums of the distribution (values
+    ascending; u at or past the last bound counts for the last value), so
+    equal seeds give identical counts on any platform.  The words come a
+    block at a time from :meth:`SplitMix64.blocks` and are counted in C, so
+    memory is bounded by the block size, not by ``shots``.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     probabilities = marginal_distribution(state, pipeline, register)
     values = sorted(probabilities)
-    cumulative = []
-    total = 0.0
-    for v in values:
-        total += probabilities[v]
-        cumulative.append(total)
-    rng = SplitMix64(seed)
-    counts: dict[int, int] = {}
-    for _ in range(shots):
-        u = rng.next_float() * total
-        k = bisect_right(cumulative, u)
-        if k == len(values):
-            k -= 1
-        counts[values[k]] = counts.get(values[k], 0) + 1
-    return MeasurementResult(register, counts, seed, shots)
+    *bounds, total = accumulate(probabilities[v] for v in values)
+    # m * (2^-53 * total) rounds the exact m * total * 2^-53 once, as
+    # (m * 2^-53) * total does: scaling by a power of two is exact
+    scale = 2.0**-53 * total
+    hits: Counter[int] = Counter()
+    for words in SplitMix64(seed).blocks(shots):
+        draws = map(mul, map(rshift, words, repeat(11)), repeat(scale))
+        hits.update(map(bisect_right, repeat(bounds), draws))
+    counts = {values[k]: c for k, c in sorted(hits.items())}
+    return MeasurementResult(register, counts, seed, shots, probabilities)

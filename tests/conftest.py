@@ -3,8 +3,8 @@ oracle that builds permutations straight from register-tuple rules,
 reference permutation algebra (identity, lifted steps, composition, order,
 word evaluation, identity test, the closure of arbitrary permutations and
 the tableau of a permutation), the identity test of a truth table, the norm
-of a state, seeded random states, identity and constant-zero steps and
-pipeline documents.
+of a state, seeded random states, the per-shot measurement loop,
+identity and constant-zero steps and pipeline documents.
 
 The package builds no permutation: its group elements are tableaux.  The
 permutations here are the reference they are checked against, kept to
@@ -12,6 +12,7 @@ small state spaces (W <= 12)."""
 
 import json
 import math
+from bisect import bisect_right
 
 import pytest
 
@@ -19,7 +20,7 @@ from involift.boolfn import BoolFunc
 from involift.cli import FORMAT_VERSION
 from involift.lifting import Perm, PipelineSpec, random_pipeline
 from involift.permgroup import GroupClosure
-from involift.quantum import PRUNE_THRESHOLD, QState
+from involift.quantum import PRUNE_THRESHOLD, QState, marginal_distribution
 from involift.rng import SplitMix64
 
 
@@ -202,6 +203,11 @@ def rule_perm():
     return build
 
 
+def _signed_unit(rng: SplitMix64) -> float:
+    """Uniform double in [-1, 1) from the top 53 bits of the next word."""
+    return (rng.next_u64() >> 11) * 2.0**-52 - 1.0
+
+
 def random_state(width: int, seed: int, support: int = 8) -> QState:
     """Seeded random state on at most ``support`` basis indices.
 
@@ -221,10 +227,33 @@ def random_state(width: int, seed: int, support: int = 8) -> QState:
         if index not in seen:
             seen.add(index)
             indices.append(index)
-    raw = {i: complex(2.0 * rng.next_float() - 1.0, 2.0 * rng.next_float() - 1.0) for i in indices}
+    raw = {i: complex(_signed_unit(rng), _signed_unit(rng)) for i in indices}
     norm = math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in raw.values()))
     if norm < 1e-9:  # vanishing draw; keep the state well-defined
         raw = {indices[0]: 1.0 + 0j}
         norm = 1.0
     amplitudes = {i: a / norm for i, a in raw.items() if abs(a / norm) >= PRUNE_THRESHOLD}
     return QState(width, amplitudes)
+
+
+def reference_measure(state: QState, pipeline: PipelineSpec, register: int, seed: int, shots: int) -> dict[int, int]:
+    """Reference counts of ``quantum.measure``: one SplitMix64 word per shot,
+    u = (m * 2^-53) * total from its top 53 bits m, inverted by
+    ``bisect_right`` on the cumulative distribution (values ascending), a k
+    past the last value clamped to it."""
+    probabilities = marginal_distribution(state, pipeline, register)
+    values = sorted(probabilities)
+    cumulative = []
+    total = 0.0
+    for v in values:
+        total += probabilities[v]
+        cumulative.append(total)
+    rng = SplitMix64(seed)
+    counts: dict[int, int] = {}
+    for _ in range(shots):
+        u = (rng.next_u64() >> 11) * 2.0**-53 * total
+        k = bisect_right(cumulative, u)
+        if k == len(values):
+            k -= 1
+        counts[values[k]] = counts.get(values[k], 0) + 1
+    return counts

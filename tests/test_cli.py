@@ -23,6 +23,7 @@ from involift.boolfn import random_fn
 from involift.coxeter import RelationCheck
 from involift.lifting import PipelineSpec, random_pipeline
 from involift.permgroup import GroupClosure
+from involift.rng import SplitMix64
 
 from conftest import ID1, emit_pipeline, perm_is_identity, perm_order, step_perm, zero_fn
 
@@ -294,6 +295,31 @@ def test_qrun_rejects_non_ascii_digit_symbol(tmp_path, capsys, symbol):
 def test_qrun_rejects_wrong_input_count(tmp_path):
     path = _write(tmp_path, P1_DOC)
     assert main(["qrun", path, "--word", "f", "--input", "0", "0", "--measure", "2"]) == 1
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--seed", "-1", "seed must be an unsigned 64-bit integer, got -1"),
+        ("--seed", str(1 << 64), f"seed must be an unsigned 64-bit integer, got {1 << 64}"),
+        ("--shots", "0", "shots must be >= 1"),
+    ],
+    ids=["seed_negative", "seed_2_64", "shots_zero"],
+)
+def test_qrun_rejects_bad_seed_or_shots_before_drawing(tmp_path, capsys, monkeypatch, option, value, message):
+    def draw(*args):
+        raise AssertionError("a word was drawn before the seed and shots were checked")
+
+    monkeypatch.setattr(SplitMix64, "next_u64", draw)
+    monkeypatch.setattr(SplitMix64, "blocks", draw)
+    path = _write(tmp_path, P1_DOC)
+    report = tmp_path / "report.json"
+    argv = ["qrun", path, "--word", "g", "f", "--input", "1", "0", "0", "--measure", "2", option, value]
+    assert main(argv + ["--json", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not report.exists()
 
 
 @pytest.mark.parametrize(

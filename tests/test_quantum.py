@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,8 +16,19 @@ from involift.quantum import (
     measure,
     uniform_superposition,
 )
+from involift.rng import SplitMix64
 
-from conftest import ID1, evaluate_word, perm_compose, random_state, state_norm, step_perm, step_perms, zero_fn
+from conftest import (
+    ID1,
+    evaluate_word,
+    perm_compose,
+    random_state,
+    reference_measure,
+    state_norm,
+    step_perm,
+    step_perms,
+    zero_fn,
+)
 
 seeds = st.integers(0, 2**64 - 1)
 
@@ -152,6 +166,57 @@ def test_measure_marginal_exact_and_converges(two_step_id):
 def test_measure_requires_shots(two_step_id):
     with pytest.raises(ValueError, match="shots"):
         measure(basis_state(two_step_id, (0, 0, 0)), two_step_id, 0, seed=1, shots=0)
+
+
+# register 0 (8 bits) of a seeded state on 512-point support has every value
+MEASURED = PipelineSpec((8, 1), (zero_fn(8, 1),))
+BLOCK_EDGE_SHOTS = (1, 2, 4095, 4096, 4097, 3 * 4096 + 1)
+
+
+@pytest.mark.parametrize("support, n_values", [(1, 1), (2, 2), (5, 5), (512, 256)])
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_measure_matches_per_shot_reference(support, n_values, seed):
+    state = random_state(MEASURED.total_width, 300, support)
+    distribution = marginal_distribution(state, MEASURED, 0)
+    assert len(distribution) == n_values
+    for shots in BLOCK_EDGE_SHOTS:
+        result = measure(state, MEASURED, 0, seed=seed, shots=shots)
+        assert result.counts == reference_measure(state, MEASURED, 0, seed, shots)
+        assert result.distribution == distribution
+
+
+def _two_value_state(p: float) -> QState:
+    """A state of a (1, 1) pipeline whose register 0 reads 0 with
+    probability exactly p and whose marginal sums to exactly 1."""
+    a = next(c for c in (math.sqrt(p), math.nextafter(math.sqrt(p), 0)) if c * c == p)
+    b = next(c for c in (math.sqrt(1 - p), math.nextafter(math.sqrt(1 - p), 2)) if p + c * c == 1.0)
+    return QState(2, {0: complex(a), 1: complex(b)})
+
+
+def test_measure_draw_on_a_bound_counts_for_the_next_value():
+    # the first draw of seed 1 is u = m * 2^-53 for its top 53 bits m; its
+    # low 11 bits would round a 64-bit float of the whole word up to the
+    # next double, so only the truncated m lands on these bounds
+    pipeline = PipelineSpec((1, 1), (ID1,))
+    word = SplitMix64(1).next_u64()
+    m = word >> 11
+    assert word & 0x7FF >= 0x400
+    for bound, counts in ((m * 2.0**-53, {1: 1}), ((m + 1) * 2.0**-53, {0: 1})):
+        state = _two_value_state(bound)
+        assert measure(state, pipeline, 0, seed=1, shots=1).counts == reference_measure(state, pipeline, 0, 1, 1) == counts
+
+
+def test_measure_memory_is_bounded_by_the_block():
+    # one list of 64 * 4096 draws alone would take over 8 MB
+    state = random_state(MEASURED.total_width, 300, 512)
+    tracemalloc.start()
+    try:
+        result = measure(state, MEASURED, 0, seed=5, shots=64 * 4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(result.counts.values()) == 64 * 4096
+    assert peak < 2 * 1024 * 1024
 
 
 def test_representation_check_two_step(two_step_id):
