@@ -7,7 +7,7 @@ every closure of order 8)."""
 import argparse
 from collections import Counter
 
-from involift.lifting import nondegeneracy_defects, random_pipeline
+from involift.lifting import product_orders, random_pipeline
 from involift.permgroup import closure, element_order_histogram
 
 
@@ -23,8 +23,15 @@ def main() -> None:
     histograms = Counter()
     for k in range(args.pipelines):
         pipeline = random_pipeline(args.seed + k, steps=2, max_width=args.max_width)
-        for d in nondegeneracy_defects(pipeline):
-            defect_kinds[d.split(" has order")[0]] += 1
+        # a zero table lifts to the identity, and two identities are equal
+        first, second = (f.is_constant_zero for f in pipeline.steps)
+        kinds = {
+            "generator 1 is the identity": first,
+            "generator 2 is the identity": second,
+            "generators 1 and 2 are equal": first and second,
+            "product of adjacent generators 1 and 2": product_orders(pipeline)[0][1] != 4,
+        }
+        defect_kinds.update(kind for kind, seen in kinds.items() if seen)
         group = closure(pipeline)
         orders[len(group)] += 1
         histograms[tuple(sorted(element_order_histogram(group).items()))] += 1

@@ -14,16 +14,13 @@ from .boolfn import (
     random_fn,
 )
 from .lifting import (
-    ClassicalTrace,
     DEFAULT_WIDTH_CAP,
     LiftingCheckFailed,
     PipelineSpec,
-    apply_word,
-    generator_defects,
-    nondegeneracy_defects,
     product_orders,
     random_pipeline,
     run_classical,
+    word_action,
 )
 from .permgroup import (
     ClosureCapExceeded,
@@ -41,7 +38,6 @@ from .coxeter import (
     DEFAULT_COSET_CAP,
     DEGENERATE,
     PROPER_QUOTIENT,
-    RelationCheck,
     VerificationReport,
     check_relations,
     claimed_coxeter_matrix,

@@ -12,8 +12,12 @@ as a tableau (:func:`involift.permgroup.word_tableau`), which in its normal
 form is the identity exactly when every table is ``None``, and the
 abstract group is decided independently: infinite from three steps on (the
 matrix contains affine C~2), otherwise of the order found by coset
-enumeration.  The empirical matrix is read from the truth tables
-(:func:`involift.lifting.product_orders`); no permutation is built.
+enumeration.  A step whose truth table is all zero lifts to the identity,
+which makes the generators degenerate; the empirical matrix is read from
+the truth tables (:func:`involift.lifting.product_orders`) by the command
+line, and no permutation is built.  The verifier returns only when every
+relator holds, so its report carries only what can vary: the verdict, the
+layer dimensions and the abstract order.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .lifting import LiftingCheckFailed, PipelineSpec, generator_defects, product_orders
+from .lifting import LiftingCheckFailed, PipelineSpec
 from .permgroup import DEFAULT_ELEMENT_CAP, polycyclic_layers, word_tableau
 
 DEFAULT_COSET_CAP = 100_000
@@ -84,20 +88,13 @@ def claimed_coxeter_matrix(n: int) -> CoxeterMatrix:
     )
 
 
-@dataclass(frozen=True)
-class RelationCheck:
-    relator: tuple[int, ...]
-    holds: bool
-
-
-def check_relations(pipeline: PipelineSpec, relators) -> tuple[RelationCheck, ...]:
-    """Evaluate every relator on the lifted steps in tableau form, leftmost
-    symbol outermost (:func:`involift.permgroup.word_tableau`).  In the
-    normal form the identity has no table, so a relator holds when every
-    table is ``None``; no 2^W permutation is built."""
-    return tuple(
-        RelationCheck(word, all(t is None for t in word_tableau(pipeline, word).tables)) for word in relators
-    )
+def check_relations(pipeline: PipelineSpec, relators) -> tuple[bool, ...]:
+    """Whether each relator holds on the lifted steps, in the order given,
+    evaluated in tableau form, leftmost symbol outermost
+    (:func:`involift.permgroup.word_tableau`).  In the normal form the
+    identity has no table, so a relator holds when every table is ``None``;
+    no 2^W permutation is built."""
+    return tuple(all(t is None for t in word_tableau(pipeline, word).tables) for word in relators)
 
 
 class _CosetBoundExceeded(Exception):
@@ -227,39 +224,32 @@ class VerificationReport:
     """Outcome of comparing a concrete lifted group with the Coxeter group
     of its claimed matrix.
 
-    CONFIRMED means the relations hold and coset enumeration closed with
-    exactly the concrete order; holding relations give a surjection from
-    the abstract group onto the concrete one, so equal finite orders make
-    that surjection an isomorphism.  PROPER_QUOTIENT means the relations
-    hold but the abstract group is strictly larger.  BOUND_EXCEEDED means
-    enumeration hit the coset cap before closing, or the claim has three or
-    more steps, so the abstract group is infinite, no cap suffices and
-    enumeration is skipped (``abstract_order`` is None either way).
-    DEGENERATE means the lifted generators are not pairwise-distinct
-    involutions, so no Coxeter claim applies (the computed orders are still
-    reported).  ``layer_dimensions`` holds the dimension of each factor of
-    the concrete group's normal series, one per register 1..n, and the
-    concrete order is 2 to the power of their sum.
+    A report exists only when every claimed relation holds on the lifted
+    steps (:func:`verify_pipeline` raises otherwise), and holding relations
+    give a surjection from the abstract group onto the concrete one.
+    CONFIRMED means coset enumeration closed with exactly the concrete
+    order, so that surjection is an isomorphism.  PROPER_QUOTIENT means the
+    abstract group is strictly larger.  BOUND_EXCEEDED means enumeration
+    hit the coset cap before closing, or the claim has three or more steps,
+    so the abstract group is infinite, no cap suffices and enumeration is
+    skipped (``abstract_order`` is None either way).  DEGENERATE means a
+    step's truth table is all zero, so the lifted generators are not
+    pairwise-distinct involutions and no Coxeter claim applies (the
+    computed orders are still reported).  ``layer_dimensions`` holds the
+    dimension of each factor of the concrete group's normal series, one
+    per register 1..n, and the concrete order is 2 to the power of their
+    sum.
     """
 
     verdict: str
-    relations_hold: bool
     layer_dimensions: tuple[int, ...]
     abstract_order: int | None
-    coset_cap: int
-    relation_checks: tuple[RelationCheck, ...]
-    product_orders: tuple[tuple[int, ...], ...]
-    defects: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.verdict == CONFIRMED and not (
-            self.relations_hold and self.abstract_order == self.concrete_order
-        ):
-            raise ValueError("CONFIRMED requires holding relations and matching orders")
+        if self.verdict == CONFIRMED and self.abstract_order != self.concrete_order:
+            raise ValueError("CONFIRMED requires matching orders")
         if self.verdict == PROPER_QUOTIENT and not (
-            self.relations_hold
-            and self.abstract_order is not None
-            and self.abstract_order > self.concrete_order
+            self.abstract_order is not None and self.abstract_order > self.concrete_order
         ):
             raise ValueError("PROPER_QUOTIENT requires a strictly larger abstract group")
 
@@ -286,7 +276,8 @@ def verify_pipeline(
     group of ``claimed_coxeter_matrix(n)``.
 
     Reads the concrete order from the polycyclic layers of the lifted
-    group, walks every claimed relator on the step tables, runs coset
+    group, walks every claimed relator on the step tables (a failing one
+    raises :class:`involift.lifting.LiftingCheckFailed`), runs coset
     enumeration on the relators when the claimed group is finite (one or two
     steps; otherwise no cap would be reached), and classifies the outcome
     (see :class:`VerificationReport`).  No element is listed and no 2^W
@@ -294,23 +285,20 @@ def verify_pipeline(
     propagates as :class:`involift.permgroup.ClosureCapExceeded`, raised as
     soon as the sequence proves the order too large.
     """
-    n = pipeline.n_steps
-    defects = generator_defects(pipeline)
-    layers = polycyclic_layers(pipeline, element_cap)
-    relators = claimed_coxeter_matrix(n).relators
-    checks = check_relations(pipeline, relators)
-    relations_hold = all(c.holds for c in checks)
-    if not relations_hold:
-        raise LiftingCheckFailed("a claimed relation failed on lifted involutions; lifting is broken")
     if coset_cap < 1:
         raise ValueError("coset_cap must be >= 1")
+    n = pipeline.n_steps
+    layers = polycyclic_layers(pipeline, element_cap)
+    relators = claimed_coxeter_matrix(n).relators
+    if not all(check_relations(pipeline, relators)):
+        raise LiftingCheckFailed("a claimed relation failed on lifted involutions; lifting is broken")
     # Enumeration over the trivial subgroup closes only on a finite group.
     # The claimed Coxeter graph is a path with every edge labelled 4: n = 1 is
     # A1 and n = 2 is B2 (order 8), both finite; n = 3 is affine C~2, which is
     # infinite; for n > 3 the first three generators span C~2 as a parabolic
     # subgroup (Humphreys 1990, section 5.5), so the group is infinite.
     abstract = todd_coxeter(n, relators, coset_cap) if n <= 2 else None
-    if defects:
+    if any(f.is_constant_zero for f in pipeline.steps):
         verdict = DEGENERATE
     elif abstract is None:
         verdict = BOUND_EXCEEDED
@@ -318,13 +306,4 @@ def verify_pipeline(
         verdict = CONFIRMED
     else:
         verdict = PROPER_QUOTIENT
-    return VerificationReport(
-        verdict=verdict,
-        relations_hold=relations_hold,
-        layer_dimensions=layers,
-        abstract_order=abstract,
-        coset_cap=coset_cap,
-        relation_checks=checks,
-        product_orders=product_orders(pipeline),
-        defects=defects,
-    )
+    return VerificationReport(verdict=verdict, layer_dimensions=layers, abstract_order=abstract)

@@ -14,16 +14,17 @@ their widths, their bit offsets in a packed state, and packing.
 Each lifted step is an involution of the packed state space (repeating the
 XOR cancels it), and composing the steps in order computes the whole
 pipeline while keeping every intermediate value around.  The facts the
-Coxeter claim is made of (which steps are the identity, which coincide, and
-the order of each pairwise product) follow from the truth tables alone, so
-they are read from the tables here and never from permutations.
+Coxeter claim is made of follow from the truth tables alone: a step is the
+identity exactly when its table is all zero (``BoolFunc.is_constant_zero``),
+two steps coincide only when both are, and :func:`product_orders` reads the
+order of each pairwise product; none is read from a permutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .boolfn import BoolFunc, random_fn
 from .rng import SplitMix64
@@ -130,23 +131,6 @@ def _step_params(pipeline: PipelineSpec, step: int) -> tuple[tuple[int, ...], in
     return f.table, pipeline.offsets[step], (1 << f.arity_in) - 1, pipeline.offsets[step + 1]
 
 
-def generator_defects(pipeline: PipelineSpec) -> tuple[str, ...]:
-    """Violations of the Coxeter generator precondition: every lifted step an
-    involution (order exactly 2) and all pairwise distinct.
-
-    A step XORs into a register it does not read, so it is an involution
-    unless its table is all zero, which makes it the identity.  Two steps
-    write different registers, so they are equal only when both are the
-    identity.
-    """
-    zero = [f.is_constant_zero for f in pipeline.steps]
-    defects = [f"generator {i} is the identity" for i, z in enumerate(zero, start=1) if z]
-    for i, j in combinations(range(len(zero)), 2):
-        if zero[i] and zero[j]:
-            defects.append(f"generators {i + 1} and {j + 1} are equal")
-    return tuple(defects)
-
-
 def product_orders(pipeline: PipelineSpec) -> tuple[tuple[int, ...], ...]:
     """Orders of the pairwise products of the lifted steps, 1 on the diagonal.
 
@@ -173,28 +157,11 @@ def product_orders(pipeline: PipelineSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, orders))
 
 
-def nondegeneracy_defects(pipeline: PipelineSpec) -> tuple[str, ...]:
-    """Violations of the generic-case conditions: the lifted steps must be
-    pairwise-distinct involutions (see :func:`generator_defects`) and every
-    adjacent product must have order 4.  Empty result means nondegenerate."""
-    defects = list(generator_defects(pipeline))
-    orders = product_orders(pipeline)
-    for i in range(pipeline.n_steps - 1):
-        if (k := orders[i][i + 1]) != 4:
-            defects.append(f"product of adjacent generators {i + 1} and {i + 2} has order {k}, expected 4")
-    return tuple(defects)
-
-
-def apply_word(pipeline: PipelineSpec, word: Sequence[int], state: int) -> int:
-    """Apply the lifted steps of a word of step indices to one packed
-    state, rightmost step first, without building any permutation."""
-    return word_action(pipeline, word)(state)
-
-
 def word_action(pipeline: PipelineSpec, word: Sequence[int]) -> Callable[[int], int]:
-    """The action of a word on packed states, with every step's parameters
-    resolved once, so that applying it to many states costs only
-    |word| table lookups per state."""
+    """The action of a word of step indices on packed states, rightmost step
+    first, without building any permutation.  Every step's parameters are
+    resolved once, so applying it to many states costs only |word| table
+    lookups per state."""
     params = [_step_params(pipeline, i) for i in reversed(word)]
     width = pipeline.total_width
     size = 1 << width
@@ -214,23 +181,19 @@ class LiftingCheckFailed(RuntimeError):
     impossible unless the lifting is broken."""
 
 
-class ClassicalTrace(NamedTuple):
-    registers: tuple[int, ...]  # computed through the lifted involutions
-    direct: tuple[int, ...]  # computed by plain truth-table chaining
-
-
-def run_classical(pipeline: PipelineSpec, x: int) -> ClassicalTrace:
-    """Evaluate the pipeline on input x by both routes and cross-check.
+def run_classical(pipeline: PipelineSpec, x: int) -> tuple[int, ...]:
+    """The registers after running the pipeline on input x, evaluated by
+    both routes and cross-checked.
 
     The invertible route applies the lifted steps 0..n-1 in order to the
     state with register 0 = x and all other registers zero, then unpacks
     the registers; the direct route chains the truth tables.  A mismatch
-    raises LiftingCheckFailed.
+    raises LiftingCheckFailed, so the result is both routes' registers.
     """
     if not 0 <= x < 1 << pipeline.widths[0]:
         raise ValueError(f"input {x} out of range for register width {pipeline.widths[0]}")
     # register 0 sits in the low bits, so the packed initial state equals x
-    registers = pipeline.unpack_registers(apply_word(pipeline, range(pipeline.n_steps)[::-1], x))
+    registers = pipeline.unpack_registers(word_action(pipeline, range(pipeline.n_steps)[::-1])(x))
     value = x
     direct = [x]
     for f in pipeline.steps:
@@ -240,7 +203,7 @@ def run_classical(pipeline: PipelineSpec, x: int) -> ClassicalTrace:
         raise LiftingCheckFailed(
             f"invertible trace {registers} disagrees with direct evaluation {tuple(direct)}"
         )
-    return ClassicalTrace(registers, tuple(direct))
+    return registers
 
 
 def random_pipeline(seed: int, steps: int = 2, max_width: int = 3) -> PipelineSpec:

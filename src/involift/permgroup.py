@@ -55,10 +55,6 @@ class GroupClosure:
     left: tuple[tuple[int, ...], ...]
     parents: tuple[int, ...]
 
-    @property
-    def generator_count(self) -> int:
-        return len(self.left)
-
     def __len__(self) -> int:
         return len(self.elements)
 

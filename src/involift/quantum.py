@@ -82,8 +82,8 @@ def uniform_superposition(pipeline: PipelineSpec, register: int, base: QState) -
 def apply_steps(pipeline: PipelineSpec, word: Sequence[int], state: QState) -> QState:
     """Apply the unitary of a word of lifted steps (step indices, rightmost
     first) by routing each amplitude through the word's action on basis
-    states (the one behind :func:`involift.lifting.apply_word`, resolved
-    once per word): |support| * |word| table lookups, no 2^W permutation."""
+    states (:func:`involift.lifting.word_action`, resolved once per word):
+    |support| * |word| table lookups, no 2^W permutation."""
     if pipeline.total_width != state.total_width:
         raise ValueError(
             f"width mismatch: pipeline acts on {pipeline.total_width}, state on {state.total_width}"

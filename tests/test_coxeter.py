@@ -19,7 +19,6 @@ from involift.coxeter import (
 from involift.lifting import (
     Perm,
     PipelineSpec,
-    generator_defects,
     product_orders,
     random_pipeline,
 )
@@ -80,15 +79,13 @@ def test_coxeter_matrix_three_step(three_step_id):
 def test_coxeter_matrix_rejects_duplicates():
     # lifted steps write different registers, so only two identities coincide
     pipeline = PipelineSpec((1, 1, 1), (zero_fn(1, 1), zero_fn(1, 1)))
-    assert "generators 1 and 2 are equal" in generator_defects(pipeline)
     with pytest.raises(ValueError, match=">= 2"):
         CoxeterMatrix(product_orders(pipeline))
 
 
 def test_coxeter_matrix_rejects_identity(two_step_zero_first):
-    assert generator_defects(two_step_zero_first) == ("generator 1 is the identity",)
     # the product with one identity is the other step, so the orders alone
-    # look valid: the defects must be checked before the matrix is built
+    # look valid: the zero tables must be checked before the matrix is built
     assert product_orders(two_step_zero_first) == ((1, 2), (2, 1))
 
 
@@ -96,7 +93,7 @@ def test_coxeter_matrix_rejects_identity(two_step_zero_first):
 @settings(max_examples=30)
 def test_coxeter_matrix_symmetric_unit_diagonal(seed):
     pipeline = random_pipeline(seed, steps=3, max_width=2)
-    if generator_defects(pipeline):
+    if any(f.is_constant_zero for f in pipeline.steps):
         return
     matrix = CoxeterMatrix(product_orders(pipeline))
     for i in range(matrix.n):
@@ -277,20 +274,17 @@ def test_pipeline_presentation_four_steps_counts():
 
 def test_check_relations_two_step(two_step_id):
     checks = check_relations(two_step_id, claimed_coxeter_matrix(2).relators)
-    assert all(c.holds for c in checks)
+    assert checks == (True,) * 3
 
 
 def test_check_relations_three_step(three_step_id):
     checks = check_relations(three_step_id, claimed_coxeter_matrix(3).relators)
-    assert all(c.holds for c in checks)
+    assert checks == (True,) * 6
 
 
 def test_check_relations_false_presentation(two_step_id):
     wrong = ((0, 0), (1, 1), (0, 1) * 2)
-    checks = check_relations(two_step_id, wrong)
-    by_relator = {c.relator: c.holds for c in checks}
-    assert by_relator[(0, 0)] and by_relator[(1, 1)]
-    assert not by_relator[(0, 1, 0, 1)]
+    assert check_relations(two_step_id, wrong) == (True, True, False)
     # witness: the square of the adjacent product moves packed state (1,0,0)
     g1, g2 = step_perms(two_step_id)
     s21 = perm_compose(g2, g1)
@@ -303,12 +297,12 @@ def test_check_relations_false_presentation(two_step_id):
 def test_squares_and_distant_commutators_always_hold(seed):
     pipeline = random_pipeline(seed, steps=3, max_width=2)
     gens = step_perms(pipeline)
-    checks = check_relations(pipeline, claimed_coxeter_matrix(3).relators)
-    for check in checks:
-        if len(check.relator) == 2 or len(check.relator) == 4:
+    relators = claimed_coxeter_matrix(3).relators
+    for relator, holds in zip(relators, check_relations(pipeline, relators), strict=True):
+        if len(relator) == 2 or len(relator) == 4:
             # squares (the XOR cancels) and distant commutators (disjoint
             # register support) hold for every lifting, degenerate or not
-            assert check.holds
+            assert holds
     assert perm_compose(gens[0], gens[2]) == perm_compose(gens[2], gens[0])
 
 
@@ -325,10 +319,9 @@ def test_check_relations_matches_evaluate_word(seed, steps, data):
     # involutions); the shortest word of the last element is not, unless |G| = 1
     words = (word, word + word[::-1], group.words[element], group.words[-1])
     checks = check_relations(pipeline, words)
-    assert [c.relator for c in checks] == list(words)
-    assert [c.holds for c in checks] == [perm_is_identity(evaluate_word(gens, w)) for w in words]
-    assert checks[1].holds
-    assert checks[3].holds == (len(group) == 1)
+    assert checks == tuple(perm_is_identity(evaluate_word(gens, w)) for w in words)
+    assert checks[1]
+    assert checks[3] == (len(group) == 1)
 
 
 def test_check_relations_length_twelve_relator(three_step_id):
@@ -337,8 +330,8 @@ def test_check_relations_length_twelve_relator(three_step_id):
     r = (0, 1, 2, 0, 1, 0, 2, 1, 0, 2, 1, 2)
     gens = step_perms(three_step_id)
     checks = check_relations(three_step_id, (r, r[:-1]))
-    assert [c.holds for c in checks] == [perm_is_identity(evaluate_word(gens, w)) for w in (r, r[:-1])]
-    assert [c.holds for c in checks] == [True, False]
+    assert checks == tuple(perm_is_identity(evaluate_word(gens, w)) for w in (r, r[:-1]))
+    assert checks == (True, False)
 
 
 def test_todd_coxeter_order_two_cyclic():
@@ -387,10 +380,8 @@ def test_verify_two_step_confirmed(two_step_id):
     report = verify_pipeline(two_step_id)
     assert report.verdict == CONFIRMED
     assert report.concrete_order == 8 and report.abstract_order == 8
-    assert report.relations_hold and all(c.holds for c in report.relation_checks)
     assert report.isomorphism_established
-    assert report.defects == ()
-    assert report.product_orders == ((1, 4), (4, 1))
+    assert report.layer_dimensions == (1, 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
@@ -400,7 +391,6 @@ def test_identity_pipeline_order(n):
     report = verify_pipeline(PipelineSpec((1,) * (n + 1), (ID1,) * n), coset_cap=1000, element_cap=1 << 36)
     assert report.concrete_order == 2 ** (n * (n + 1) // 2)
     assert report.layer_dimensions == tuple(range(1, n + 1))
-    assert report.relations_hold
     assert report.verdict == (CONFIRMED if n == 2 else BOUND_EXCEEDED)
 
 
@@ -413,7 +403,7 @@ def test_verify_infinite_type_skips_enumeration(monkeypatch, n, cap):
     monkeypatch.setattr(coxeter, "todd_coxeter", refuse)
     report = verify_pipeline(PipelineSpec((1,) * (n + 1), (ID1,) * n), coset_cap=cap)
     assert report.verdict == BOUND_EXCEEDED
-    assert report.abstract_order is None and report.coset_cap == cap
+    assert report.abstract_order is None
     assert report.concrete_order == 2 ** (n * (n + 1) // 2)
 
 
@@ -421,13 +411,11 @@ def test_verify_degenerate(two_step_zero_first):
     report = verify_pipeline(two_step_zero_first)
     assert report.verdict == DEGENERATE
     assert report.concrete_order == 2
-    assert any("identity" in d for d in report.defects)
     assert not report.isomorphism_established
 
 
 def test_verify_three_step_bounded_or_quotient(three_step_id):
     report = verify_pipeline(three_step_id, coset_cap=2000)
-    assert report.relations_hold
     assert report.verdict in {PROPER_QUOTIENT, BOUND_EXCEEDED}
     assert report.verdict != CONFIRMED
     assert report.concrete_order == 64  # unitriangular 4x4 group over GF(2)
@@ -443,24 +431,6 @@ def test_verify_single_step_pipeline():
 
 def test_verification_report_invariants():
     with pytest.raises(ValueError, match="CONFIRMED"):
-        VerificationReport(
-            verdict=CONFIRMED,
-            relations_hold=True,
-            layer_dimensions=(1, 2),
-            abstract_order=16,
-            coset_cap=100,
-            relation_checks=(),
-            product_orders=(),
-            defects=(),
-        )
+        VerificationReport(verdict=CONFIRMED, layer_dimensions=(1, 2), abstract_order=16)
     with pytest.raises(ValueError, match="PROPER_QUOTIENT"):
-        VerificationReport(
-            verdict=PROPER_QUOTIENT,
-            relations_hold=True,
-            layer_dimensions=(1, 2),
-            abstract_order=8,
-            coset_cap=100,
-            relation_checks=(),
-            product_orders=(),
-            defects=(),
-        )
+        VerificationReport(verdict=PROPER_QUOTIENT, layer_dimensions=(1, 2), abstract_order=8)
