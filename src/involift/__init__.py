@@ -2,7 +2,7 @@
 shared register space, enumerate the group those involutions generate as
 tableaux, test it against its claimed Coxeter matrix, and apply the
 induced unitaries to sparse qubit-register states.  The test reads the
-concrete order from a polycyclic sequence of tableaux and checks every
+concrete order from modules spun from the step tables and checks every
 claimed relator as a tableau; coset enumeration runs only on the finite
 one- and two-step claims."""
 
@@ -26,10 +26,9 @@ from .permgroup import (
     ClosureCapExceeded,
     DEFAULT_ELEMENT_CAP,
     GroupClosure,
-    Tableau,
     closure,
     element_order_histogram,
-    polycyclic_layers,
+    layer_dimensions,
 )
 from .coxeter import (
     BOUND_EXCEEDED,

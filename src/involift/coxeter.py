@@ -6,8 +6,8 @@ system whose matrix has 1 on the diagonal, 4 between neighbouring steps,
 and 2 everywhere else; that matrix is the whole claim, and its relators
 are read from it.  Whether the concrete group IS that Coxeter group
 (rather than a proper quotient of it) is checked, never assumed: the
-concrete order comes from a polycyclic sequence of tableaux
-(:func:`involift.permgroup.polycyclic_layers`), every relator is evaluated
+concrete order comes from the modules spun from the step tables
+(:func:`involift.permgroup.layer_dimensions`), every relator is evaluated
 as a tableau (:func:`involift.permgroup.word_tableau`), which in its normal
 form is the identity exactly when every table is ``None``, and the
 abstract group is decided independently: infinite from three steps on (the
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .lifting import LiftingCheckFailed, PipelineSpec
-from .permgroup import DEFAULT_ELEMENT_CAP, polycyclic_layers, word_tableau
+from .permgroup import DEFAULT_ELEMENT_CAP, layer_dimensions, word_tableau
 
 DEFAULT_COSET_CAP = 100_000
 
@@ -94,7 +94,7 @@ def check_relations(pipeline: PipelineSpec, relators) -> tuple[bool, ...]:
     (:func:`involift.permgroup.word_tableau`).  In the normal form the
     identity has no table, so a relator holds when every table is ``None``;
     no 2^W permutation is built."""
-    return tuple(all(t is None for t in word_tableau(pipeline, word).tables) for word in relators)
+    return tuple(all(t is None for t in word_tableau(pipeline, word)) for word in relators)
 
 
 class _CosetBoundExceeded(Exception):
@@ -275,20 +275,20 @@ def verify_pipeline(
     """Lift the pipeline and test the claim that its group is the Coxeter
     group of ``claimed_coxeter_matrix(n)``.
 
-    Reads the concrete order from the polycyclic layers of the lifted
-    group, walks every claimed relator on the step tables (a failing one
+    Reads the concrete order from the layer dimensions spun from the step
+    tables, walks every claimed relator on the step tables (a failing one
     raises :class:`involift.lifting.LiftingCheckFailed`), runs coset
     enumeration on the relators when the claimed group is finite (one or two
     steps; otherwise no cap would be reached), and classifies the outcome
     (see :class:`VerificationReport`).  No element is listed and no 2^W
     permutation is built.  A group of more than ``element_cap`` elements
     propagates as :class:`involift.permgroup.ClosureCapExceeded`, raised as
-    soon as the sequence proves the order too large.
+    soon as the spun layers prove the order too large.
     """
     if coset_cap < 1:
         raise ValueError("coset_cap must be >= 1")
     n = pipeline.n_steps
-    layers = polycyclic_layers(pipeline, element_cap)
+    layers = layer_dimensions(pipeline, element_cap)
     relators = claimed_coxeter_matrix(n).relators
     if not all(check_relations(pipeline, relators)):
         raise LiftingCheckFailed("a claimed relation failed on lifted involutions; lifting is broken")

@@ -30,17 +30,17 @@ from .boolfn import BoolFunc, random_fn
 from .rng import SplitMix64
 
 # The summed register width W is capped: it bounds the size of a group
-# element, a tableau of sum_j 2^offset_j < 2^W entries.
+# element, a tuple of tables with sum_j 2^offset_j < 2^W entries.
 DEFAULT_WIDTH_CAP = 20
 
 
 @dataclass(frozen=True)
 class Perm:
     """A bijection of {0, ..., 2^total_width - 1}, stored as a mapping array
-    and checked on construction.  The package builds none: group elements
-    are tableaux.  The class stays as the reference form the tableaux are
-    tested against, and as the construction hook the benchmark's tracer
-    counts."""
+    and checked on construction.  The package builds none: a group element
+    is the tuple of its tables (:mod:`involift.permgroup`).  The class stays
+    as the reference form those tables are tested against, and as the
+    construction hook the benchmark's tracer counts."""
 
     total_width: int
     mapping: tuple[int, ...]
@@ -70,7 +70,7 @@ class PipelineSpec:
     a packed state, the earliest register least significant; the offsets
     are derived once, on construction, and take no part in equality.  The
     summed width W is capped at ``DEFAULT_WIDTH_CAP``, which bounds the
-    size of a group element: a tableau of fewer than 2^W entries.
+    size of a group element: a tuple of tables of fewer than 2^W entries.
     """
 
     widths: tuple[int, ...]

@@ -1,19 +1,22 @@
 """The group generated by lifted steps: closure, orders, words, and the
-order of the group from a polycyclic sequence of tableaux.
+order of the group from modules spun out of the step tables.
 
-Every element is a :class:`Tableau`, Kaloujnine's form with one table per
-register, and no 2^W permutation is built.  The normal form is the
-contract: a table that is all zero is held as ``None``, never as zeros, so
-two elements are equal exactly when their ``tables`` are, and an element is
-the identity exactly when every table is ``None``.  The operations that
-write a table keep that form: a left multiplication by a step
-(:func:`_times_step`, behind :func:`closure` and :func:`word_tableau`) and
-the XOR of :meth:`Tableau.__mul__`.  The closure (behind ``group``) lists
-the elements by left multiplication with the lifted steps; element orders
-and the Cayley table walk generator words through its action table
-``left``.  ``verify`` lists no element: it reads the order from the layers
-of a polycyclic sequence of tableau products (:func:`polycyclic_layers`),
-and :mod:`involift.coxeter` evaluates relators with :func:`word_tableau`.
+Every element is held in Kaloujnine's tableau form: every lifted step maps
+register j to x_j ^ h(x_0..x_{j-1}), and products of such maps keep that
+form, so an element is the tuple of its tables T_1..T_n.  ``tables[j - 1]``
+is T_j, indexed by the packed registers 0..j-1 (x < 2^offset_j), and the
+element maps register j to x_j ^ T_j[x]; no 2^W permutation is built.  The
+normal form is the contract: a table that is all zero is held as ``None``,
+never as zeros, so two elements are equal exactly when their tuples are,
+and an element is the identity exactly when every table is ``None``.  The
+one operation that writes a table, a left multiplication by a step
+(:func:`_times_step`, behind :func:`closure` and :func:`word_tableau`),
+keeps that form.  The closure (behind ``group``) lists the elements by
+left multiplication with the lifted steps; element orders and the Cayley
+table walk generator words through its action table ``left``.  ``verify``
+lists no element: it reads the order from the dimensions of the modules
+spun from the step tables (:func:`layer_dimensions`), and
+:mod:`involift.coxeter` evaluates relators with :func:`word_tableau`.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ class ClosureCapExceeded(RuntimeError):
 class GroupClosure:
     """The fully enumerated group of the lifted steps.
 
-    elements[0] is the identity, and every element is a :class:`Tableau`
+    elements[0] is the identity, and every element is its tuple of tables
     in normal form (``None`` for each all-zero table); words[e] is a
     minimal-length generator word evaluating to elements[e] (ties broken
     toward the lexicographically smallest word); left[g][e] is
@@ -50,7 +53,7 @@ class GroupClosure:
     (parents[0] is 0).
     """
 
-    elements: tuple[Tableau, ...]
+    elements: tuple[tuple, ...]
     words: tuple[tuple[int, ...], ...]
     left: tuple[tuple[int, ...], ...]
     parents: tuple[int, ...]
@@ -114,9 +117,8 @@ def closure(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> G
     if element_cap < 1:
         raise ValueError("element_cap must be >= 1")
     steps = [_step(pipeline, i) for i in range(pipeline.n_steps)]
-    offsets = pipeline.offsets[1:]
     identity = (None,) * len(steps)
-    elements = [Tableau(offsets, identity)]
+    elements = [identity]
     words: list[tuple[int, ...]] = [()]
     parents = [0]
     left: list[list[int]] = [[] for _ in steps]
@@ -127,7 +129,7 @@ def closure(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> G
         for gi, step in enumerate(steps):
             row = left[gi]
             for ei in frontier:
-                product = _times_step(elements[ei].tables, gi, step)
+                product = _times_step(elements[ei], gi, step)
                 k = index.get(product)
                 if k is None:
                     if len(elements) >= element_cap:
@@ -135,14 +137,14 @@ def closure(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> G
                     k = index[product] = len(elements)
                     words.append((gi,) + words[ei])
                     parents.append(ei)
-                    elements.append(Tableau(offsets, product))
+                    elements.append(product)
                 row.append(k)
         frontier = range(frontier.stop, len(elements))
     return GroupClosure(tuple(elements), tuple(words), tuple(map(tuple, left)), tuple(parents))
 
 
-def word_tableau(pipeline: PipelineSpec, word: Sequence[int]) -> Tableau:
-    """The element of a word of step indices, leftmost symbol
+def word_tableau(pipeline: PipelineSpec, word: Sequence[int]) -> tuple:
+    """The tables of a word of step indices, leftmost symbol
     outermost (the rightmost acts first): the word is walked right to left
     from the identity, each symbol one left multiplication by its step
     (:func:`_times_step`)."""
@@ -150,7 +152,7 @@ def word_tableau(pipeline: PipelineSpec, word: Sequence[int]) -> Tableau:
     tables = (None,) * pipeline.n_steps
     for symbol in reversed(word):
         tables = _times_step(tables, symbol, steps[symbol])
-    return Tableau(pipeline.offsets[1:], tables)
+    return tables
 
 
 def _walk(group: GroupClosure, word: Sequence[int], start: int = 0) -> int:
@@ -185,102 +187,7 @@ def element_order_histogram(group: GroupClosure) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# The element form, its products, and the order of the group without listing it
-
-
-class Tableau:
-    """An element of a lifted group in Kaloujnine's tableau form.
-
-    Every lifted step maps register j to x_j ^ h(x_0..x_{j-1}), and products
-    of such maps keep that form, so an element is its tables T_1..T_n:
-    ``tables[j - 1]`` is T_j, indexed by the packed registers 0..j-1
-    (x < 2^offset_j), and the element maps register j to x_j ^ T_j[x].
-    ``offsets`` holds offset_1 .. offset_n of the pipeline's registers.  The
-    tables are the whole element: no 2^W mapping is built, and a product
-    costs sum_j 2^offset_j lookups.
-
-    Normal form, the contract of every constructor call: a table is
-    ``None`` exactly when it is all zero.  The constructor takes the tables
-    as they are; the operations that write a table keep the form.
-    """
-
-    __slots__ = ("offsets", "tables", "_action_cache")
-
-    def __init__(self, offsets: tuple[int, ...], tables: Sequence[Sequence[int] | None]):
-        self.offsets = offsets
-        self.tables = tuple(tables)
-        self._action_cache: list[Sequence[int] | None] | None = None
-
-    def _actions(self) -> list[Sequence[int] | None]:
-        """A_1..A_n: A_j is the element's action on the packed registers
-        0..j-1, indexed by x < 2^offset_j (None for the identity).  Built on
-        first use and kept, since only right factors need it."""
-        if self._action_cache is None:
-            actions: list[Sequence[int] | None] = [None]
-            for j in range(1, len(self.tables)):
-                actions.append(_next_action(actions[-1], self.tables[j - 1], self.offsets[j - 1], self.offsets[j]))
-            self._action_cache = actions
-        return self._action_cache
-
-    def __mul__(self, other: "Tableau") -> "Tableau":
-        """self after other: register j picks up T^other_j[x], then
-        T^self_j at other's image of the lower registers.  A gather through
-        the bijective action keeps a nonzero table nonzero, so only the XOR
-        is checked for zero."""
-        tables = []
-        for t, u, action in zip(self.tables, other.tables, other._actions()):
-            if t is not None:
-                if action is not None:
-                    t = [t[a] for a in action]
-                if u is not None:
-                    t = [a ^ b for a, b in zip(t, u)]
-                    if not any(t):
-                        t = None
-            else:
-                t = u
-            tables.append(t)
-        return Tableau(self.offsets, tables)
-
-    def inverse(self) -> "Tableau":
-        """The inverse element: register j of the preimage is
-        y_j ^ T_j[x], x the preimage of the lower registers, so the inverse
-        table is T_j read through the inverse's own lower action, built
-        layer by layer.  Only gathers through bijections: the normal form
-        is kept."""
-        tables: list[Sequence[int] | None] = []
-        actions: list[Sequence[int] | None] = [None]
-        for j, t in enumerate(self.tables):
-            action = actions[j]
-            if t is not None and action is not None:
-                t = [t[a] for a in action]
-            tables.append(t)
-            if j + 1 < len(self.tables):
-                actions.append(_next_action(action, t, self.offsets[j], self.offsets[j + 1]))
-        inverse = Tableau(self.offsets, tables)
-        inverse._action_cache = actions
-        return inverse
-
-
-def _next_action(action: Sequence[int] | None, table: Sequence[int] | None, offset: int, next_offset: int) -> Sequence[int] | None:
-    """A_{j+1} from A_j and T_j: the point x | (y << offset_j) goes to
-    A_j[x] | ((y ^ T_j[x]) << offset_j).  Kept as a C int array: its values
-    reach 2^19, and in a list each would be an int object of its own, about
-    nine times the memory of the array."""
-    from array import array  # only verify needs it: no import at start-up
-
-    if action is None and table is None:
-        return None
-    lower = 1 << offset
-    if table is None:
-        base = action
-    elif action is None:
-        base = [x ^ (v << offset) for x, v in enumerate(table)]
-    else:
-        base = [a ^ (v << offset) for a, v in zip(action, table)]
-    out = array("i")
-    for high in range(0, 1 << next_offset, lower):
-        out.extend([b ^ high for b in base])
-    return out
+# The order of the group without listing it
 
 
 def _vector(table: Sequence[int], width: int) -> int:
@@ -292,58 +199,47 @@ def _vector(table: Sequence[int], width: int) -> int:
     return int.from_bytes(b"".join(planes), "little")
 
 
-def polycyclic_layers(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> tuple[int, ...]:
+def layer_dimensions(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> tuple[int, ...]:
     """Dimensions of the layers of the group generated by the lifted steps,
     one per register 1..n; |G| is 2 to the power of their sum.
 
-    N_j, the elements that fix registers 0..j-1, form a normal series, and
-    on N_j the map to T_j is a homomorphism onto an F2-space with kernel
-    N_{j+1}.  An induced polycyclic sequence is built by sifting (Sims 1994,
-    ch. 9): at each layer the table's vector is reduced by Gaussian
-    elimination, pivoting on its highest set bit and multiplying by the
-    pivot's element; a vector left nonzero makes the current element a new
-    pivot.  The steps are sifted first, then the square of every new
-    element and its commutator with every earlier one, until all sift to
-    the identity: then the pivots of each layer span its factor, and the
-    layer dimensions are the pivot counts.  Raises
-    :class:`ClosureCapExceeded` as soon as 2^(pivots) exceeds
-    ``element_cap``, so at most floor(log2 element_cap) + 1 elements are
-    ever held.
+    G_j, generated by steps 0..j-1, acts on registers 0..j and fixes
+    register j + 1, and its conjugates of step j commute and square to 1.
+    They form an F2-space V_j, and G_{j+1} is V_j ⋊ G_j.  V_j is the cyclic
+    F2[G_j]-module spun from phi_j = T_{j+1} (the MeatAxe spin: Parker 1984;
+    Holt, Eick & O'Brien 2005): each basis table b is moved by every
+    step i < j whose table is not all zero, as the gather
+    b[x ^ (T_{i+1}[x mod 2^offset_{i+1}] << offset_{i+1})], and an image is
+    kept only when its vector stays nonzero after Gaussian elimination on
+    the highest set bit.  No group element is formed.  Raises
+    :class:`ClosureCapExceeded` as soon as 2^(dimensions so far) exceeds
+    ``element_cap``, which bounds the basis held.
     """
     if element_cap < 1:
         raise ValueError("element_cap must be >= 1")
-    widths = pipeline.widths[1:]
-    pivots: list[dict[int, tuple[Tableau, int]]] = [{} for _ in widths]
-    sequence: list[Tableau] = []
-    inverses: list[Tableau] = []
-    work: list[tuple[int, ...]] = []  # (i,): square of sequence[i]; (i, k): their commutator
-    generators = (word_tableau(pipeline, (i,)) for i in range(pipeline.n_steps))
-    while True:
-        if not work:
-            g = next(generators, None)
-            if g is None:
-                return tuple(map(len, pivots))
-        elif len(item := work.pop()) == 1:
-            g = sequence[item[0]] * sequence[item[0]]
-        else:
-            i, k = item
-            g = inverses[i] * inverses[k] * sequence[i] * sequence[k]
-        for j, layer in enumerate(pivots):
-            if g.tables[j] is None:
-                continue
-            v = _vector(g.tables[j], widths[j])
-            while v and (p := v.bit_length() - 1) in layer:
-                h, u = layer[p]
-                # h fixes registers 0..j-1, so layer j of g after h is the XOR
-                g = g * h
-                v ^= u
+    dimensions: list[int] = []
+    moves: list[tuple[int, tuple[int, ...]]] = []  # (offset_{i+1}, T_{i+1}) of each nonzero step i < j
+    for j, f in enumerate(pipeline.steps):
+        width, phi = pipeline.widths[j + 1], _step(pipeline, j)[1]
+        basis: list[Sequence[int]] = []
+        pivots: dict[int, int] = {}
+
+        def keep(table: Sequence[int]) -> None:
+            v = _vector(table, width)
+            while v and (p := v.bit_length() - 1) in pivots:
+                v ^= pivots[p]
             if v:
-                layer[p] = (g, v)
-                sequence.append(g)
-                if 1 << len(sequence) > element_cap:
+                pivots[p] = v
+                basis.append(table)
+                if 1 << (sum(dimensions) + len(basis)) > element_cap:
                     raise ClosureCapExceeded(element_cap)
-                inverses.append(g.inverse())
-                i = len(sequence) - 1
-                work.append((i,))
-                work.extend((i, k) for k in range(i))
-                break
+
+        keep(phi)
+        for b in basis:  # the basis grows while it is walked
+            for offset, t in moves:
+                mask = len(t) - 1
+                keep([b[x ^ (t[x & mask] << offset)] for x in range(len(b))])
+        dimensions.append(len(basis))
+        if not f.is_constant_zero:
+            moves.append((pipeline.offsets[j + 1], phi))
+    return tuple(dimensions)

@@ -155,7 +155,7 @@ def reference_closure(generators) -> GroupClosure:
 def perm_tables(perm: Perm, pipeline: PipelineSpec) -> tuple:
     """T_1..T_n of a permutation of the lifted group, read from its images of
     the states whose registers j..n are zero (None for an all-zero table),
-    as a ``Tableau`` of the closure holds them."""
+    as the closure holds an element."""
     offsets = pipeline.offsets
     tables = []
     for j in range(1, pipeline.n_steps + 1):

@@ -167,7 +167,7 @@ def test_two_step_group_is_dihedral_8(pipeline_suite, tmp_path):
         rotation = perm_compose(s1, s2)
         assert perm_order(rotation) == 4
         group = closure(pipeline)
-        assert group.elements[group.left[0][group.left[1][0]]].tables == perm_tables(rotation, pipeline)
+        assert group.elements[group.left[0][group.left[1][0]]] == perm_tables(rotation, pipeline)
         assert time.perf_counter() - started < 1.0
         checked += 1
     assert checked >= 30, f"suite produced only {checked} nondegenerate pipelines"

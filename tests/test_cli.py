@@ -391,7 +391,7 @@ def test_run_and_qrun_build_no_permutation_at_width_cap(tmp_path, capsys, monkey
     ids=["identity5", "identity6", "wide"],
 )
 def test_verify_builds_no_permutation(tmp_path, capsys, monkeypatch, widths, fns, cap, layers):
-    # the order comes from the polycyclic layers, the relators from tableau products
+    # the order comes from the spun layers, the relators from word tables
     def refuse(*args, **kwargs):
         raise AssertionError("a 2^W permutation or the closure was built")
 
@@ -442,6 +442,26 @@ def test_verify_default_cap_stops_six_steps(tmp_path, capsys):
     assert main(["verify", _write(tmp_path, doc), "--json", str(report_path)]) == 2
     assert capsys.readouterr().err == "error: group closure exceeds the cap of 1000000 elements\n"
     assert not report_path.exists()
+
+
+def test_verify_cap_bounds_the_work_at_the_width_cap(tmp_path, capsys, monkeypatch):
+    # the 19-step identity group at W = 20 has 2^190 elements: spinning stops
+    # in layer 5, once 2^21 passes the default cap, and never gathers the
+    # wide tables of the later layers (layer j has 2^(j + 1) entries)
+    sizes = []
+    vector = permgroup._vector
+
+    def spy(table, width):
+        sizes.append(len(table))
+        return vector(table, width)
+
+    monkeypatch.setattr(permgroup, "_vector", spy)
+    doc = {"format_version": 1, "registers": [1] * 20, "functions": [{"table": ["0", "1"]}] * 19}
+    report_path = tmp_path / "report.json"
+    assert main(["verify", _write(tmp_path, doc), "--json", str(report_path)]) == 2
+    assert capsys.readouterr() == ("", "error: group closure exceeds the cap of 1000000 elements\n")
+    assert not report_path.exists()
+    assert max(sizes) == 1 << 6
 
 
 @pytest.mark.parametrize("cap", [63, 64])

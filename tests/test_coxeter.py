@@ -387,7 +387,7 @@ def test_verify_two_step_confirmed(two_step_id):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_identity_pipeline_order(n):
     # the n-step 1-bit identity group is unitriangular: order 2^(n(n+1)/2),
-    # read from the polycyclic layers without listing the group (n = 8 has 2^36 elements)
+    # read from the spun layers without listing the group (n = 8 has 2^36 elements)
     report = verify_pipeline(PipelineSpec((1,) * (n + 1), (ID1,) * n), coset_cap=1000, element_cap=1 << 36)
     assert report.concrete_order == 2 ** (n * (n + 1) // 2)
     assert report.layer_dimensions == tuple(range(1, n + 1))

@@ -63,14 +63,14 @@ def test_layout_pack_unpack():
 def test_lift_identity_mapping():
     # y flips exactly when x = 1; states packed with x least significant
     one_step = PipelineSpec((1, 1), (ID1,))
-    assert word_tableau(one_step, (0,)).tables == ((0, 1),)
+    assert word_tableau(one_step, (0,)) == ((0, 1),)
     assert [word_action(one_step, (0,))(s) for s in range(4)] == [0, 3, 2, 1]
     assert step_perm(one_step, 0).mapping == (0, 3, 2, 1)
 
 
 def test_lift_constant_zero_is_identity():
     zero_step = PipelineSpec((1, 1), (zero_fn(1, 1),))
-    assert word_tableau(zero_step, (0,)).tables == (None,)
+    assert word_tableau(zero_step, (0,)) == (None,)
     assert [word_action(zero_step, (0,))(s) for s in range(4)] == [0, 1, 2, 3]
 
 
@@ -78,8 +78,7 @@ def test_lift_constant_zero_is_identity():
 @settings(max_examples=100)
 def test_lift_is_involution(a, b, seed):
     one_step = PipelineSpec((a, b), (random_fn(a, b, seed),))
-    t = word_tableau(one_step, (0,))
-    assert not any((t * t).tables)
+    assert not any(word_tableau(one_step, (0, 0)))
     assert all(word_action(one_step, (0, 0))(s) == s for s in range(1 << (a + b)))
 
 
@@ -120,9 +119,7 @@ def test_step_involution_touches_only_its_registers(seed, step):
 def test_step_involutions_square_to_identity(seed):
     pipeline = random_pipeline(seed, steps=2, max_width=3)
     for i in (0, 1):
-        t = word_tableau(pipeline, (i,))
-        assert not any((t * t).tables)
-        assert word_tableau(pipeline, (i, i)).tables == (None, None)
+        assert word_tableau(pipeline, (i, i)) == (None, None)
         assert all(word_action(pipeline, (i, i))(s) == s for s in range(1 << pipeline.total_width))
 
 

@@ -1,6 +1,5 @@
 import json
 from collections import Counter
-from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -21,7 +20,7 @@ from involift.permgroup import (
     ClosureCapExceeded,
     closure,
     element_order_histogram,
-    polycyclic_layers,
+    layer_dimensions,
     word_tableau,
 )
 from involift.rng import SplitMix64
@@ -47,12 +46,6 @@ seeds = st.integers(0, 2**64 - 1)
 
 def _two_step_gens(pipeline):
     return step_perm(pipeline, 0), step_perm(pipeline, 1)
-
-
-def _tables(tableau):
-    """A tableau's tables as tuples (None for an all-zero table), the form
-    :func:`conftest.perm_tables` gives."""
-    return tuple(None if t is None else tuple(t) for t in tableau.tables)
 
 
 ONE_ZERO_STEP = PipelineSpec((1, 1), (zero_fn(1, 1),))
@@ -128,7 +121,7 @@ def test_perm_order_lcm_of_cycles():
 def test_closure_two_step_identity(two_step_id):
     grp = closure(two_step_id)
     assert len(grp) == 8
-    assert not any(grp.elements[0].tables)
+    assert not any(grp.elements[0])
     assert grp.words[0] == ()
 
 
@@ -141,7 +134,7 @@ def test_closure_degenerate_two_elements(two_step_zero_first):
     s1, s2 = _two_step_gens(two_step_zero_first)
     grp = closure(two_step_zero_first)
     assert len(grp) == 2
-    assert {_tables(e) for e in grp.elements} == {
+    assert set(grp.elements) == {
         perm_tables(perm_identity(3), two_step_zero_first),
         perm_tables(s2, two_step_zero_first),
     }
@@ -160,7 +153,7 @@ def _tableau_image(tableau, pipeline, s):
     image is register j of s XOR T_j at the lower registers of s."""
     offsets = pipeline.offsets
     image = s
-    for j, t in enumerate(tableau.tables, start=1):
+    for j, t in enumerate(tableau, start=1):
         if t is not None:
             image ^= t[s & ((1 << offsets[j]) - 1)] << offsets[j]
     return image
@@ -229,7 +222,7 @@ def test_words_are_minimal_and_evaluate_back(two_step_id):
     lengths = [len(w) for w in grp.words]
     assert lengths == sorted(lengths)  # BFS discovery order
     for e in range(len(grp)):
-        assert perm_tables(evaluate_word(gens, grp.words[e]), two_step_id) == _tables(grp.elements[e])
+        assert perm_tables(evaluate_word(gens, grp.words[e]), two_step_id) == grp.elements[e]
 
 
 def test_words_match_brute_force_enumeration(three_step_id):
@@ -249,7 +242,7 @@ def test_words_match_brute_force_enumeration(three_step_id):
                     expected[tables] = word
             length += 1
         for e, element in enumerate(grp.elements):
-            assert grp.words[e] == expected[_tables(element)]
+            assert grp.words[e] == expected[element]
 
 
 def test_shortest_word_tie_break(two_step_id):
@@ -258,7 +251,7 @@ def test_shortest_word_tie_break(two_step_id):
     s21 = perm_compose(s2, s1)
     s21_sq = perm_tables(perm_compose(s21, s21), two_step_id)
     # (f2 f1)^2 equals (f1 f2)^2; the lexicographically smaller word wins
-    assert grp.words[[_tables(e) for e in grp.elements].index(s21_sq)] == (0, 1, 0, 1)
+    assert grp.words[grp.elements.index(s21_sq)] == (0, 1, 0, 1)
     assert grp.words[0] == ()
 
 
@@ -339,7 +332,7 @@ def test_two_step_closure_matches_closed_forms(rule_perm):
             continue
         grp = closure(pipeline)
         expected = {perm_tables(rule_perm(pipeline, rule), pipeline) for rule in make_rules()}
-        assert {_tables(e) for e in grp.elements} == expected
+        assert set(grp.elements) == expected
         checked += 1
     assert checked >= 10
 
@@ -451,7 +444,7 @@ def test_closure_matches_reference(seed, steps, kinds):
     assert group.parents == reference.parents
     assert group.cayley == reference.cayley
     assert len(group.left) == steps
-    assert [_tables(e) for e in group.elements] == [perm_tables(p, pipeline) for p in reference.elements]
+    assert list(group.elements) == [perm_tables(p, pipeline) for p in reference.elements]
 
 
 @given(
@@ -467,7 +460,7 @@ def test_tableau_order_matches_closure(seed, steps, kinds, data):
     pipeline = _kinded_pipeline(seed, steps, kinds)
     gens = step_perms(pipeline)
     group = closure(pipeline)
-    layers = polycyclic_layers(pipeline)
+    layers = layer_dimensions(pipeline)
     assert len(layers) == steps
     assert 1 << sum(layers) == len(group)
     # layer j counts the factor N_j / N_{j+1}, N_j the elements fixing registers 0..j-1
@@ -475,26 +468,60 @@ def test_tableau_order_matches_closure(seed, steps, kinds, data):
     elements = reference_closure(gens).elements
     fixing = [sum(all(e(x) & ((1 << bound) - 1) == x for x in range(1 << bound)) for e in elements) for bound in bounds]
     assert [fixing[j] // fixing[j + 1] for j in range(steps)] == [1 << d for d in layers]
-    # products and inverses agree with the permutations they stand for
-    tableaux = [word_tableau(pipeline, (s,)) for s in range(steps)]
-    assert [_tables(g) for g in tableaux] == [perm_tables(g, pipeline) for g in gens]
+    # the tables of words agree with the permutations they stand for
+    assert [word_tableau(pipeline, (s,)) for s in range(steps)] == [perm_tables(g, pipeline) for g in gens]
     words = st.lists(st.integers(0, steps - 1), min_size=1, max_size=10)
     left, right = ([0], list(range(steps))) if data is None else (data.draw(words), data.draw(words))
-    a, b = (reduce(lambda x, y: x * y, (tableaux[s] for s in w)) for w in (left, right))
-    assert _tables(a * b) == perm_tables(evaluate_word(gens, left + right), pipeline)
-    assert _tables(word_tableau(pipeline, left + right)) == _tables(a * b)
+    assert word_tableau(pipeline, left + right) == perm_tables(evaluate_word(gens, left + right), pipeline)
     # the generators are involutions, so the reversed word is the inverse
-    assert _tables(b.inverse()) == perm_tables(evaluate_word(gens, right[::-1]), pipeline)
-    assert _tables(a * b.inverse()) == perm_tables(evaluate_word(gens, left + right[::-1]), pipeline)
-    assert not any((b * b.inverse()).tables)
-    assert any(b.tables) != perm_is_identity(evaluate_word(gens, right))
+    assert word_tableau(pipeline, right[::-1]) == perm_tables(evaluate_word(gens, right[::-1]), pipeline)
+    assert any(word_tableau(pipeline, right)) != perm_is_identity(evaluate_word(gens, right))
 
 
 def test_identity_pipeline_layers():
     # the n-step 1-bit identity group is unitriangular: layer j has dimension j
-    for n in range(2, 9):
+    for n in range(2, 13):
         pipeline = PipelineSpec((1,) * (n + 1), (ID1,) * n)
-        assert polycyclic_layers(pipeline, element_cap=1 << 36) == tuple(range(1, n + 1))
+        assert layer_dimensions(pipeline, element_cap=1 << 78) == tuple(range(1, n + 1))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_layer_dimensions_meet_the_proved_bound(n):
+    # G_{j-1} fixes phi_j, so phi_j has at most [G_j : G_{j-1}] = 2^(dim V_{j-1})
+    # images: dim V_0 <= 1 and dim V_j <= 2^(dim V_{j-1}), so |G| <= 128 for
+    # n = 3.  A layer reads only the steps up to its own, so the layers of
+    # each prefix extend those of the shorter one; the walk stops at the
+    # prefix whose group passes 2^64 elements.
+    for seed in range(30):
+        pipeline = random_pipeline(600 + seed, steps=n, max_width=3 if n <= 4 else 2)
+        layers = ()
+        for k in range(1, n + 1):
+            prefix = PipelineSpec(pipeline.widths[: k + 1], pipeline.steps[:k])
+            try:
+                longer = layer_dimensions(prefix, element_cap=1 << 64)
+            except ClosureCapExceeded:
+                break
+            assert longer[:-1] == layers
+            layers = longer
+        assert layers[0] <= 1 and all(b <= 1 << a for a, b in zip(layers, layers[1:])), layers
+        if n == 3:
+            assert 1 << sum(layers) <= 128
+
+
+def test_zero_steps_move_no_table(monkeypatch):
+    # 18 zero steps and one identity step at W = 20: the zero steps are
+    # skipped as moves, so the last layer's 2^19-entry table is formed once
+    sizes = []
+    vector = permgroup._vector
+
+    def spy(table, width):
+        sizes.append(len(table))
+        return vector(table, width)
+
+    monkeypatch.setattr(permgroup, "_vector", spy)
+    pipeline = PipelineSpec((1,) * 20, (zero_fn(1, 1),) * 18 + (ID1,))
+    assert layer_dimensions(pipeline) == (0,) * 18 + (1,)
+    assert sizes.count(1 << 19) == 1
 
 
 @pytest.mark.parametrize("cap, raises", [(63, True), (64, False)])
@@ -503,11 +530,11 @@ def test_polycyclic_cap_is_the_order(cap, raises):
     pipeline = PipelineSpec((1,) * 4, (ID1,) * 3)
     if raises:
         with pytest.raises(ClosureCapExceeded, match=f"the cap of {cap} elements"):
-            polycyclic_layers(pipeline, element_cap=cap)
+            layer_dimensions(pipeline, element_cap=cap)
     else:
-        assert polycyclic_layers(pipeline, element_cap=cap) == (1, 2, 3)
+        assert layer_dimensions(pipeline, element_cap=cap) == (1, 2, 3)
     with pytest.raises(ValueError, match="element_cap must be >= 1"):
-        polycyclic_layers(pipeline, element_cap=0)
+        layer_dimensions(pipeline, element_cap=0)
 
 
 @pytest.mark.parametrize("high_only", [False, True])
@@ -522,13 +549,13 @@ def test_tableau_order_with_registers_wider_than_a_byte(widths, high_only):
             f = BoolFunc(f.arity_in, f.arity_out, tuple((v | 256) & ~255 for v in f.table))
         fns.append(f)
     pipeline = PipelineSpec(widths, tuple(fns))
-    assert 1 << sum(polycyclic_layers(pipeline)) == len(closure(pipeline))
+    assert 1 << sum(layer_dimensions(pipeline)) == len(closure(pipeline))
 
 
 def _in_normal_form(tableau):
     """Every table None or nonzero: the form that makes equal elements have
     equal tables."""
-    return all(t is None or any(t) for t in tableau.tables)
+    return all(t is None or any(t) for t in tableau)
 
 
 @given(
@@ -549,15 +576,10 @@ def test_every_operation_keeps_the_normal_form(seed, steps, kinds, data):
     # back to zero by the XOR must come out None
     words = st.lists(st.integers(0, steps - 1), max_size=12)
     u, v = (list(range(steps)), [steps - 1, 0] * 3) if data is None else (data.draw(words), data.draw(words))
-    a, b = word_tableau(pipeline, u), word_tableau(pipeline, v)
-    assert all(t is None for t in word_tableau(pipeline, u + u[::-1]).tables)
-    generators = [word_tableau(pipeline, (s,)) for s in range(steps)]
-    for x in (a, b, *generators):
-        for y in (a, b, x, x.inverse(), *generators):
-            assert _in_normal_form(x * y)
-        assert _in_normal_form(x.inverse())
-    assert all(t is None for t in (a * a.inverse()).tables)
-    assert all(t is None for g in generators for t in (g * g).tables)
+    assert all(t is None for t in word_tableau(pipeline, u + u[::-1]))
+    for word in (u, v, u + v, v + u[::-1], *([s] for s in range(steps))):
+        assert _in_normal_form(word_tableau(pipeline, word))
+    assert all(t is None for s in range(steps) for t in word_tableau(pipeline, (s, s)))
 
 
 def _reference_is_dihedral_8(reference):

@@ -244,7 +244,7 @@ def test_representation_product_rule(two_step_id):
 
 def test_representation_identity_element(two_step_id):
     group = closure(two_step_id)
-    assert not any(group.elements[0].tables) and group.words[0] == ()
+    assert not any(group.elements[0]) and group.words[0] == ()
     for seed in range(5):
         state = random_state(3, seed)
         assert apply_steps(two_step_id, group.words[0], state) == state
