@@ -4,13 +4,14 @@ This is the only module that touches files, and the only one that names
 the steps f1..fn (the package numbers them from 0) and writes defect text.
 Pipeline documents are strict JSON (unknown fields rejected) with
 case-insensitive hex truth tables; reports are exactly
-``json.dumps(report, indent=2, sort_keys=True)`` plus a newline, written by
-:func:`_json_chunks` at C-encoder speed, so identical invocations produce
-byte-identical files.  Exit status: 0 on success, 1 on validation or usage
-errors or a failed internal check, 2 when a computation hit a configured
-cap (group elements, cosets), ran out of memory, or when ``verify`` cannot
-reach the abstract order: a claim of three or more steps is an infinite
-Coxeter group, so it exits 2 with no cap involved.
+``json.dumps(report, indent=2, sort_keys=True)`` plus a newline, written
+piece by piece by :func:`_json_chunks` without ``json``'s pure-Python
+encoder, so identical invocations produce byte-identical files.  Exit
+status: 0 on success, 1 on validation or usage errors or a failed internal
+check, 2 when a computation hit a configured cap (group elements, cosets),
+ran out of memory, or when ``verify`` cannot reach the abstract order: a
+claim of three or more steps is an infinite Coxeter group, so it exits 2
+with no cap involved.
 
 :func:`main` can be called repeatedly in one process: the first call builds
 the argument parser (about 1 ms) and later calls only parse their
@@ -26,6 +27,7 @@ import re
 import sys
 from functools import cache
 from itertools import combinations
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -279,7 +281,7 @@ def _cmd_group(args, pipeline: PipelineSpec):
         "dihedral_8": dihedral,
     }
     if args.cayley:
-        results["cayley"] = group.cayley
+        results["cayley"] = _IndexTable(group.cayley)
         results["words"] = [_render_word(w) for w in group.words]
     return 0, results
 
@@ -414,6 +416,12 @@ _SCALARS = {str, int, float, bool, type(None)}
 _encode = json.JSONEncoder().encode
 
 
+class _IndexTable(tuple):
+    """A table whose rows hold only indices into the table, as a Cayley
+    table's do (wrapping copies the outer tuple only): :func:`_json_chunks`
+    writes its entries from decimals it builds once per table."""
+
+
 @cache
 def _flat_list_encoder(inner: str):
     """Encodes a list of scalars with each item on its own line at ``inner``."""
@@ -424,12 +432,14 @@ def _json_chunks(value: object, indent: str = ""):
     """Yields ``json.dumps(value, indent=2, sort_keys=True)`` piece by piece,
     byte for byte, for dicts with str keys, lists, tuples and scalars.  Any
     ``indent`` sends ``json`` to its pure-Python encoder, one generator step
-    per item, so containers are walked here and every list of scalars (each
-    Cayley row) goes through the C encoder in one call.  The pieces go
-    straight to the report file, so no report is held whole in memory: the
-    13.7 MB ``--cayley`` report of the 4-step identity pipeline costs no
-    13.7 MB strings, and peak memory does not depend on where the allocator
-    left those of an earlier report."""
+    per item, so containers are walked here and every other list of scalars
+    goes through the C encoder in one call.  An :class:`_IndexTable` (the
+    Cayley table) skips the encoder, which formats each int on its own: each
+    row is one join of decimal strings built once per table.  The pieces go
+    straight to the report file, one row at most, so no report is held
+    whole in memory: the 13.7 MB ``--cayley`` report of the 4-step identity
+    pipeline costs no 13.7 MB strings, and peak memory does not depend on
+    where the allocator left those of an earlier report."""
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
@@ -444,6 +454,18 @@ def _json_chunks(value: object, indent: str = ""):
     elif isinstance(value, (list, tuple)):
         if not value:
             yield "[]"
+        elif isinstance(value, _IndexTable):
+            # a 1-entry row (|G| = 1) gets the str "0" back from itemgetter,
+            # which join passes through unchanged
+            decimals = tuple(map(str, range(len(value))))
+            row_inner = inner + "  "
+            head, joiner, tail = "[\n" + row_inner, ",\n" + row_inner, "\n" + inner + "]"
+            sep = "[\n" + inner
+            for row in value:
+                yield sep
+                yield head + joiner.join(itemgetter(*row)(decimals)) + tail
+                sep = ",\n" + inner
+            yield "\n" + indent + "]"
         elif set(map(type, value)) <= _SCALARS:
             yield "[\n" + inner + _flat_list_encoder(inner)(value)[1:-1] + "\n" + indent + "]"
         else:

@@ -597,16 +597,26 @@ def test_defects_in_reports(tmp_path, capsys, tables, defects, adjacent):
     assert results["verdict"] == verdict  # verify's report, the last one written
 
 
+# golden file name -> command line; group --cayley has a file of its own beside group's
+_GOLDEN_COMMANDS = {
+    "lift": ["lift"],
+    "group": ["group"],
+    "group_cayley": ["group", "--cayley"],
+    "coxeter": ["coxeter"],
+    "verify": ["verify"],
+    "run": ["run", "--input", "1"],
+}
+
+
 @pytest.mark.parametrize("stem", ["two_step_identity", "two_step_degenerate"])
-@pytest.mark.parametrize(
-    "argv", [["lift"], ["group"], ["coxeter"], ["verify"], ["run", "--input", "1"]], ids=lambda argv: argv[0]
-)
-def test_reports_match_golden(tmp_path, capsys, monkeypatch, stem, argv):
+@pytest.mark.parametrize("name", list(_GOLDEN_COMMANDS))
+def test_reports_match_golden(tmp_path, capsys, monkeypatch, stem, name):
     # relative paths keep the report's command field independent of the directory
     monkeypatch.chdir(tmp_path)
     (tmp_path / f"{stem}.json").write_bytes((PIPELINES / f"{stem}.json").read_bytes())
-    assert main([argv[0], f"{stem}.json", *argv[1:], "--json", "report.json"]) == 0
-    golden = Path(__file__).resolve().parent / "golden" / f"{stem}.{argv[0]}.json"
+    command, *options = _GOLDEN_COMMANDS[name]
+    assert main([command, f"{stem}.json", *options, "--json", "report.json"]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / f"{stem}.{name}.json"
     assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()
 
 
@@ -625,10 +635,18 @@ def test_json_reports_are_byte_identical(tmp_path):
     assert report["results"]["counts"] == {"1": 50}
 
 
+def _one_bit_doc(*tables):
+    return {"format_version": 1, "registers": [1] * (len(tables) + 1), "functions": [{"table": t} for t in tables]}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["group", "three_step_identity.json", "--cayley"],
+        # Cayley tables of |G| = 1 (one 1-entry row), 2 and 1024 (four-digit indices)
+        ["group", _one_bit_doc(["0", "0"]), "--cayley"],
+        ["group", _one_bit_doc(["1", "1"]), "--cayley"],
+        ["group", _one_bit_doc(*[["0", "1"]] * 4), "--cayley"],
         ["lift", "two_step_identity.json"],
         ["coxeter", "two_step_identity.json"],
         ["verify", "two_step_identity.json"],
@@ -636,13 +654,15 @@ def test_json_reports_are_byte_identical(tmp_path):
         ["qrun", "two_step_identity.json", "--word", "f", "g", "--input", "0", "0", "0",
          "--superpose", "0", "--measure", "2", "--shots", "20"],
     ],
-    ids=["group_cayley", "lift", "coxeter", "verify", "run", "qrun"],
+    ids=["group_cayley", "group_cayley_order_1", "group_cayley_order_2", "group_cayley_four_step_identity",
+         "lift", "coxeter", "verify", "run", "qrun"],
 )
 def test_report_is_indented_sorted_json(tmp_path, argv):
     # the report form is pinned to the json module's, so any JSON tool can rebuild a fixture
     report_path = tmp_path / "report.json"
-    command, name, *options = argv
-    assert main([command, str(PIPELINES / name), *options, "--json", str(report_path)]) == 0
+    command, pipeline, *options = argv
+    path = _write(tmp_path, pipeline) if isinstance(pipeline, dict) else str(PIPELINES / pipeline)
+    assert main([command, path, *options, "--json", str(report_path)]) == 0
     written = report_path.read_bytes()
     assert written == (json.dumps(json.loads(written), indent=2, sort_keys=True) + "\n").encode()
 
@@ -651,11 +671,15 @@ def test_cayley_report_is_written_row_by_row():
     # a report never exists as one string: the largest piece of a --cayley
     # report is one row of its table, so the writer's memory stays flat
     spec = parse_pipeline((PIPELINES / "three_step_identity.json").read_bytes())
-    group = permgroup.closure(spec)
-    pieces = list(_json_chunks({"results": {"cayley": group.cayley, "words": group.words}}))
-    row = "".join(_json_chunks(group.cayley[-1], "      "))
-    assert len(group) == 64 and max(map(len, pieces)) == len(row)
-    assert len(pieces) > 2 * len(group)
+    args = argparse.Namespace(cayley=True, element_cap=permgroup.DEFAULT_ELEMENT_CAP)
+    results = cli._cmd_group(args, spec)[1]
+    assert isinstance(results["cayley"], cli._IndexTable)  # the path group --cayley writes
+    pieces = list(_json_chunks({"results": results}))
+    cayley = tuple(results["cayley"])
+    row = "".join(_json_chunks(cayley[-1], "      "))
+    assert len(cayley) == 64 and max(map(len, pieces)) == len(row)
+    assert len(pieces) > 2 * len(cayley)
+    assert "".join(pieces) == json.dumps({"results": results}, indent=2, sort_keys=True)
 
 
 def _nested(depth):
