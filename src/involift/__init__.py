@@ -3,8 +3,8 @@ shared register space, enumerate the group those involutions generate as
 tableaux, test it against its claimed Coxeter matrix, and apply the
 induced unitaries to sparse qubit-register states.  The test reads the
 concrete order from modules spun from the step tables and checks every
-claimed relator as a tableau; coset enumeration runs only on the finite
-one- and two-step claims."""
+claimed relator as a tableau; the abstract order is read from the claimed
+matrix in closed form."""
 
 __version__ = "0.1.0"
 
@@ -31,16 +31,13 @@ from .permgroup import (
     layer_dimensions,
 )
 from .coxeter import (
-    BOUND_EXCEEDED,
     CONFIRMED,
     CoxeterMatrix,
-    DEFAULT_COSET_CAP,
     DEGENERATE,
     PROPER_QUOTIENT,
     VerificationReport,
     check_relations,
     claimed_coxeter_matrix,
-    todd_coxeter,
     verify_pipeline,
 )
 from .quantum import (

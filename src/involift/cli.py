@@ -8,10 +8,8 @@ case-insensitive hex truth tables; reports are exactly
 piece by piece by :func:`_json_chunks` without ``json``'s pure-Python
 encoder, so identical invocations produce byte-identical files.  Exit
 status: 0 on success, 1 on validation or usage errors or a failed internal
-check, 2 when a computation hit a configured cap (group elements, cosets),
-ran out of memory, or when ``verify`` cannot reach the abstract order: a
-claim of three or more steps is an infinite Coxeter group, so it exits 2
-with no cap involved.
+check, 2 when a computation hit the group element cap or ran out of
+memory.
 
 :func:`main` can be called repeatedly in one process: the first call builds
 the argument parser (about 1 ms) and later calls only parse their
@@ -33,13 +31,7 @@ from typing import Sequence
 
 from . import __version__
 from .boolfn import BoolFunc
-from .coxeter import (
-    BOUND_EXCEEDED,
-    DEFAULT_COSET_CAP,
-    CoxeterMatrix,
-    claimed_coxeter_matrix,
-    verify_pipeline,
-)
+from .coxeter import CoxeterMatrix, claimed_coxeter_matrix, verify_pipeline
 from .lifting import (
     DEFAULT_WIDTH_CAP,
     LiftingCheckFailed,
@@ -317,16 +309,13 @@ def _cmd_verify(args, pipeline: PipelineSpec):
     relator is reported as holding: :func:`verify_pipeline` returns only when
     all of them hold on the lifted steps, and raises LiftingCheckFailed
     (exit 1) otherwise."""
-    report = verify_pipeline(pipeline, coset_cap=args.coset_cap, element_cap=args.element_cap)
+    report = verify_pipeline(pipeline, element_cap=args.element_cap)
     # verify_pipeline returned, so every claimed relator holds
     relators = claimed_coxeter_matrix(pipeline.n_steps).relators
     defects = _defects(pipeline)
     print(f"relations: {len(relators)}/{len(relators)} hold")
     print(f"concrete group order: {report.concrete_order}")
-    if report.abstract_order is None:
-        print(f"abstract group order: not reached within {args.coset_cap} cosets")
-    else:
-        print(f"abstract group order: {report.abstract_order}")
+    print(f"abstract group order: {'infinite' if report.abstract_order is None else report.abstract_order}")
     print(f"verdict: {report.verdict}")
     if report.verdict == "CONFIRMED":
         print(
@@ -341,13 +330,12 @@ def _cmd_verify(args, pipeline: PipelineSpec):
         "concrete_order": report.concrete_order,
         "layer_dimensions": list(report.layer_dimensions),
         "abstract_order": report.abstract_order,
-        "coset_cap": args.coset_cap,
         "relations": [{"relator": _render_word(w), "holds": True} for w in relators],
         "product_orders": product_orders(pipeline),
         "defects": defects,
         "isomorphism_established": report.isomorphism_established,
     }
-    return (2 if report.verdict == BOUND_EXCEEDED else 0), results
+    return 0, results
 
 
 def _cmd_run(args, pipeline: PipelineSpec):
@@ -516,7 +504,6 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_coxeter)
 
     p = sub.add_parser("verify", parents=[common], help="test the claimed presentation against the group")
-    p.add_argument("--coset-cap", type=int, default=DEFAULT_COSET_CAP, metavar="N")
     p.add_argument("--element-cap", type=int, default=DEFAULT_ELEMENT_CAP, metavar="N")
     p.set_defaults(handler=_cmd_verify)
 

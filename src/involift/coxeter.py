@@ -1,5 +1,5 @@
-"""The claimed Coxeter matrix, coset enumeration, and the verifier for the
-groups generated by lifted pipeline steps.
+"""The claimed Coxeter matrix and the verifier for the groups generated by
+lifted pipeline steps.
 
 An n-step lifting is expected to satisfy the relations of the Coxeter
 system whose matrix has 1 on the diagonal, 4 between neighbouring steps,
@@ -10,15 +10,15 @@ concrete order comes from the modules spun from the step tables
 (:func:`involift.permgroup.layer_dimensions`), every relator is evaluated
 as a tableau (:func:`involift.permgroup.word_tableau`), which in its normal
 form is the identity exactly when every table is ``None``, and the
-abstract group is decided independently: infinite from three steps on (the
-matrix contains affine C~2), otherwise of the order found by coset
-enumeration.  A step whose truth table is all zero lifts to the identity,
-which makes the generators degenerate; the empirical matrix is read from
-the truth tables (:func:`involift.lifting.product_orders`) by the command
-line, and no permutation is built.  The verifier returns only when every
-relator holds, so its report carries only what can vary: the verdict, the
-layer dimensions and the abstract order.
-"""
+abstract order is a theorem about the claimed matrix, which depends on n
+alone: 2 for one step, 8 for two, infinite from three steps on (the
+matrix contains affine C~2).  A step whose truth table is all zero lifts
+to the identity, which makes the generators degenerate; the empirical
+matrix is read from the truth tables
+(:func:`involift.lifting.product_orders`) by the command line, and no
+permutation is built.  The verifier returns only when every relator
+holds, so its report carries only what can vary: the verdict, the layer
+dimensions and the abstract order."""
 
 from __future__ import annotations
 
@@ -28,11 +28,8 @@ from itertools import combinations
 from .lifting import LiftingCheckFailed, PipelineSpec
 from .permgroup import DEFAULT_ELEMENT_CAP, layer_dimensions, word_tableau
 
-DEFAULT_COSET_CAP = 100_000
-
 CONFIRMED = "CONFIRMED"
 PROPER_QUOTIENT = "PROPER_QUOTIENT"
-BOUND_EXCEEDED = "BOUND_EXCEEDED"
 DEGENERATE = "DEGENERATE"
 
 
@@ -97,128 +94,6 @@ def check_relations(pipeline: PipelineSpec, relators) -> tuple[bool, ...]:
     return tuple(all(t is None for t in word_tableau(pipeline, word)) for word in relators)
 
 
-class _CosetBoundExceeded(Exception):
-    pass
-
-
-def todd_coxeter(generator_count: int, relators, coset_cap: int = DEFAULT_COSET_CAP) -> int | None:
-    """Order of the group on generators 0..generator_count-1 subject to the
-    relator words (words of generator indices, no inverse symbols), by
-    HLT-style coset enumeration over the trivial subgroup, or None when more
-    than ``coset_cap`` cosets would be needed.
-
-    Deterministic by construction: cosets are scanned in creation order,
-    relators in the given order, and the remaining row entries are then
-    filled column by column (generator columns before inverse columns).
-    Coincidences are resolved through a union-find table: the smaller coset
-    index survives, the dead row's entries are replayed onto the survivor,
-    and induced coincidences are processed from a stack until none remain;
-    stale table entries are chased through the union-find on every read.
-    The cap counts every coset ever defined; rows abandoned by coincidence
-    are not reused, so a group of order <= coset_cap whose enumeration
-    passes through more than coset_cap intermediate cosets also reports the
-    bound as exceeded.
-    """
-    if coset_cap < 1:
-        raise ValueError("coset_cap must be >= 1")
-    n = generator_count
-    ncols = 2 * n  # column g follows generator g, column n + g its inverse
-
-    table: list[list[int | None]] = [[None] * ncols]
-    parent = [0]
-    live = 1
-
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    def define(c: int, col: int) -> int:
-        nonlocal live
-        if len(table) >= coset_cap:
-            raise _CosetBoundExceeded
-        d = len(table)
-        table.append([None] * ncols)
-        parent.append(d)
-        table[c][col] = d
-        table[d][col + n if col < n else col - n] = c
-        live += 1
-        return d
-
-    def merge(c1: int, c2: int) -> None:
-        nonlocal live
-        stack = [(c1, c2)]
-        while stack:
-            a, b = stack.pop()
-            a, b = find(a), find(b)
-            if a == b:
-                continue
-            if a > b:
-                a, b = b, a
-            parent[b] = a
-            live -= 1
-            row_a = table[a]
-            for col, d in enumerate(table[b]):
-                if d is None:
-                    continue
-                e = row_a[col]
-                if e is None:
-                    row_a[col] = d
-                else:
-                    stack.append((d, e))
-
-    def scan_and_fill(alpha: int, word: tuple[int, ...]) -> None:
-        f = alpha
-        i = 0
-        b = alpha
-        r = len(word) - 1
-        while True:
-            while i <= r:
-                nxt = table[f][word[i]]
-                if nxt is None:
-                    break
-                f = find(nxt)
-                i += 1
-            if i > r:
-                if f != b:
-                    merge(f, b)
-                return
-            while r >= i:
-                nxt = table[b][word[r] + n]
-                if nxt is None:
-                    break
-                b = find(nxt)
-                r -= 1
-            if r < i:
-                merge(f, b)
-                return
-            if r == i:
-                # one gap left: deduce the entry instead of defining a coset
-                table[f][word[i]] = b
-                table[b][word[i] + n] = f
-                return
-            define(f, word[i])
-
-    try:
-        alpha = 0
-        while alpha < len(table):
-            if find(alpha) == alpha:
-                for word in relators:
-                    scan_and_fill(alpha, word)
-                    if find(alpha) != alpha:
-                        break
-                if find(alpha) == alpha:
-                    row = table[alpha]
-                    for col in range(ncols):
-                        if row[col] is None:
-                            define(alpha, col)
-            alpha += 1
-    except _CosetBoundExceeded:
-        return None
-    return live
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of comparing a concrete lifted group with the Coxeter group
@@ -227,18 +102,17 @@ class VerificationReport:
     A report exists only when every claimed relation holds on the lifted
     steps (:func:`verify_pipeline` raises otherwise), and holding relations
     give a surjection from the abstract group onto the concrete one.
-    CONFIRMED means coset enumeration closed with exactly the concrete
+    CONFIRMED means the abstract group is finite of exactly the concrete
     order, so that surjection is an isomorphism.  PROPER_QUOTIENT means the
-    abstract group is strictly larger.  BOUND_EXCEEDED means enumeration
-    hit the coset cap before closing, or the claim has three or more steps,
-    so the abstract group is infinite, no cap suffices and enumeration is
-    skipped (``abstract_order`` is None either way).  DEGENERATE means a
+    abstract group is strictly larger: of a larger finite order, or
+    infinite, as every claim of three or more steps is.  DEGENERATE means a
     step's truth table is all zero, so the lifted generators are not
     pairwise-distinct involutions and no Coxeter claim applies (the
     computed orders are still reported).  ``layer_dimensions`` holds the
     dimension of each factor of the concrete group's normal series, one
     per register 1..n, and the concrete order is 2 to the power of their
-    sum.
+    sum.  ``abstract_order`` is the order of the claimed Coxeter group,
+    None when it is infinite.
     """
 
     verdict: str
@@ -249,7 +123,7 @@ class VerificationReport:
         if self.verdict == CONFIRMED and self.abstract_order != self.concrete_order:
             raise ValueError("CONFIRMED requires matching orders")
         if self.verdict == PROPER_QUOTIENT and not (
-            self.abstract_order is not None and self.abstract_order > self.concrete_order
+            self.abstract_order is None or self.abstract_order > self.concrete_order
         ):
             raise ValueError("PROPER_QUOTIENT requires a strictly larger abstract group")
 
@@ -267,41 +141,33 @@ class VerificationReport:
         return self.verdict == CONFIRMED
 
 
-def verify_pipeline(
-    pipeline: PipelineSpec,
-    coset_cap: int = DEFAULT_COSET_CAP,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
-) -> VerificationReport:
+def verify_pipeline(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> VerificationReport:
     """Lift the pipeline and test the claim that its group is the Coxeter
     group of ``claimed_coxeter_matrix(n)``.
 
     Reads the concrete order from the layer dimensions spun from the step
     tables, walks every claimed relator on the step tables (a failing one
-    raises :class:`involift.lifting.LiftingCheckFailed`), runs coset
-    enumeration on the relators when the claimed group is finite (one or two
-    steps; otherwise no cap would be reached), and classifies the outcome
-    (see :class:`VerificationReport`).  No element is listed and no 2^W
-    permutation is built.  A group of more than ``element_cap`` elements
-    propagates as :class:`involift.permgroup.ClosureCapExceeded`, raised as
-    soon as the spun layers prove the order too large.
+    raises :class:`involift.lifting.LiftingCheckFailed`), takes the order of
+    the claimed group from its closed form (2, 8, or infinite from three
+    steps on), and classifies the outcome (see :class:`VerificationReport`).
+    No element is listed and no 2^W permutation is built.  A group of more
+    than ``element_cap`` elements propagates as
+    :class:`involift.permgroup.ClosureCapExceeded`, raised as soon as the
+    spun layers prove the order too large.
     """
-    if coset_cap < 1:
-        raise ValueError("coset_cap must be >= 1")
     n = pipeline.n_steps
     layers = layer_dimensions(pipeline, element_cap)
     relators = claimed_coxeter_matrix(n).relators
     if not all(check_relations(pipeline, relators)):
         raise LiftingCheckFailed("a claimed relation failed on lifted involutions; lifting is broken")
-    # Enumeration over the trivial subgroup closes only on a finite group.
     # The claimed Coxeter graph is a path with every edge labelled 4: n = 1 is
-    # A1 and n = 2 is B2 (order 8), both finite; n = 3 is affine C~2, which is
-    # infinite; for n > 3 the first three generators span C~2 as a parabolic
-    # subgroup (Humphreys 1990, section 5.5), so the group is infinite.
-    abstract = todd_coxeter(n, relators, coset_cap) if n <= 2 else None
+    # A1, of order 2, and n = 2 is B2 = I2(4), the dihedral group of order 8
+    # (|I2(m)| = 2m); n = 3 is affine C~2, which is infinite, and for n > 3
+    # the first three generators span C~2 as a parabolic subgroup (Humphreys
+    # 1990, sections 2.13 and 5.5), so the group is infinite (None).
+    abstract = {1: 2, 2: 8}.get(n)
     if any(f.is_constant_zero for f in pipeline.steps):
         verdict = DEGENERATE
-    elif abstract is None:
-        verdict = BOUND_EXCEEDED
     elif abstract == 1 << sum(layers):
         verdict = CONFIRMED
     else:

@@ -2,7 +2,8 @@
 oracle that builds permutations straight from register-tuple rules,
 reference permutation algebra (identity, lifted steps, composition, order,
 word evaluation, identity test, the closure of arbitrary permutations and
-the tableau of a permutation), the nondegeneracy test of a pipeline read
+the tableau of a permutation), HLT coset enumeration (the oracle for the
+orders of finite Coxeter groups), the nondegeneracy test of a pipeline read
 from its tables, the identity test of a truth table, the norm
 of a state, seeded random states, the per-shot measurement loop,
 identity and constant-zero steps and pipeline documents.
@@ -163,6 +164,128 @@ def perm_tables(perm: Perm, pipeline: PipelineSpec) -> tuple:
         table = tuple((perm(x) >> offsets[j]) & mask for x in range(1 << offsets[j]))
         tables.append(table if any(table) else None)
     return tuple(tables)
+
+
+class _CosetBoundExceeded(Exception):
+    pass
+
+
+def todd_coxeter(generator_count: int, relators, coset_cap: int) -> int | None:
+    """Order of the group on generators 0..generator_count-1 subject to the
+    relator words (words of generator indices, no inverse symbols), by
+    HLT-style coset enumeration over the trivial subgroup, or None when more
+    than ``coset_cap`` cosets would be needed.
+
+    Deterministic by construction: cosets are scanned in creation order,
+    relators in the given order, and the remaining row entries are then
+    filled column by column (generator columns before inverse columns).
+    Coincidences are resolved through a union-find table: the smaller coset
+    index survives, the dead row's entries are replayed onto the survivor,
+    and induced coincidences are processed from a stack until none remain;
+    stale table entries are chased through the union-find on every read.
+    The cap counts every coset ever defined; rows abandoned by coincidence
+    are not reused, so a group of order <= coset_cap whose enumeration
+    passes through more than coset_cap intermediate cosets also reports the
+    bound as exceeded.
+    """
+    if coset_cap < 1:
+        raise ValueError("coset_cap must be >= 1")
+    n = generator_count
+    ncols = 2 * n  # column g follows generator g, column n + g its inverse
+
+    table: list[list[int | None]] = [[None] * ncols]
+    parent = [0]
+    live = 1
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    def define(c: int, col: int) -> int:
+        nonlocal live
+        if len(table) >= coset_cap:
+            raise _CosetBoundExceeded
+        d = len(table)
+        table.append([None] * ncols)
+        parent.append(d)
+        table[c][col] = d
+        table[d][col + n if col < n else col - n] = c
+        live += 1
+        return d
+
+    def merge(c1: int, c2: int) -> None:
+        nonlocal live
+        stack = [(c1, c2)]
+        while stack:
+            a, b = stack.pop()
+            a, b = find(a), find(b)
+            if a == b:
+                continue
+            if a > b:
+                a, b = b, a
+            parent[b] = a
+            live -= 1
+            row_a = table[a]
+            for col, d in enumerate(table[b]):
+                if d is None:
+                    continue
+                e = row_a[col]
+                if e is None:
+                    row_a[col] = d
+                else:
+                    stack.append((d, e))
+
+    def scan_and_fill(alpha: int, word: tuple[int, ...]) -> None:
+        f = alpha
+        i = 0
+        b = alpha
+        r = len(word) - 1
+        while True:
+            while i <= r:
+                nxt = table[f][word[i]]
+                if nxt is None:
+                    break
+                f = find(nxt)
+                i += 1
+            if i > r:
+                if f != b:
+                    merge(f, b)
+                return
+            while r >= i:
+                nxt = table[b][word[r] + n]
+                if nxt is None:
+                    break
+                b = find(nxt)
+                r -= 1
+            if r < i:
+                merge(f, b)
+                return
+            if r == i:
+                # one gap left: deduce the entry instead of defining a coset
+                table[f][word[i]] = b
+                table[b][word[i] + n] = f
+                return
+            define(f, word[i])
+
+    try:
+        alpha = 0
+        while alpha < len(table):
+            if find(alpha) == alpha:
+                for word in relators:
+                    scan_and_fill(alpha, word)
+                    if find(alpha) != alpha:
+                        break
+                if find(alpha) == alpha:
+                    row = table[alpha]
+                    for col in range(ncols):
+                        if row[col] is None:
+                            define(alpha, col)
+            alpha += 1
+    except _CosetBoundExceeded:
+        return None
+    return live
 
 
 SUITE_BASE_SEED = 1000

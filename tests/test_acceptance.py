@@ -14,12 +14,10 @@ import time
 
 from involift.boolfn import random_fn
 from involift.coxeter import (
-    BOUND_EXCEEDED,
     CONFIRMED,
     DEGENERATE,
     PROPER_QUOTIENT,
     claimed_coxeter_matrix,
-    todd_coxeter,
     verify_pipeline,
 )
 from involift.lifting import (
@@ -48,6 +46,7 @@ from conftest import (
     state_norm,
     step_perm,
     step_perms,
+    todd_coxeter,
     zero_fn,
 )
 
@@ -213,19 +212,18 @@ def test_three_step_coxeter_matrix(three_step_id):
 def test_presentation_verification(two_step_id, three_step_id):
     started = time.perf_counter()
     assert todd_coxeter(2, claimed_coxeter_matrix(2).relators, 100_000) == 8
-    report2 = verify_pipeline(two_step_id, coset_cap=100_000)
+    report2 = verify_pipeline(two_step_id)
     assert report2.verdict == CONFIRMED
     assert report2.concrete_order == 8 and report2.abstract_order == 8
     assert time.perf_counter() - started < 1.0
 
     # a report is returned only when every claimed relation holds
-    report3 = verify_pipeline(three_step_id, coset_cap=100_000)
-    assert report3.verdict in {PROPER_QUOTIENT, BOUND_EXCEEDED}
-    assert report3.verdict != CONFIRMED
+    # the claimed three-step group is infinite, so a finite group is a proper quotient
+    report3 = verify_pipeline(three_step_id)
+    assert report3.verdict == PROPER_QUOTIENT
+    assert report3.abstract_order is None
     gens = step_perms(three_step_id)
     assert report3.concrete_order == _germinate(gens)
-    if report3.abstract_order is not None:
-        assert report3.abstract_order > report3.concrete_order
 
 
 @criterion("coset enumeration matches the dihedral family oracle")

@@ -189,7 +189,9 @@ def test_verify_command_confirmed(tmp_path, capsys):
     assert "abstract group order: 8" in out
 
 
-def test_verify_command_bound_exceeded_exit_2(tmp_path, capsys):
+def test_verify_command_infinite_claim_exit_0(tmp_path, capsys):
+    # the claimed group of three or more steps is infinite, so a finite
+    # concrete group that satisfies its relations is a proper quotient
     doc = {
         "format_version": 1,
         "registers": [1, 1, 1, 1],
@@ -197,45 +199,41 @@ def test_verify_command_bound_exceeded_exit_2(tmp_path, capsys):
     }
     path = _write(tmp_path, doc)
     report_path = tmp_path / "report.json"
-    assert main(["verify", path, "--coset-cap", "500", "--json", str(report_path)]) == 2
-    assert "BOUND_EXCEEDED" in capsys.readouterr().out
-    report = json.loads(report_path.read_text())
-    assert report["results"]["verdict"] == "BOUND_EXCEEDED"
-    assert report["results"]["abstract_order"] is None
-    assert report["results"]["concrete_order"] == 64
-    assert report["results"]["coset_cap"] == 500
-
-
-def test_verify_finite_type_tiny_cap_exit_2(tmp_path, capsys, monkeypatch):
-    # the 2-step claim is finite (dihedral of order 8): a cap of 4 cosets is hit by enumeration
-    calls = []
-    enumerate_cosets = coxeter.todd_coxeter
-
-    def spy(generator_count, relators, coset_cap):
-        calls.append(enumerate_cosets(generator_count, relators, coset_cap))
-        return calls[-1]
-
-    monkeypatch.setattr(coxeter, "todd_coxeter", spy)
-    assert main(["verify", _write(tmp_path, P1_DOC), "--coset-cap", "4"]) == 2
-    assert calls == [None]
+    assert main(["verify", path, "--json", str(report_path)]) == 0
     out = capsys.readouterr().out
-    assert "abstract group order: not reached within 4 cosets" in out
-    assert "verdict: BOUND_EXCEEDED" in out
+    assert "abstract group order: infinite\n" in out
+    assert "verdict: PROPER_QUOTIENT\n" in out
+    results = json.loads(report_path.read_text())["results"]
+    assert results["verdict"] == "PROPER_QUOTIENT"
+    assert results["abstract_order"] is None
+    assert results["concrete_order"] == 64
+    assert not results["isomorphism_established"]
+
+
+def test_verify_finite_type_tiny_cap_exit_2(tmp_path, capsys):
+    # the 2-step claim is finite (dihedral of order 8); the only cap verify
+    # applies is the element cap, and 4 elements are too few
+    report_path = tmp_path / "report.json"
+    assert main(["verify", _write(tmp_path, P1_DOC), "--element-cap", "4", "--json", str(report_path)]) == 2
+    assert capsys.readouterr() == ("", "error: group closure exceeds the cap of 4 elements\n")
+    assert not report_path.exists()
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_verify_nonpositive_coset_cap_exit_1(tmp_path, capsys, cap):
+    # verify has no coset cap, so any value of the removed option is a usage error
     doc = {"format_version": 1, "registers": [1, 1, 1, 1], "functions": [{"table": ["0", "1"]}] * 3}
     assert main(["verify", _write(tmp_path, doc), "--coset-cap", cap]) == 1
-    assert capsys.readouterr().err == "error: coset_cap must be >= 1\n"
+    assert capsys.readouterr().err == f"error: unrecognized arguments: --coset-cap {cap}\n"
 
 
 def test_verify_checks_coset_cap_before_the_group(tmp_path, capsys):
-    # a bad argument is a usage error (exit 1), even when the group would also exceed its cap
+    # the removed --coset-cap fails loudly as a usage error (exit 1) before any
+    # group work, even when the group would also exceed its cap
     report_path = tmp_path / "report.json"
-    argv = ["verify", str(PIPELINES / "three_step_identity.json"), "--coset-cap", "0", "--element-cap", "1"]
+    argv = ["verify", str(PIPELINES / "three_step_identity.json"), "--coset-cap", "5", "--element-cap", "1"]
     assert main([*argv, "--json", str(report_path)]) == 1
-    assert capsys.readouterr() == ("", "error: coset_cap must be >= 1\n")
+    assert capsys.readouterr() == ("", "error: unrecognized arguments: --coset-cap 5\n")
     assert not report_path.exists()
 
 
@@ -401,12 +399,12 @@ def test_verify_builds_no_permutation(tmp_path, capsys, monkeypatch, widths, fns
     path.write_text(emit_pipeline(PipelineSpec(widths, fns)), encoding="utf-8")
     report_path = tmp_path / "report.json"
     caps = [] if cap is None else ["--element-cap", str(cap)]
-    # three or more steps: an infinite claim, so BOUND_EXCEEDED and exit 2
-    assert main(["verify", str(path), *caps, "--json", str(report_path)]) == 2
+    # three or more steps: an infinite claim, so a proper quotient
+    assert main(["verify", str(path), *caps, "--json", str(report_path)]) == 0
     results = json.loads(report_path.read_text())["results"]
     assert results["layer_dimensions"] == layers
     assert results["concrete_order"] == 1 << sum(layers)
-    assert results["relations_hold"] and results["verdict"] == "BOUND_EXCEEDED"
+    assert results["relations_hold"] and results["verdict"] == "PROPER_QUOTIENT"
     assert f"concrete group order: {1 << sum(layers)}\n" in capsys.readouterr().out
 
 
@@ -427,7 +425,7 @@ def test_group_builds_no_permutation(tmp_path, capsys, monkeypatch, widths, fns)
     path = tmp_path / "pipeline.json"
     path.write_text(emit_pipeline(PipelineSpec(widths, fns)), encoding="utf-8")
     report_path = tmp_path / "report.json"
-    assert main(["verify", str(path), "--json", str(report_path)]) == 2
+    assert main(["verify", str(path), "--json", str(report_path)]) == 0
     concrete_order = json.loads(report_path.read_text())["results"]["concrete_order"]
     monkeypatch.setattr(lifting.Perm, "__post_init__", refuse)
     assert main(["group", str(path), "--json", str(report_path)]) == 0
@@ -469,7 +467,8 @@ def test_verify_element_cap_boundary(tmp_path, capsys, cap):
     # the command fails iff |G| exceeds the cap: the 3-step identity group has 64 elements
     doc = {"format_version": 1, "registers": [1, 1, 1, 1], "functions": [{"table": ["0", "1"]}] * 3}
     report_path = tmp_path / "report.json"
-    assert main(["verify", _write(tmp_path, doc), "--element-cap", str(cap), "--json", str(report_path)]) == 2
+    exit_code = 2 if cap == 63 else 0
+    assert main(["verify", _write(tmp_path, doc), "--element-cap", str(cap), "--json", str(report_path)]) == exit_code
     captured = capsys.readouterr()
     if cap == 63:
         assert captured.err == "error: group closure exceeds the cap of 63 elements\n"
@@ -531,7 +530,7 @@ def test_verify_and_group_build_no_cayley_table(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(GroupClosure, "cayley", property(refuse))
     doc = {"format_version": 1, "registers": [1, 1, 1, 1], "functions": [{"table": ["0", "1"]}] * 3}
     path = _write(tmp_path, doc)
-    assert main(["verify", path, "--coset-cap", "500"]) == 2
+    assert main(["verify", path]) == 0
     assert main(["group", path]) == 0
     assert "closure order: 64" in capsys.readouterr().out
 
@@ -608,8 +607,14 @@ _GOLDEN_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("stem", ["two_step_identity", "two_step_degenerate"])
-@pytest.mark.parametrize("name", list(_GOLDEN_COMMANDS))
+# every command on the 2-step pipelines; verify alone from three steps on, where the claim is infinite
+_GOLDEN_CASES = [
+    *((name, stem) for stem in ("two_step_identity", "two_step_degenerate") for name in _GOLDEN_COMMANDS),
+    ("verify", "three_step_identity"),
+]
+
+
+@pytest.mark.parametrize("name, stem", _GOLDEN_CASES, ids=[f"{name}-{stem}" for name, stem in _GOLDEN_CASES])
 def test_reports_match_golden(tmp_path, capsys, monkeypatch, stem, name):
     # relative paths keep the report's command field independent of the directory
     monkeypatch.chdir(tmp_path)
@@ -866,7 +871,7 @@ def _in_process(argv, capsys):
 
 
 # One process runs these in order.  Each pair's second call would inherit
-# the first one's option (superposition, element cap, coset cap) if parser
+# the first one's option (superposition, element cap) if parser
 # or namespace state leaked between calls.
 _SEQUENCE = [
     ["verify", "p.json", "--frobnicate"],
@@ -877,7 +882,7 @@ _SEQUENCE = [
      "--measure", "2", "--shots", "20", "--json", "qrun.json"],
     ["group", "p.json", "--element-cap", "2", "--json", "group_capped.json"],
     ["group", "p.json", "--cayley", "--json", "group.json"],
-    ["verify", "p.json", "--coset-cap", "4", "--json", "verify_capped.json"],
+    ["verify", "p.json", "--element-cap", "4", "--json", "verify_capped.json"],
     ["verify", "p.json", "--json", "verify.json"],
 ]
 
@@ -898,6 +903,7 @@ def test_in_process_calls_match_fresh_processes(tmp_path, capsys, monkeypatch):
         )
         assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr), argv
     reports = sorted(path.name for path in here.glob("*.json") if path.name != "p.json")
-    assert reports == ["group.json", "qrun.json", "qrun_superposed.json", "verify.json", "verify_capped.json"]
+    # a capped command writes no report
+    assert reports == ["group.json", "qrun.json", "qrun_superposed.json", "verify.json"]
     for name in reports:
         assert (here / name).read_bytes() == (child / name).read_bytes(), name

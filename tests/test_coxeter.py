@@ -3,9 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from involift import coxeter
 from involift.coxeter import (
-    BOUND_EXCEEDED,
     CONFIRMED,
     CoxeterMatrix,
     DEGENERATE,
@@ -13,7 +11,6 @@ from involift.coxeter import (
     VerificationReport,
     check_relations,
     claimed_coxeter_matrix,
-    todd_coxeter,
     verify_pipeline,
 )
 from involift.lifting import (
@@ -32,6 +29,7 @@ from conftest import (
     perm_is_identity,
     reference_closure,
     step_perms,
+    todd_coxeter,
     zero_fn,
 )
 
@@ -388,23 +386,21 @@ def test_verify_two_step_confirmed(two_step_id):
 def test_identity_pipeline_order(n):
     # the n-step 1-bit identity group is unitriangular: order 2^(n(n+1)/2),
     # read from the spun layers without listing the group (n = 8 has 2^36 elements)
-    report = verify_pipeline(PipelineSpec((1,) * (n + 1), (ID1,) * n), coset_cap=1000, element_cap=1 << 36)
+    report = verify_pipeline(PipelineSpec((1,) * (n + 1), (ID1,) * n), element_cap=1 << 36)
     assert report.concrete_order == 2 ** (n * (n + 1) // 2)
     assert report.layer_dimensions == tuple(range(1, n + 1))
-    assert report.verdict == (CONFIRMED if n == 2 else BOUND_EXCEEDED)
+    # from three steps on the claimed group is infinite, so a finite group is a proper quotient
+    assert report.verdict == (CONFIRMED if n == 2 else PROPER_QUOTIENT)
+    assert report.abstract_order == (8 if n == 2 else None)
 
 
-@pytest.mark.parametrize("cap", [1, 500, 100_000])
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_verify_infinite_type_skips_enumeration(monkeypatch, n, cap):
-    def refuse(generator_count, relators, coset_cap):
-        raise AssertionError("coset enumeration ran on an infinite-type presentation")
-
-    monkeypatch.setattr(coxeter, "todd_coxeter", refuse)
-    report = verify_pipeline(PipelineSpec((1,) * (n + 1), (ID1,) * n), coset_cap=cap)
-    assert report.verdict == BOUND_EXCEEDED
-    assert report.abstract_order is None
-    assert report.concrete_order == 2 ** (n * (n + 1) // 2)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_abstract_order_matches_coset_enumeration(n):
+    # the closed form verify_pipeline reads from the claimed matrix: enumeration
+    # closes at it for one and two steps, and never closes from three steps on
+    report = verify_pipeline(PipelineSpec((1,) * (n + 1), (ID1,) * n))
+    assert report.abstract_order == todd_coxeter(n, claimed_coxeter_matrix(n).relators, 100_000)
+    assert (report.abstract_order is None) == (n >= 3)
 
 
 def test_verify_degenerate(two_step_zero_first):
@@ -415,9 +411,9 @@ def test_verify_degenerate(two_step_zero_first):
 
 
 def test_verify_three_step_bounded_or_quotient(three_step_id):
-    report = verify_pipeline(three_step_id, coset_cap=2000)
-    assert report.verdict in {PROPER_QUOTIENT, BOUND_EXCEEDED}
-    assert report.verdict != CONFIRMED
+    report = verify_pipeline(three_step_id)
+    assert report.verdict == PROPER_QUOTIENT
+    assert report.abstract_order is None
     assert report.concrete_order == 64  # unitriangular 4x4 group over GF(2)
 
 
@@ -434,3 +430,8 @@ def test_verification_report_invariants():
         VerificationReport(verdict=CONFIRMED, layer_dimensions=(1, 2), abstract_order=16)
     with pytest.raises(ValueError, match="PROPER_QUOTIENT"):
         VerificationReport(verdict=PROPER_QUOTIENT, layer_dimensions=(1, 2), abstract_order=8)
+    # an infinite abstract group (None) is larger than every concrete one
+    infinite = VerificationReport(verdict=PROPER_QUOTIENT, layer_dimensions=(1, 2, 3), abstract_order=None)
+    assert not infinite.isomorphism_established
+    with pytest.raises(ValueError, match="CONFIRMED"):
+        VerificationReport(verdict=CONFIRMED, layer_dimensions=(1, 2, 3), abstract_order=None)
