@@ -40,9 +40,11 @@ class BoolFunc:
         if len(self.table) != expected:
             raise ValueError(f"table has {len(self.table)} entries, expected {expected}")
         bound = 1 << self.arity_out
-        for x, out in enumerate(self.table):
-            if not 0 <= out < bound:
-                raise ValueError(f"table entry {x} is {out}, not below 2^{self.arity_out}")
+        if min(self.table) < 0 or max(self.table) >= bound:
+            # word the first entry out of range
+            for x, out in enumerate(self.table):
+                if not 0 <= out < bound:
+                    raise ValueError(f"table entry {x} is {out}, not below 2^{self.arity_out}")
 
     def __call__(self, x: int) -> int:
         if not 0 <= x < len(self.table):

@@ -24,7 +24,7 @@ import json
 import re
 import sys
 from functools import cache
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
@@ -151,19 +151,31 @@ def _hex(value: int) -> str:
 # ASCII hex digits only: int(text, 16) also takes other scripts' digits,
 # underscores, whitespace and the 0x and + prefixes
 _HEX = re.compile(r"[0-9A-Fa-f]+")
+_HEX_LIST = re.compile(r"[0-9A-Fa-f]+(?:,[0-9A-Fa-f]+)*")
 
 
 def _parse_hex(texts: Sequence[object], what: str) -> list[int]:
     """Nonnegative hex numbers, one per string; ``what.format(k)`` names
-    entry k in an error message."""
-    for k, text in enumerate(texts):
-        if not isinstance(text, str):
-            raise ValueError(f"{what.format(k)} must be a hex string")
-        if _HEX.fullmatch(text) is None:
-            if text[:1] == "-" and _HEX.fullmatch(text, 1):
-                raise ValueError(f"{what.format(k)} must be nonnegative")
-            raise ValueError(f"{what.format(k)} is not valid hex: {text!r}")
-    return [int(text, 16) for text in texts]
+    entry k in an error message.
+
+    The whole list is checked at once: its entries joined by commas must be
+    comma-separated hex numbers, with exactly one comma fewer than there are
+    entries (an entry may itself hold a comma), and are then decoded in one
+    pass.  Only a list that fails, or an empty one, is walked entry by entry
+    to word the first error."""
+    try:
+        joined = ",".join(texts)
+    except TypeError:  # an entry that is not a string
+        joined = None
+    if joined is None or joined.count(",") != len(texts) - 1 or _HEX_LIST.fullmatch(joined) is None:
+        for k, text in enumerate(texts):
+            if not isinstance(text, str):
+                raise ValueError(f"{what.format(k)} must be a hex string")
+            if _HEX.fullmatch(text) is None:
+                if text[:1] == "-" and _HEX.fullmatch(text, 1):
+                    raise ValueError(f"{what.format(k)} must be nonnegative")
+                raise ValueError(f"{what.format(k)} is not valid hex: {text!r}")
+    return list(map(int, texts, repeat(16)))
 
 
 def _step_index(symbol: str, n_steps: int) -> int:
@@ -343,9 +355,8 @@ def _cmd_run(args, pipeline: PipelineSpec):
     registers = run_classical(pipeline, x)
     # the reversed word, steps 0..n-1 from the left (the last step applied
     # first), undoes the forward run
-    restored = pipeline.unpack_registers(
-        word_action(pipeline, range(pipeline.n_steps))(pipeline.pack_registers(registers))
-    )
+    (undone,) = word_action(pipeline, range(pipeline.n_steps))([pipeline.pack_registers(registers)])
+    restored = pipeline.unpack_registers(undone)
     initial = (x,) + (0,) * pipeline.n_steps
     restoration_ok = restored == initial
     print(f"input: 0x{_hex(x)}")
@@ -400,8 +411,17 @@ def _cmd_qrun(args, pipeline: PipelineSpec):
 # ---------------------------------------------------------------------------
 # report writing
 
-_SCALARS = {str, int, float, bool, type(None)}
 _encode = json.JSONEncoder().encode
+# scalar type -> its text as json writes it; JSONEncoder.encode builds a new
+# C encoder on every call that is not a str, so only floats (NaN, Infinity)
+# still go through it
+_SCALAR_TEXT = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+    float: _encode,
+}
 
 
 class _IndexTable(tuple):
@@ -411,17 +431,19 @@ class _IndexTable(tuple):
 
 
 @cache
-def _flat_list_encoder(inner: str):
-    """Encodes a list of scalars with each item on its own line at ``inner``."""
-    return json.JSONEncoder(separators=(",\n" + inner, ": ")).encode
+def _flat_encoder(inner: str):
+    """Encodes a list of scalars, or a dict of them by sorted key, with each
+    item on its own line at ``inner``."""
+    return json.JSONEncoder(separators=(",\n" + inner, ": "), sort_keys=True).encode
 
 
 def _json_chunks(value: object, indent: str = ""):
     """Yields ``json.dumps(value, indent=2, sort_keys=True)`` piece by piece,
     byte for byte, for dicts with str keys, lists, tuples and scalars.  Any
     ``indent`` sends ``json`` to its pure-Python encoder, one generator step
-    per item, so containers are walked here and every other list of scalars
-    goes through the C encoder in one call.  An :class:`_IndexTable` (the
+    per item, so containers are walked here, every other list or dict of
+    scalars goes through the C encoder in one call, and a scalar in any
+    other dict is written inline.  An :class:`_IndexTable` (the
     Cayley table) skips the encoder, which formats each int on its own: each
     row is one join of decimal strings built once per table.  The pieces go
     straight to the report file, one row at most, so no report is held
@@ -433,10 +455,17 @@ def _json_chunks(value: object, indent: str = ""):
         if not value:
             yield "{}"
             return
+        if set(map(type, value.values())) <= _SCALAR_TEXT.keys():
+            yield "{\n" + inner + _flat_encoder(inner)(value)[1:-1] + "\n" + indent + "}"
+            return
         sep = "{\n" + inner
         for k, v in sorted(value.items()):
-            yield sep + _encode(k) + ": "
-            yield from _json_chunks(v, inner)
+            text = _SCALAR_TEXT.get(type(v))
+            if text is None:
+                yield sep + _encode(k) + ": "
+                yield from _json_chunks(v, inner)
+            else:
+                yield sep + _encode(k) + ": " + text(v)
             sep = ",\n" + inner
         yield "\n" + indent + "}"
     elif isinstance(value, (list, tuple)):
@@ -454,8 +483,8 @@ def _json_chunks(value: object, indent: str = ""):
                 yield head + joiner.join(itemgetter(*row)(decimals)) + tail
                 sep = ",\n" + inner
             yield "\n" + indent + "]"
-        elif set(map(type, value)) <= _SCALARS:
-            yield "[\n" + inner + _flat_list_encoder(inner)(value)[1:-1] + "\n" + indent + "]"
+        elif set(map(type, value)) <= _SCALAR_TEXT.keys():
+            yield "[\n" + inner + _flat_encoder(inner)(value)[1:-1] + "\n" + indent + "]"
         else:
             sep = "[\n" + inner
             for v in value:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .boolfn import BoolFunc, random_fn
 from .rng import SplitMix64
@@ -157,21 +157,26 @@ def product_orders(pipeline: PipelineSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, orders))
 
 
-def word_action(pipeline: PipelineSpec, word: Sequence[int]) -> Callable[[int], int]:
+def word_action(pipeline: PipelineSpec, word: Sequence[int]) -> Callable[[Iterable[int]], list[int]]:
     """The action of a word of step indices on packed states, rightmost step
     first, without building any permutation.  Every step's parameters are
-    resolved once, so applying it to many states costs only |word| table
-    lookups per state."""
+    resolved once; the returned function routes a whole list of states one
+    step at a time, one comprehension per step, so a list of n states costs
+    n * |word| table lookups and no per-state call.  It returns the images
+    in the order of the states and checks their range with one min and one
+    max."""
     params = [_step_params(pipeline, i) for i in reversed(word)]
     width = pipeline.total_width
     size = 1 << width
 
-    def act(state: int) -> int:
-        if not 0 <= state < size:
-            raise ValueError(f"state {state} out of range for width {width}")
+    def act(states: Iterable[int]) -> list[int]:
+        states = list(states)
+        if states and (min(states) < 0 or max(states) >= size):
+            bad = next(s for s in states if not 0 <= s < size)
+            raise ValueError(f"state {bad} out of range for width {width}")
         for table, src, mask, dst in params:
-            state ^= table[(state >> src) & mask] << dst
-        return state
+            states = [s ^ (table[(s >> src) & mask] << dst) for s in states]
+        return states
 
     return act
 
@@ -193,7 +198,8 @@ def run_classical(pipeline: PipelineSpec, x: int) -> tuple[int, ...]:
     if not 0 <= x < 1 << pipeline.widths[0]:
         raise ValueError(f"input {x} out of range for register width {pipeline.widths[0]}")
     # register 0 sits in the low bits, so the packed initial state equals x
-    registers = pipeline.unpack_registers(word_action(pipeline, range(pipeline.n_steps)[::-1])(x))
+    (state,) = word_action(pipeline, range(pipeline.n_steps)[::-1])([x])
+    registers = pipeline.unpack_registers(state)
     value = x
     direct = [x]
     for f in pipeline.steps:

@@ -195,8 +195,8 @@ def test_invertible_evaluation_matches_direct():
                 final = fwd(initial)
                 assert pipeline.unpack_registers(final) == tuple(expected)
                 assert reverse(final) == initial
-                assert word_action(pipeline, range(steps - 1, -1, -1))(initial) == final
-                assert word_action(pipeline, range(steps))(final) == initial
+                assert word_action(pipeline, range(steps - 1, -1, -1))([initial]) == [final]
+                assert word_action(pipeline, range(steps))([final]) == [initial]
 
 
 @criterion("three-step identity pipeline has Coxeter matrix [[1,4,2],[4,1,4],[2,4,1]]")

@@ -92,6 +92,11 @@ def test_parse_rejects_bad_hex():
     doc = {"format_version": 1, "registers": [1, 1], "functions": [{"table": ["0", "-1"]}]}
     with pytest.raises(PipelineFormatError, match="nonnegative"):
         pipeline_from_document(doc)
+    # a non-string entry after valid ones is named, not joined into the table
+    doc = {"format_version": 1, "registers": [2, 1], "functions": [{"table": ["0", "1", "0", 1]}]}
+    with pytest.raises(PipelineFormatError) as info:
+        pipeline_from_document(doc)
+    assert str(info.value) == "functions[0].table[3] must be a hex string"
 
 
 # int(text, 16) reads each of these; a table entry or --input takes ASCII hex digits only
@@ -102,6 +107,8 @@ NOT_HEX = {
     "trailing_newline": "1\n",
     "prefix_0x": "0x1",
     "plus": "+1",
+    # joined with the other entries it would read as two valid ones
+    "comma": "1,0",
 }
 
 
@@ -332,7 +339,7 @@ def test_qrun_rejects_bad_seed_or_shots_before_drawing(tmp_path, capsys, monkeyp
 @pytest.mark.parametrize(
     "argv, target, broken",
     [
-        (["run", "--input", "1"], lifting, ("word_action", lambda pipeline, word: lambda state: state ^ 1)),
+        (["run", "--input", "1"], lifting, ("word_action", lambda pipeline, word: lambda states: [s ^ 1 for s in states])),
         (["verify"], coxeter, ("check_relations", lambda pipeline, relators: (False,))),
     ],
     ids=["run", "verify"],
@@ -604,6 +611,8 @@ _GOLDEN_COMMANDS = {
     "coxeter": ["coxeter"],
     "verify": ["verify"],
     "run": ["run", "--input", "1"],
+    "qrun": ["qrun", "--word", "f2", "f1", "--input", "0", "0", "0", "--superpose", "0", "--measure", "2",
+             "--seed", "7", "--shots", "5000"],
 }
 
 

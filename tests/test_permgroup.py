@@ -179,9 +179,8 @@ def test_word_action_matches_word_tableau():
             word = [rng.next_u64() % pipeline.n_steps for _ in range(rng.next_u64() % 9)]
             act = word_action(pipeline, word)
             tableau = word_tableau(pipeline, word)
-            for _ in range(200):
-                x = rng.next_bits(pipeline.total_width)
-                assert act(x) == _tableau_image(tableau, pipeline, x)
+            states = [rng.next_bits(pipeline.total_width) for _ in range(200)]
+            assert act(states) == [_tableau_image(tableau, pipeline, x) for x in states]
 
 
 @given(seed=seeds, steps=st.sampled_from([2, 3]))

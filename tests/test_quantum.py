@@ -1,9 +1,11 @@
 import math
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from involift import quantum
 from involift.lifting import PipelineSpec, random_pipeline
 from involift.permgroup import closure
 from involift.quantum import (
@@ -55,6 +57,11 @@ def test_qstate_validation():
         QState(1, {2: 1.0 + 0j})
     with pytest.raises(ValueError, match="pruning"):
         QState(1, {0: 1.0 + 0j, 1: 1e-16 + 0j})
+    # the first failing entry is named, whichever check it fails
+    with pytest.raises(ValueError, match="pruning"):
+        QState(1, {0: 1e-16 + 0j, 5: 1.0 + 0j})
+    with pytest.raises(ValueError, match="basis index -1 out of range"):
+        QState(1, {-1: 1.0 + 0j, 0: 1e-16 + 0j})
 
 
 def test_uniform_superposition_one_bit(two_step_id):
@@ -138,11 +145,19 @@ def test_inverse_consistency(two_step_id):
             assert abs(back.amplitudes[index] - state.amplitudes[index]) <= AMPLITUDE_TOLERANCE
 
 
-def test_measure_deterministic_outcome(two_step_id):
+def test_measure_deterministic_outcome(two_step_id, monkeypatch):
+    def draw(*args):
+        raise AssertionError("a word was drawn for a one-value marginal")
+
+    monkeypatch.setattr(SplitMix64, "blocks", draw)
     state = basis_state(two_step_id, (1, 1, 1))
     result = measure(state, two_step_id, 2, seed=42, shots=100)
     assert result.counts == {1: 100}
-    assert result.shots == 100 and result.register == 2
+    assert result.shots == 100
+    # the seed is still checked when no word is drawn
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+            measure(state, two_step_id, 2, seed=seed, shots=100)
 
 
 def test_measure_same_seed_identical(two_step_id):
@@ -173,7 +188,8 @@ MEASURED = PipelineSpec((8, 1), (zero_fn(8, 1),))
 BLOCK_EDGE_SHOTS = (1, 2, 4095, 4096, 4097, 3 * 4096 + 1)
 
 
-@pytest.mark.parametrize("support, n_values", [(1, 1), (2, 2), (5, 5), (512, 256)])
+# 64 and 65 values sit on either side of the change from counting by top byte to bisecting every word
+@pytest.mark.parametrize("support, n_values", [(1, 1), (2, 2), (5, 5), (68, 64), (69, 65), (512, 256)])
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 def test_measure_matches_per_shot_reference(support, n_values, seed):
     state = random_state(MEASURED.total_width, 300, support)
@@ -204,6 +220,44 @@ def test_measure_draw_on_a_bound_counts_for_the_next_value():
     for bound, counts in ((m * 2.0**-53, {1: 1}), ((m + 1) * 2.0**-53, {0: 1})):
         state = _two_value_state(bound)
         assert measure(state, pipeline, 0, seed=1, shots=1).counts == reference_measure(state, pipeline, 0, 1, 1) == counts
+
+
+@pytest.mark.parametrize(
+    "p",
+    [2**-8, 0.25, 225 / 256, 0.6 * 0.6, 0.5 + 2**-20],
+    ids=["on_byte_1", "on_byte_64", "on_byte_225", "inside_a_byte", "just_past_byte_128"],
+)
+def test_measure_threshold_on_and_inside_a_top_byte_range(p):
+    # with total exactly 1, the threshold word of bound p is ceil(p * 2^53) << 11:
+    # p = c / 256 (c a square, so that p is a squared amplitude) puts it exactly
+    # at c * 2^56, the first word of top byte c, so no byte straddles; any other
+    # p puts it inside a byte whose words are bisected
+    pipeline = PipelineSpec((1, 1), (ID1,))
+    state = _two_value_state(p)
+    assert sum(marginal_distribution(state, pipeline, 0).values()) == 1.0
+    for seed in (0, 3, 2**64 - 1):
+        for shots in BLOCK_EDGE_SHOTS:
+            expected = reference_measure(state, pipeline, 0, seed, shots)
+            assert measure(state, pipeline, 0, seed, shots).counts == expected
+
+
+def test_thresholds_are_the_least_draws_that_reach_each_bound():
+    # fl(m * scale) >= b exactly from the threshold on; ceil(b / scale) is one
+    # too large for a few percent of these pairs, and bounds at or past
+    # 2^53 * scale cap at 2^53
+    rng = random.Random(20)
+    pairs = [(0.9660941188966023, 0.9995297057041057), (1.0, 1.0), (1.0 + 2**-52, 1.0)]
+    for _ in range(2000):
+        total = rng.uniform(0.5, 2.0)
+        pairs.append((total * rng.uniform(0.5, 1.0), total))
+    for b, total in pairs:
+        scale = 2.0**-53 * total
+        (word,) = quantum._thresholds([b], scale)
+        m = word >> 11
+        assert word == m << 11 and 0 < m <= 2**53
+        assert (m - 1) * scale < b
+        assert m == 2**53 or m * scale >= b
+    assert quantum._thresholds([1.0 + 2**-52], 2.0**-53) == [2**64]
 
 
 def test_measure_memory_is_bounded_by_the_block():
@@ -260,6 +314,20 @@ def test_classical_embedding(seed):
         out = apply_steps(pipeline, (1, 0), basis_state(pipeline, (x,) + (0,) * 2))
         result = measure(out, pipeline, 2, seed=seed & 0xFFFF, shots=20)
         assert result.counts == {g(f(x)): 20}
+
+
+@given(seed=seeds, data=st.data())
+@settings(max_examples=40)
+def test_built_states_pass_the_state_checks(seed, data):
+    # apply_steps and uniform_superposition skip QState's checks; what they
+    # build must still pass them
+    pipeline = random_pipeline(seed, steps=3, max_width=3)
+    word = data.draw(st.lists(st.integers(0, 2), max_size=6))
+    routed = apply_steps(pipeline, word, random_state(pipeline.total_width, data.draw(seeds), support=16))
+    register = data.draw(st.integers(0, 3))
+    spread = uniform_superposition(pipeline, register, basis_state(pipeline, (0,) * 4))
+    for state in (routed, spread):
+        assert QState(state.total_width, state.amplitudes) == state
 
 
 def test_random_state_deterministic_and_normalized():
