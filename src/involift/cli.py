@@ -25,7 +25,6 @@ import re
 import sys
 from functools import cache
 from itertools import combinations, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -285,8 +284,9 @@ def _cmd_group(args, pipeline: PipelineSpec):
         "dihedral_8": dihedral,
     }
     if args.cayley:
-        results["cayley"] = _IndexTable(group.cayley)
-        results["words"] = [_render_word(w) for w in group.words]
+        results["cayley"] = _TextRows(group.cayley_rows(map(str, range(len(group)))))
+        symbols = [f'"f{i}"' for i in range(1, pipeline.n_steps + 1)]
+        results["words"] = _TextRows([symbols[s] for s in w] for w in group.words)
     return 0, results
 
 
@@ -424,10 +424,14 @@ _SCALAR_TEXT = {
 }
 
 
-class _IndexTable(tuple):
-    """A table whose rows hold only indices into the table, as a Cayley
-    table's do (wrapping copies the outer tuple only): :func:`_json_chunks`
-    writes its entries from decimals it builds once per table."""
+class _TextRows:
+    """A nonempty list of lists of scalars, each scalar held as its JSON
+    text: the Cayley table's decimal indices and the words' quoted symbols.
+    :func:`_json_chunks` writes each row with one join, without the
+    encoder, and draws the rows from ``rows`` once, as it writes them."""
+
+    def __init__(self, rows):
+        self.rows = rows
 
 
 @cache
@@ -443,13 +447,14 @@ def _json_chunks(value: object, indent: str = ""):
     ``indent`` sends ``json`` to its pure-Python encoder, one generator step
     per item, so containers are walked here, every other list or dict of
     scalars goes through the C encoder in one call, and a scalar in any
-    other dict is written inline.  An :class:`_IndexTable` (the
-    Cayley table) skips the encoder, which formats each int on its own: each
-    row is one join of decimal strings built once per table.  The pieces go
-    straight to the report file, one row at most, so no report is held
-    whole in memory: the 13.7 MB ``--cayley`` report of the 4-step identity
-    pipeline costs no 13.7 MB strings, and peak memory does not depend on
-    where the allocator left those of an earlier report."""
+    other dict is written inline.  A :class:`_TextRows` (the Cayley table
+    and the words) skips the encoder, which formats each int on its own:
+    each row is one join of the texts it holds.  The pieces go straight to
+    the report file, one row at most, so no report is held whole in memory:
+    the 13.7 MB ``--cayley`` report of the 4-step identity pipeline costs no
+    13.7 MB strings, its table is never held whole either, and peak memory
+    does not depend on where the allocator left those of an earlier
+    report."""
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
@@ -471,18 +476,6 @@ def _json_chunks(value: object, indent: str = ""):
     elif isinstance(value, (list, tuple)):
         if not value:
             yield "[]"
-        elif isinstance(value, _IndexTable):
-            # a 1-entry row (|G| = 1) gets the str "0" back from itemgetter,
-            # which join passes through unchanged
-            decimals = tuple(map(str, range(len(value))))
-            row_inner = inner + "  "
-            head, joiner, tail = "[\n" + row_inner, ",\n" + row_inner, "\n" + inner + "]"
-            sep = "[\n" + inner
-            for row in value:
-                yield sep
-                yield head + joiner.join(itemgetter(*row)(decimals)) + tail
-                sep = ",\n" + inner
-            yield "\n" + indent + "]"
         elif set(map(type, value)) <= _SCALAR_TEXT.keys():
             yield "[\n" + inner + _flat_encoder(inner)(value)[1:-1] + "\n" + indent + "]"
         else:
@@ -492,6 +485,15 @@ def _json_chunks(value: object, indent: str = ""):
                 yield from _json_chunks(v, inner)
                 sep = ",\n" + inner
             yield "\n" + indent + "]"
+    elif isinstance(value, _TextRows):
+        row_inner = inner + "  "
+        head, joiner, tail = "[\n" + row_inner, ",\n" + row_inner, "\n" + inner + "]"
+        sep = "[\n" + inner
+        for row in value.rows:
+            yield sep
+            yield head + joiner.join(row) + tail if row else "[]"
+            sep = ",\n" + inner
+        yield "\n" + indent + "]"
     else:
         yield _encode(value)
 
@@ -590,12 +592,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             "results": results,
         }
         try:
-            with open(args.json, "w", encoding="utf-8") as out:
+            # a Cayley row of a 1024-element group is 16 KB: a 64 KB buffer
+            # writes several per system call, the default 8 KB one each alone
+            with open(args.json, "w", encoding="utf-8", buffering=1 << 16) as out:
                 out.writelines(_json_chunks(report))
                 out.write("\n")
         except OSError as e:
             print(f"error: cannot write {args.json}: {e}", file=sys.stderr)
             return 1
+        except MemoryError:  # the Cayley rows are gathered as they are written
+            Path(args.json).unlink(missing_ok=True)
+            print(f"error: {args.subcommand} ran out of memory", file=sys.stderr)
+            return 2
     return exit_code
 
 

@@ -30,7 +30,7 @@ from .boolfn import BoolFunc, random_fn
 from .rng import SplitMix64
 
 # The summed register width W is capped: it bounds the size of a group
-# element, a tuple of tables with sum_j 2^offset_j < 2^W entries.
+# element, whose tables have sum_j 2^offset_j < 2^W entries.
 DEFAULT_WIDTH_CAP = 20
 
 
@@ -70,7 +70,7 @@ class PipelineSpec:
     a packed state, the earliest register least significant; the offsets
     are derived once, on construction, and take no part in equality.  The
     summed width W is capped at ``DEFAULT_WIDTH_CAP``, which bounds the
-    size of a group element: a tuple of tables of fewer than 2^W entries.
+    size of a group element: tables of fewer than 2^W entries in all.
     """
 
     widths: tuple[int, ...]

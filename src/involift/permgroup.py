@@ -1,33 +1,34 @@
-"""The group generated by lifted steps: closure, orders, words, and the
-order of the group from modules spun out of the step tables.
+"""The group generated by lifted steps: closure, orders, words, the
+Cayley table, and the order of the group from modules spun out of the step
+tables.
 
-Every element is held in Kaloujnine's tableau form: every lifted step maps
+Every element is of Kaloujnine's tableau form: every lifted step maps
 register j to x_j ^ h(x_0..x_{j-1}), and products of such maps keep that
-form, so an element is the tuple of its tables T_1..T_n.  ``tables[j - 1]``
-is T_j, indexed by the packed registers 0..j-1 (x < 2^offset_j), and the
-element maps register j to x_j ^ T_j[x]; no 2^W permutation is built.  The
-normal form is the contract: a table that is all zero is held as ``None``,
-never as zeros, so two elements are equal exactly when their tuples are,
-and an element is the identity exactly when every table is ``None``.  The
-one operation that writes a table, a left multiplication by a step
-(:func:`_times_step`, behind :func:`closure` and :func:`word_tableau`),
-keeps that form.  The closure (behind ``group``) lists the elements by
-left multiplication with the lifted steps; element orders and the Cayley
-table walk generator words through its action table ``left``.  ``verify``
+form, so an element is given by its tables T_1..T_n.  T_j is indexed by the
+packed registers 0..j-1 (x < 2^offset_j), and the element maps register j
+to x_j ^ T_j[x]; no 2^W permutation is built.  A word is evaluated
+(:func:`word_tableau`, behind :mod:`involift.coxeter`'s relators) as the
+tuple of its tables, ``tables[j - 1]`` being T_j, in a normal form: a table
+that is all zero is held as ``None``, never as zeros, so two elements are
+equal exactly when their tuples are, and an element is the identity
+exactly when every table is ``None``.  The closure (behind ``group``)
+packs the same tables into one int per element (:func:`closure`), where
+the identity is 0.  Both rest on one composition rule, a left
+multiplication by a step (:func:`_times_step`), which keeps the normal
+form.  Element orders walk generator words through the closure's action
+table ``left``, and the Cayley table is gathered through it.  ``verify``
 lists no element: it reads the order from the dimensions of the modules
-spun from the step tables (:func:`layer_dimensions`), and
-:mod:`involift.coxeter` evaluates relators with :func:`word_tableau`.
+spun from the step tables (:func:`layer_dimensions`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, repeat
 from operator import itemgetter, xor
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .lifting import PipelineSpec
+from .lifting import LiftingCheckFailed, PipelineSpec
 
 DEFAULT_ELEMENT_CAP = 1_000_000
 
@@ -44,8 +45,8 @@ class ClosureCapExceeded(RuntimeError):
 class GroupClosure:
     """The fully enumerated group of the lifted steps.
 
-    elements[0] is the identity, and every element is its tuple of tables
-    in normal form (``None`` for each all-zero table); words[e] is a
+    elements[0] is the identity, and every element is its tables packed
+    into one int (:func:`closure`; the identity is 0); words[e] is a
     minimal-length generator word evaluating to elements[e] (ties broken
     toward the lexicographically smallest word); left[g][e] is
     the index of step g composed with elements[e]; parents[e] is the
@@ -53,7 +54,7 @@ class GroupClosure:
     (parents[0] is 0).
     """
 
-    elements: tuple[tuple, ...]
+    elements: tuple[int, ...]
     words: tuple[tuple[int, ...], ...]
     left: tuple[tuple[int, ...], ...]
     parents: tuple[int, ...]
@@ -61,17 +62,37 @@ class GroupClosure:
     def __len__(self) -> int:
         return len(self.elements)
 
-    @cached_property
-    def cayley(self) -> tuple[tuple[int, ...], ...]:
-        """cayley[i][j] is the index of elements[i] composed with elements[j],
-        built on first use by lookup only: elements[k] is step g after
-        elements[parents[k]], g = words[k][0], so row k is that row through left[g]."""
-        rows = [tuple(range(len(self)))]
-        for k in range(1, len(self)):
-            # itemgetter with one index returns a scalar, not a tuple; a row
-            # past the identity exists only when |G| >= 2, so it has two or more
-            rows.append(itemgetter(*rows[self.parents[k]])(self.left[self.words[k][0]]))
-        return tuple(rows)
+    def cayley_rows(self, images: Iterable) -> Iterator[tuple]:
+        """The rows of the Cayley table in index order, each entry mapped
+        through ``images``: row i holds images[k] for elements[k] =
+        elements[i] composed with elements[j], j = 0, 1, ...  Row 0 is
+        ``images`` itself.  For i > 0, elements[i] is elements[r] composed
+        with step g, g the last symbol of words[i] and r the index of the
+        word without it, so row i is row r gathered at left[g]: one
+        ``itemgetter`` per generator, applied to the mapped row, so the
+        images are never looked up by index.  r has a shorter word, so its
+        row came earlier; a row is kept only until the last row that reads
+        it."""
+        images = tuple(images)
+        yield images
+        n, words, left = len(self), self.words, self.left
+        gathers = [itemgetter(*row) for row in left]
+        # words[k] is its first symbol before words[parents[k]], so the
+        # word without its last symbol is that symbol before the parent's
+        right = [0] * n
+        for k in range(1, n):
+            if len(words[k]) > 1:
+                right[k] = left[words[k][0]][right[self.parents[k]]]
+        last_reader = {r: k for k, r in enumerate(right)}
+        kept = {0: images}
+        for k in range(1, n):
+            r = right[k]
+            row = gathers[words[k][-1]](kept[r])
+            if last_reader[r] == k:
+                del kept[r]
+            if k in last_reader:
+                kept[k] = row
+            yield row
 
 
 def _step(pipeline: PipelineSpec, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -101,6 +122,46 @@ def _times_step(tables: tuple, i: int, step: tuple[tuple[int, ...], tuple[int, .
     return (*tables[:i], t if any(t) else None, *tables[i + 1 :])
 
 
+def _vector(table: Sequence[int], width: int) -> int:
+    """A table as a vector over F2, so that XOR of tables is XOR of
+    vectors: byte plane s holds bits 8s..8s+7 of every entry."""
+    if width <= 8:
+        return int.from_bytes(bytes(table), "little")
+    planes = [bytes([(v >> s) & 255 for v in table]) for s in range(0, width, 8)]
+    return int.from_bytes(b"".join(planes), "little")
+
+
+def _table(bits: int, width: int, entries: int) -> tuple[int, ...] | None:
+    """The table of ``entries`` entries of ``width`` bits whose
+    :func:`_vector` is the low bits of ``bits``, None when it is all zero
+    (the normal form of :func:`_times_step`)."""
+    planes = (width + 7) // 8
+    bits &= (1 << 8 * planes * entries) - 1
+    if not bits:
+        return None
+    data = bits.to_bytes(planes * entries, "little")
+    if planes == 1:
+        return tuple(data)
+    return tuple(sum(data[s * entries + x] << 8 * s for s in range(planes)) for x in range(entries))
+
+
+def _fields(pipeline: PipelineSpec) -> list[tuple[int, int, int]]:
+    """(bit position, entry width, entries) of each table T_1..T_n in a
+    packed element: T_j is its :func:`_vector` shifted to its position,
+    and the tables follow one another from bit 0."""
+    fields, position = [], 0
+    for width, offset in zip(pipeline.widths[1:], pipeline.offsets[1:]):
+        fields.append((position, width, 1 << offset))
+        position += 8 * ((width + 7) // 8) << offset
+    return fields
+
+
+def _tables(pipeline: PipelineSpec, element: int) -> tuple:
+    """The tables T_1..T_n of a packed element, in the normal form of
+    :func:`word_tableau`."""
+    return tuple(_table(element >> position, width, entries) for position, width, entries in _fields(pipeline))
+
+
 def closure(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> GroupClosure:
     """Enumerate the group of the lifted steps by breadth-first left
     multiplication.
@@ -108,28 +169,53 @@ def closure(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> G
     Starting from the identity, each frontier element is multiplied on the
     left by every step (steps in order, frontier in discovery order), which
     makes the discovery order deterministic and yields shortest,
-    lexicographically smallest words.  Elements are indexed by their
-    tables, which the normal form makes unique, and each product rewrites
-    one table (:func:`_times_step`); the Cayley table is read from ``left``
-    on demand.  Raises :class:`ClosureCapExceeded` when the group has more
-    than ``element_cap`` elements.
+    lexicographically smallest words.  An element is its tables packed
+    into one int (:func:`_fields`), so the identity is 0, and elements are
+    indexed by that int.  Step i rewrites only T_{i+1}, by an XOR that
+    depends on T_i alone, so the product is ``e ^ delta_i[e & mask_i]``,
+    with mask_i the bits of T_i (none for step 0).  Each ``delta_i`` entry
+    is filled on its first miss: the missed T_i is unpacked, and the table
+    :func:`_times_step` writes from it is packed.  No element is unpacked.
+    Raises :class:`ClosureCapExceeded` when the group has more than
+    ``element_cap`` elements, and :class:`involift.lifting.LiftingCheckFailed`
+    when its order is not a power of two: every lifted group is a 2-group,
+    an iterated semidirect product of F2-spaces (:func:`layer_dimensions`).
     """
     if element_cap < 1:
         raise ValueError("element_cap must be >= 1")
-    steps = [_step(pipeline, i) for i in range(pipeline.n_steps)]
-    identity = (None,) * len(steps)
-    elements = [identity]
+    n = pipeline.n_steps
+    steps = [_step(pipeline, i) for i in range(n)]
+    fields = _fields(pipeline)
+
+    def delta(i: int, key: int) -> int:
+        # the XOR that step i makes into T_{i+1} of an element whose T_i is key's
+        tables = [None] * n
+        if i:
+            position, width, entries = fields[i - 1]
+            tables[i - 1] = _table(key >> position, width, entries)
+        t = _times_step(tuple(tables), i, steps[i])[i]
+        return 0 if t is None else _vector(t, fields[i][1]) << fields[i][0]
+
+    # mask_i spans T_i: from its position up to that of T_{i+1}
+    masks = [0] + [(1 << high[0]) - (1 << low[0]) for low, high in zip(fields, fields[1:])]
+    deltas: list[dict[int, int]] = [{} for _ in range(n)]
+    elements = [0]
     words: list[tuple[int, ...]] = [()]
     parents = [0]
-    left: list[list[int]] = [[] for _ in steps]
-    index = {identity: 0}
+    left: list[list[int]] = [[] for _ in range(n)]
+    index = {0: 0}
     # frontiers are contiguous index ranges, so each left[g] fills in index order
     frontier = range(1)
     while frontier:
-        for gi, step in enumerate(steps):
-            row = left[gi]
+        for gi in range(n):
+            row, cache, mask = left[gi], deltas[gi], masks[gi]
             for ei in frontier:
-                product = _times_step(elements[ei], gi, step)
+                e = elements[ei]
+                key = e & mask
+                d = cache.get(key)
+                if d is None:
+                    d = cache[key] = delta(gi, key)
+                product = e ^ d
                 k = index.get(product)
                 if k is None:
                     if len(elements) >= element_cap:
@@ -140,6 +226,8 @@ def closure(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> G
                     elements.append(product)
                 row.append(k)
         frontier = range(frontier.stop, len(elements))
+    if len(elements) & (len(elements) - 1):
+        raise LiftingCheckFailed(f"the lifted group has order {len(elements)}, not a power of two")
     return GroupClosure(tuple(elements), tuple(words), tuple(map(tuple, left)), tuple(parents))
 
 
@@ -165,16 +253,23 @@ def _walk(group: GroupClosure, word: Sequence[int], start: int = 0) -> int:
 
 
 def _element_orders(group: GroupClosure) -> list[int]:
-    """Order of every element: walk its word from the identity until the
-    walk returns there, |word| lookups per power."""
-    orders = []
-    for word in group.words:
-        k = 1
-        e = _walk(group, word)
-        while e != 0:
-            e = _walk(group, word, e)
-            k += 1
-        orders.append(k)
+    """Order of every element of a 2-group, as :func:`closure` checks
+    every lifted group is: by Lagrange every order divides |G|, so it is a
+    power of two, and ord(e) = 2 ord(e^2) for e other than the identity.
+    e^2 is e's word walked once from e; the squares of an element are
+    followed until one of known order, and each gets its order on the way
+    back."""
+    orders = [1] + [0] * (len(group) - 1)
+    for k in range(1, len(group)):
+        squares = []
+        e = k
+        while not orders[e]:
+            squares.append(e)
+            e = _walk(group, group.words[e], e)
+        order = orders[e]
+        for e in reversed(squares):
+            order *= 2
+            orders[e] = order
     return orders
 
 
@@ -188,15 +283,6 @@ def element_order_histogram(group: GroupClosure) -> dict[int, int]:
 
 # ---------------------------------------------------------------------------
 # The order of the group without listing it
-
-
-def _vector(table: Sequence[int], width: int) -> int:
-    """A layer table as a vector over F2, so that XOR of tables is XOR of
-    vectors: byte plane s holds bits 8s..8s+7 of every entry."""
-    if width <= 8:
-        return int.from_bytes(bytes(table), "little")
-    planes = [bytes([(v >> s) & 255 for v in table]) for s in range(0, width, 8)]
-    return int.from_bytes(b"".join(planes), "little")
 
 
 def layer_dimensions(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> tuple[int, ...]:

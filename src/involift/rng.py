@@ -35,16 +35,17 @@ _LANE_BYTES = 16
 
 
 @cache
-def _lane_constants() -> tuple[int, int]:
-    """(k + 1) * gamma and 1 in every lane k < BLOCK, built once per process
-    by doubling the lanes; a shorter block takes their low lanes."""
+def _lane_constants() -> tuple[int, int, int]:
+    """(k + 1) * gamma, 1 and 2^64 - 1 in every lane k < BLOCK, built once
+    per process by doubling the lanes; a shorter block takes their low
+    lanes."""
     counters = ones = lanes = 1
     while lanes < BLOCK:
         shift = lanes * _LANE_BYTES * 8
         counters |= (counters + lanes * ones) << shift
         ones |= ones << shift
         lanes *= 2
-    return counters * _GAMMA, ones
+    return counters * _GAMMA, ones, ones * _MASK64
 
 
 class SplitMix64:
@@ -71,13 +72,12 @@ class SplitMix64:
         yielded."""
         from array import array  # lazy: start-up does not pay for it
 
-        counters, ones = _lane_constants()
+        counters, ones, mask = _lane_constants()
         while n > 0:
             size = min(n, BLOCK)
             if size < BLOCK:
                 low = (1 << (size * _LANE_BYTES * 8)) - 1
-                counters, ones = counters & low, ones & low
-            mask = ones * _MASK64
+                counters, ones, mask = counters & low, ones & low, mask & low
             z = (self._state * ones + counters) & mask
             z = (((z ^ (z >> 30)) & mask) * _MIX1) & mask
             z = (((z ^ (z >> 27)) & mask) * _MIX2) & mask

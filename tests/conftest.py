@@ -1,16 +1,17 @@
 """Shared fixtures: canonical small pipelines, the seeded random corpus, an
 oracle that builds permutations straight from register-tuple rules,
 reference permutation algebra (identity, lifted steps, composition, order,
-word evaluation, identity test, the closure of arbitrary permutations and
-the tableau of a permutation), HLT coset enumeration (the oracle for the
-orders of finite Coxeter groups), the nondegeneracy test of a pipeline read
-from its tables, the identity test of a truth table, the norm
-of a state, seeded random states, the per-shot measurement loop,
-identity and constant-zero steps and pipeline documents.
+word evaluation, identity test, the closure of arbitrary permutations, its
+Cayley table by composition, element orders by walking words, and the
+tableau of a permutation), HLT coset enumeration (the oracle for the orders
+of finite Coxeter groups), the nondegeneracy test of a pipeline read from
+its tables, the identity test of a truth table, the norm of a state, seeded
+random states, the per-shot measurement loop, identity and constant-zero
+steps and pipeline documents.
 
-The package builds no permutation: its group elements are tableaux.  The
-permutations here are the reference they are checked against, kept to
-small state spaces (W <= 12)."""
+The package builds no permutation: its group elements are tableaux, packed
+into ints by the closure.  The permutations here are the reference they are
+checked against, kept to small state spaces (W <= 12)."""
 
 import json
 import math
@@ -151,6 +152,39 @@ def reference_closure(generators) -> GroupClosure:
                 left[gi].append(k)
         frontier = range(frontier.stop, len(elements))
     return GroupClosure(tuple(elements), tuple(words), tuple(map(tuple, left)), tuple(parents))
+
+
+def cayley_table(group: GroupClosure) -> tuple[tuple[int, ...], ...]:
+    """The Cayley table of a closure as indices: its rows mapped through
+    the indices themselves."""
+    return tuple(group.cayley_rows(range(len(group))))
+
+
+def reference_cayley(reference: GroupClosure) -> tuple[tuple[int, ...], ...]:
+    """The Cayley table of a closure of permutations, entry (i, j) the
+    index of elements[i] composed with elements[j], found by composing."""
+    index = {e.mapping: k for k, e in enumerate(reference.elements)}
+    return tuple(
+        tuple(index[perm_compose(a, b).mapping] for b in reference.elements) for a in reference.elements
+    )
+
+
+def walked_orders(group: GroupClosure) -> list[int]:
+    """Order of every element of any closure: its word walked from the
+    identity through ``left`` until the walk returns there."""
+
+    def walk(word, e):
+        for symbol in reversed(word):
+            e = group.left[symbol][e]
+        return e
+
+    orders = []
+    for word in group.words:
+        k, e = 1, walk(word, 0)
+        while e != 0:
+            k, e = k + 1, walk(word, e)
+        orders.append(k)
+    return orders
 
 
 def perm_tables(perm: Perm, pipeline: PipelineSpec) -> tuple:

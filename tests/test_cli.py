@@ -531,10 +531,10 @@ def test_lift_orders_match_permutations(tmp_path_factory, seed, steps, zeroed):
 
 
 def test_verify_and_group_build_no_cayley_table(tmp_path, capsys, monkeypatch):
-    def refuse(self):
+    def refuse(self, images):
         raise AssertionError("the Cayley table was built")
 
-    monkeypatch.setattr(GroupClosure, "cayley", property(refuse))
+    monkeypatch.setattr(GroupClosure, "cayley_rows", refuse)
     doc = {"format_version": 1, "registers": [1, 1, 1, 1], "functions": [{"table": ["0", "1"]}] * 3}
     path = _write(tmp_path, doc)
     assert main(["verify", path]) == 0
@@ -683,17 +683,22 @@ def test_report_is_indented_sorted_json(tmp_path, argv):
 
 def test_cayley_report_is_written_row_by_row():
     # a report never exists as one string: the largest piece of a --cayley
-    # report is one row of its table, so the writer's memory stays flat
+    # report is one row of its table, drawn as it is written, so the
+    # writer's memory stays flat
     spec = parse_pipeline((PIPELINES / "three_step_identity.json").read_bytes())
     args = argparse.Namespace(cayley=True, element_cap=permgroup.DEFAULT_ELEMENT_CAP)
     results = cli._cmd_group(args, spec)[1]
-    assert isinstance(results["cayley"], cli._IndexTable)  # the path group --cayley writes
+    assert isinstance(results["cayley"], cli._TextRows)  # the path group --cayley writes
+    assert isinstance(results["words"], cli._TextRows)
     pieces = list(_json_chunks({"results": results}))
-    cayley = tuple(results["cayley"])
+    group = permgroup.closure(spec)
+    cayley = [list(row) for row in group.cayley_rows(range(len(group)))]
+    words = [[f"f{s + 1}" for s in word] for word in group.words]
     row = "".join(_json_chunks(cayley[-1], "      "))
     assert len(cayley) == 64 and max(map(len, pieces)) == len(row)
     assert len(pieces) > 2 * len(cayley)
-    assert "".join(pieces) == json.dumps({"results": results}, indent=2, sort_keys=True)
+    plain = dict(results, cayley=cayley, words=words)
+    assert "".join(pieces) == json.dumps({"results": plain}, indent=2, sort_keys=True)
 
 
 def _nested(depth):
@@ -739,6 +744,20 @@ def test_out_of_memory_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "closure", exhausted)
     report_path = tmp_path / "report.json"
     assert main(["group", _write(tmp_path, P1_DOC), "--json", str(report_path)]) == 2
+    assert capsys.readouterr().err == "error: group ran out of memory\n"
+    assert not report_path.exists()
+
+
+def test_out_of_memory_while_writing_exit_2(tmp_path, capsys, monkeypatch):
+    # the Cayley rows are gathered while the report is written: running out
+    # of memory there exits 2 as well, and leaves no partial report
+    def exhausted(self, images):
+        yield tuple(images)
+        raise MemoryError
+
+    monkeypatch.setattr(GroupClosure, "cayley_rows", exhausted)
+    report_path = tmp_path / "report.json"
+    assert main(["group", _write(tmp_path, P1_DOC), "--cayley", "--json", str(report_path)]) == 2
     assert capsys.readouterr().err == "error: group ran out of memory\n"
     assert not report_path.exists()
 

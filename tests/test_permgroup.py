@@ -10,6 +10,7 @@ from involift.boolfn import BoolFunc, random_fn
 from involift.cli import main
 from involift.lifting import (
     DEFAULT_WIDTH_CAP,
+    LiftingCheckFailed,
     Perm,
     PipelineSpec,
     product_orders,
@@ -18,6 +19,7 @@ from involift.lifting import (
 )
 from involift.permgroup import (
     ClosureCapExceeded,
+    _tables,
     closure,
     element_order_histogram,
     layer_dimensions,
@@ -27,6 +29,7 @@ from involift.rng import SplitMix64
 
 from conftest import (
     ID1,
+    cayley_table,
     emit_pipeline,
     evaluate_word,
     is_nondegenerate,
@@ -35,9 +38,11 @@ from conftest import (
     perm_is_identity,
     perm_order,
     perm_tables,
+    reference_cayley,
     reference_closure,
     step_perm,
     step_perms,
+    walked_orders,
     zero_fn,
 )
 
@@ -121,7 +126,7 @@ def test_perm_order_lcm_of_cycles():
 def test_closure_two_step_identity(two_step_id):
     grp = closure(two_step_id)
     assert len(grp) == 8
-    assert not any(grp.elements[0])
+    assert grp.elements[0] == 0
     assert grp.words[0] == ()
 
 
@@ -134,7 +139,7 @@ def test_closure_degenerate_two_elements(two_step_zero_first):
     s1, s2 = _two_step_gens(two_step_zero_first)
     grp = closure(two_step_zero_first)
     assert len(grp) == 2
-    assert set(grp.elements) == {
+    assert {_tables(two_step_zero_first, e) for e in grp.elements} == {
         perm_tables(perm_identity(3), two_step_zero_first),
         perm_tables(s2, two_step_zero_first),
     }
@@ -193,26 +198,30 @@ def test_closure_elements_pass_perm_validation(seed, steps):
     grp = closure(pipeline)
     reference = reference_closure(step_perms(pipeline))
     for element, expected in zip(grp.elements, reference.elements, strict=True):
-        assert Perm(width, _tableau_mapping(element, pipeline)) == expected
-    collapsed = _tableau_mapping(grp.elements[-1], pipeline)
+        assert Perm(width, _tableau_mapping(_tables(pipeline, element), pipeline)) == expected
+    collapsed = _tableau_mapping(_tables(pipeline, grp.elements[-1]), pipeline)
     collapsed[0] = collapsed[1]
     with pytest.raises(ValueError, match="not a bijection"):
         Perm(width, collapsed)
 
 
-def test_closure_cayley_is_composition_table(two_step_id, three_step_id):
-    # the table is read from the generator action table and BFS parents;
-    # S4 from a 4-cycle and a transposition checks it, through the
-    # reference closure, with a generator that is not an involution
+def test_closure_cayley_is_composition_table(two_step_id, three_step_id, two_step_zero_first):
+    # the rows are gathered from earlier rows through the generator action
+    # table; the reference composes every pair of permutations.  |G| = 1 is
+    # one 1-entry row and |G| = 2 the first gather; S4 from a 4-cycle and a
+    # transposition checks it, through the reference closure, with a
+    # generator that is not an involution
     s4 = reference_closure([Perm(2, (1, 2, 3, 0)), Perm(2, (1, 0, 2, 3))])
-    lifted = [(closure(p), reference_closure(step_perms(p))) for p in (two_step_id, three_step_id)]
-    for grp, reference, order in ((*lifted[0], 8), (*lifted[1], 64), (s4, s4, 24)):
+    pipelines = (ONE_ZERO_STEP, two_step_zero_first, two_step_id, three_step_id)
+    lifted = [(closure(p), reference_closure(step_perms(p))) for p in pipelines]
+    for (grp, reference), order in zip((*lifted, (s4, s4)), (1, 2, 8, 64, 24), strict=True):
         assert len(grp) == order
-        assert grp.cayley == reference.cayley
-        for i in range(len(grp)):
-            for j in range(len(grp)):
-                product = perm_compose(reference.elements[i], reference.elements[j])
-                assert reference.elements[grp.cayley[i][j]] == product
+        assert cayley_table(grp) == reference_cayley(reference)
+    # the rows come mapped through any images, without an int table
+    grp = lifted[2][0]
+    decimals = tuple(map(str, range(len(grp))))
+    assert list(grp.cayley_rows(decimals)) == [tuple(map(str, row)) for row in cayley_table(grp)]
+    assert list(lifted[0][0].cayley_rows(["0"])) == [("0",)]
 
 
 def test_words_are_minimal_and_evaluate_back(two_step_id):
@@ -221,7 +230,7 @@ def test_words_are_minimal_and_evaluate_back(two_step_id):
     lengths = [len(w) for w in grp.words]
     assert lengths == sorted(lengths)  # BFS discovery order
     for e in range(len(grp)):
-        assert perm_tables(evaluate_word(gens, grp.words[e]), two_step_id) == grp.elements[e]
+        assert perm_tables(evaluate_word(gens, grp.words[e]), two_step_id) == _tables(two_step_id, grp.elements[e])
 
 
 def test_words_match_brute_force_enumeration(three_step_id):
@@ -241,7 +250,7 @@ def test_words_match_brute_force_enumeration(three_step_id):
                     expected[tables] = word
             length += 1
         for e, element in enumerate(grp.elements):
-            assert grp.words[e] == expected[element]
+            assert grp.words[e] == expected[_tables(pipeline, element)]
 
 
 def test_shortest_word_tie_break(two_step_id):
@@ -250,7 +259,8 @@ def test_shortest_word_tie_break(two_step_id):
     s21 = perm_compose(s2, s1)
     s21_sq = perm_tables(perm_compose(s21, s21), two_step_id)
     # (f2 f1)^2 equals (f1 f2)^2; the lexicographically smaller word wins
-    assert grp.words[grp.elements.index(s21_sq)] == (0, 1, 0, 1)
+    tables = [_tables(two_step_id, e) for e in grp.elements]
+    assert grp.words[tables.index(s21_sq)] == (0, 1, 0, 1)
     assert grp.words[0] == ()
 
 
@@ -331,7 +341,7 @@ def test_two_step_closure_matches_closed_forms(rule_perm):
             continue
         grp = closure(pipeline)
         expected = {perm_tables(rule_perm(pipeline, rule), pipeline) for rule in make_rules()}
-        assert set(grp.elements) == expected
+        assert {_tables(pipeline, e) for e in grp.elements} == expected
         checked += 1
     assert checked >= 10
 
@@ -417,7 +427,7 @@ def test_table_rules_match_permutations(seed, steps, kinds):
     reference = reference_closure(gens)
     assert group.words == reference.words
     walked = permgroup._element_orders(group)
-    assert walked == [perm_order(e) for e in reference.elements]
+    assert walked == [perm_order(e) for e in reference.elements] == walked_orders(group)
     assert element_order_histogram(group) == dict(sorted(Counter(walked).items()))
     # every lifted group is a 2-group; neighbours give orders 1, 2 or 4, others 1 or 2
     assert _is_power_of_two(len(group))
@@ -441,9 +451,10 @@ def test_closure_matches_reference(seed, steps, kinds):
     assert group.words == reference.words
     assert group.left == reference.left
     assert group.parents == reference.parents
-    assert group.cayley == reference.cayley
+    # composing every pair of permutations is kept to the smaller groups
+    assert cayley_table(group) == (reference_cayley(reference) if len(group) <= 64 else cayley_table(reference))
     assert len(group.left) == steps
-    assert list(group.elements) == [perm_tables(p, pipeline) for p in reference.elements]
+    assert [_tables(pipeline, e) for e in group.elements] == [perm_tables(p, pipeline) for p in reference.elements]
 
 
 @given(
@@ -475,6 +486,68 @@ def test_tableau_order_matches_closure(seed, steps, kinds, data):
     # the generators are involutions, so the reversed word is the inverse
     assert word_tableau(pipeline, right[::-1]) == perm_tables(evaluate_word(gens, right[::-1]), pipeline)
     assert any(word_tableau(pipeline, right)) != perm_is_identity(evaluate_word(gens, right))
+
+
+def _tuple_closure(pipeline):
+    """The closure's breadth-first search over tuples of tables in normal
+    form, one :func:`permgroup._times_step` per product: elements, words,
+    left and parents."""
+    steps = [permgroup._step(pipeline, i) for i in range(pipeline.n_steps)]
+    identity = (None,) * len(steps)
+    elements, words, parents, index = [identity], [()], [0], {identity: 0}
+    left = [[] for _ in steps]
+    frontier = range(1)
+    while frontier:
+        for gi, step in enumerate(steps):
+            for ei in frontier:
+                product = permgroup._times_step(elements[ei], gi, step)
+                k = index.get(product)
+                if k is None:
+                    k = index[product] = len(elements)
+                    elements.append(product)
+                    words.append((gi,) + words[ei])
+                    parents.append(ei)
+                left[gi].append(k)
+        frontier = range(frontier.stop, len(elements))
+    return elements, tuple(words), tuple(map(tuple, left)), tuple(parents)
+
+
+def test_packed_closure_matches_tuple_closure():
+    # the packed elements unpack to the tuples that one left multiplication
+    # per product gives, in the same order, with the same words and tables,
+    # up to 12 bits and registers of more than 8
+    pipelines = [
+        _kinded_pipeline(1000 + k, 1 + k % 4, [STEP_KINDS[(k + j) % 4 if k % 3 else 0] for j in range(4)])
+        for k in range(48)
+    ]
+    pipelines += [PipelineSpec((1,) * (n + 1), (ID1,) * n) for n in range(1, 5)]
+    pipelines += [PipelineSpec((2, 10), (random_fn(2, 10, 7),)), PipelineSpec((3, 9), (random_fn(3, 9, 8),))]
+    assert len(pipelines) >= 50
+    for pipeline in pipelines:
+        group = closure(pipeline)
+        elements, words, left, parents = _tuple_closure(pipeline)
+        assert [_tables(pipeline, e) for e in group.elements] == elements
+        assert (group.words, group.left, group.parents) == (words, left, parents)
+
+
+def test_closure_order_must_be_a_power_of_two(tmp_path, capsys, monkeypatch):
+    # every lifted group is a 2-group.  With the places of T_1 and T_2
+    # swapped, step 2 reads the bits that step 1 writes and writes those it
+    # reads, which breaks the construction, and the closure reports it
+    fields = permgroup._fields
+
+    def swapped(pipeline):
+        (p1, w1, n1), (p2, w2, n2) = fields(pipeline)
+        return [(p2, w1, n1), (p1, w2, n2)]
+
+    monkeypatch.setattr(permgroup, "_fields", swapped)
+    pipeline = random_pipeline(7, steps=2, max_width=2)
+    with pytest.raises(LiftingCheckFailed, match="the lifted group has order 3, not a power of two"):
+        closure(pipeline)
+    path = tmp_path / "pipeline.json"
+    path.write_text(emit_pipeline(pipeline), encoding="utf-8")
+    assert main(["group", str(path)]) == 1
+    assert capsys.readouterr().err == "error: internal check failed: the lifted group has order 3, not a power of two\n"
 
 
 def test_identity_pipeline_layers():
@@ -570,7 +643,7 @@ def _in_normal_form(tableau):
 def test_every_operation_keeps_the_normal_form(seed, steps, kinds, data):
     pipeline = _kinded_pipeline(seed, steps, kinds)
     group = closure(pipeline)
-    assert all(map(_in_normal_form, group.elements))
+    assert all(_in_normal_form(_tables(pipeline, e)) for e in group.elements)
     # a word and its reverse multiply to the identity, so a table written
     # back to zero by the XOR must come out None
     words = st.lists(st.integers(0, steps - 1), max_size=12)

@@ -15,7 +15,7 @@ def test_seed_zero_known_answer():
 
 
 @pytest.mark.parametrize("seed", [0, 1, (1 << 64) - 1])
-@pytest.mark.parametrize("n", [0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 10_000])
+@pytest.mark.parametrize("n", [0, 1, 2, 1000, BLOCK - 1, BLOCK, BLOCK + 1, 10_000])
 def test_blocks_equal_next_u64_calls(seed, n):
     blocked, stepped = SplitMix64(seed), SplitMix64(seed)
     blocks = list(blocked.blocks(n))
