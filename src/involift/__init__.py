@@ -1,10 +1,11 @@
 """Lift pipelines of non-invertible Boolean functions to involutions on a
-shared register space, enumerate the group those involutions generate as
-tableaux, test it against its claimed Coxeter matrix, and apply the
-induced unitaries to sparse qubit-register states.  The test reads the
-concrete order from modules spun from the step tables and checks every
-claimed relator as a tableau; the abstract order is read from the claimed
-matrix in closed form."""
+shared register space, enumerate the group those involutions generate,
+each element a tableau packed into one int, test it against its claimed
+Coxeter matrix, and apply the induced unitaries to sparse qubit-register
+states.  The test reads the concrete order from modules spun from the step
+tables and checks that every claimed relator evaluates to the packed
+identity; the abstract order is read from the claimed matrix in closed
+form."""
 
 __version__ = "0.1.0"
 

@@ -591,19 +591,25 @@ def main(argv: Sequence[str] | None = None) -> int:
             "input_digest": "sha256:" + hashlib.sha256(data).hexdigest(),
             "results": results,
         }
+        out = None
         try:
             # a Cayley row of a 1024-element group is 16 KB: a 64 KB buffer
             # writes several per system call, the default 8 KB one each alone
             with open(args.json, "w", encoding="utf-8", buffering=1 << 16) as out:
                 out.writelines(_json_chunks(report))
                 out.write("\n")
-        except OSError as e:
+        except (OSError, MemoryError) as e:
+            # the Cayley rows are gathered as they are written, so memory can
+            # run out here too.  A partial report is removed; a file that
+            # could not be opened is left as it was, and so is one that is
+            # not a regular file (a device such as /dev/full)
+            if out is not None and Path(args.json).is_file():
+                Path(args.json).unlink(missing_ok=True)
+            if isinstance(e, MemoryError):
+                print(f"error: {args.subcommand} ran out of memory", file=sys.stderr)
+                return 2
             print(f"error: cannot write {args.json}: {e}", file=sys.stderr)
             return 1
-        except MemoryError:  # the Cayley rows are gathered as they are written
-            Path(args.json).unlink(missing_ok=True)
-            print(f"error: {args.subcommand} ran out of memory", file=sys.stderr)
-            return 2
     return exit_code
 
 

@@ -8,13 +8,12 @@ are read from it.  Whether the concrete group IS that Coxeter group
 (rather than a proper quotient of it) is checked, never assumed: the
 concrete order comes from the modules spun from the step tables
 (:func:`involift.permgroup.layer_dimensions`), every relator is evaluated
-as a tableau (:func:`involift.permgroup.word_tableau`), which in its normal
-form is the identity exactly when every table is ``None``, and the
-abstract order is a theorem about the claimed matrix, which depends on n
-alone: 2 for one step, 8 for two, infinite from three steps on (the
-matrix contains affine C~2).  A step whose truth table is all zero lifts
-to the identity, which makes the generators degenerate; the empirical
-matrix is read from the truth tables
+as a packed element (:func:`involift.permgroup.word_elements`), which is
+the identity exactly when it is 0, and the abstract order is a theorem
+about the claimed matrix, which depends on n alone: 2 for one step, 8 for
+two, infinite from three steps on (the matrix contains affine C~2).  A
+step whose truth table is all zero lifts to the identity, which makes the
+generators degenerate; the empirical matrix is read from the truth tables
 (:func:`involift.lifting.product_orders`) by the command line, and no
 permutation is built.  The verifier returns only when every relator
 holds, so its report carries only what can vary: the verdict, the layer
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .lifting import LiftingCheckFailed, PipelineSpec
-from .permgroup import DEFAULT_ELEMENT_CAP, layer_dimensions, word_tableau
+from .permgroup import DEFAULT_ELEMENT_CAP, layer_dimensions, word_elements
 
 CONFIRMED = "CONFIRMED"
 PROPER_QUOTIENT = "PROPER_QUOTIENT"
@@ -86,12 +85,11 @@ def claimed_coxeter_matrix(n: int) -> CoxeterMatrix:
 
 
 def check_relations(pipeline: PipelineSpec, relators) -> tuple[bool, ...]:
-    """Whether each relator holds on the lifted steps, in the order given,
-    evaluated in tableau form, leftmost symbol outermost
-    (:func:`involift.permgroup.word_tableau`).  In the normal form the
-    identity has no table, so a relator holds when every table is ``None``;
-    no 2^W permutation is built."""
-    return tuple(all(t is None for t in word_tableau(pipeline, word)) for word in relators)
+    """Whether each relator holds on the lifted steps, in the order given:
+    its word, leftmost symbol outermost, evaluates to the packed identity 0
+    (:func:`involift.permgroup.word_elements`, one delta cache for all
+    the relators); no 2^W permutation is built."""
+    return tuple(e == 0 for e in word_elements(pipeline, relators))
 
 
 @dataclass(frozen=True)

@@ -38,9 +38,9 @@ DEFAULT_WIDTH_CAP = 20
 class Perm:
     """A bijection of {0, ..., 2^total_width - 1}, stored as a mapping array
     and checked on construction.  The package builds none: a group element
-    is the tuple of its tables (:mod:`involift.permgroup`).  The class stays
-    as the reference form those tables are tested against, and as the
-    construction hook the benchmark's tracer counts."""
+    is its tables packed into one int (:mod:`involift.permgroup`).  The
+    class stays as the reference form those tables are tested against, and
+    as the construction hook the benchmark's tracer counts."""
 
     total_width: int
     mapping: tuple[int, ...]

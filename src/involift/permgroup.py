@@ -6,26 +6,25 @@ Every element is of Kaloujnine's tableau form: every lifted step maps
 register j to x_j ^ h(x_0..x_{j-1}), and products of such maps keep that
 form, so an element is given by its tables T_1..T_n.  T_j is indexed by the
 packed registers 0..j-1 (x < 2^offset_j), and the element maps register j
-to x_j ^ T_j[x]; no 2^W permutation is built.  A word is evaluated
-(:func:`word_tableau`, behind :mod:`involift.coxeter`'s relators) as the
-tuple of its tables, ``tables[j - 1]`` being T_j, in a normal form: a table
-that is all zero is held as ``None``, never as zeros, so two elements are
-equal exactly when their tuples are, and an element is the identity
-exactly when every table is ``None``.  The closure (behind ``group``)
-packs the same tables into one int per element (:func:`closure`), where
-the identity is 0.  Both rest on one composition rule, a left
-multiplication by a step (:func:`_times_step`), which keeps the normal
-form.  Element orders walk generator words through the closure's action
-table ``left``, and the Cayley table is gathered through it.  ``verify``
-lists no element: it reads the order from the dimensions of the modules
-spun from the step tables (:func:`layer_dimensions`).
+to x_j ^ T_j[x]; no 2^W permutation is built.  An element is held as one
+int, its tables packed side by side as F2 vectors (:func:`_fields`), so
+two elements are equal exactly when their ints are, and the identity is 0.
+There is one composition rule, the term a step XORs into the one table it
+writes (:func:`_term`), and one left multiplication built on it, cached
+per pipeline (:class:`_Steps`): the closure (behind ``group``) and the
+evaluation of words (:func:`word_elements`, behind
+:mod:`involift.coxeter`'s relators) both go through it.  Element orders
+walk generator words through the closure's action table ``left``, and the
+Cayley table is gathered through it.  ``verify`` lists no element: it
+reads the order from the dimensions of the modules spun from the step
+tables (:func:`layer_dimensions`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import itemgetter, xor
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .lifting import LiftingCheckFailed, PipelineSpec
@@ -102,24 +101,20 @@ def _step(pipeline: PipelineSpec, i: int) -> tuple[tuple[int, ...], tuple[int, .
     return f, tuple(chain.from_iterable(repeat(v, 1 << pipeline.offsets[i]) for v in f))
 
 
-def _times_step(tables: tuple, i: int, step: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple:
-    """The tables of step i, ``step`` as :func:`_step` gives it, after
-    the element with these tables (``tables[j - 1]`` is T_j, None when all
-    zero).  Only T_{i+1} changes:
+def _term(step: tuple[tuple[int, ...], tuple[int, ...]], lower: tuple[int, ...] | None) -> Sequence[int]:
+    """What step i, ``step`` as :func:`_step` gives it, XORs into T_{i+1}
+    of an element whose T_i is ``lower`` (None when all zero, and for step
+    0, which reads no table):
 
-        T_{i+1}[x] ^= f[(x >> offset_i) ^ T_i[x mod 2^offset_i]]   (T_0 = 0)
+        T_{i+1}[x] ^= f[(x >> offset_i) ^ T_i[x mod 2^offset_i]]
 
-    where f reads register i of the element's image of x; with T_i = None
-    the term is the step's own table.  That costs 2^offset_{i+1} lookups;
-    no action array is built, the other tables are shared with the element,
-    and the new table is None when it is all zero."""
+    where f reads register i of the element's image of x; with T_i zero the
+    term is the step's own table.  That costs 2^offset_{i+1} lookups, and
+    no action array is built."""
     f, t = step
-    if i and (lower := tables[i - 1]) is not None:
-        t = [f[y ^ u] for y in range(len(f)) for u in lower]
-    if tables[i] is not None:
-        t = map(xor, tables[i], t)
-    t = tuple(t)
-    return (*tables[:i], t if any(t) else None, *tables[i + 1 :])
+    if lower is None:
+        return t
+    return [f[y ^ u] for y in range(len(f)) for u in lower]
 
 
 def _vector(table: Sequence[int], width: int) -> int:
@@ -131,14 +126,10 @@ def _vector(table: Sequence[int], width: int) -> int:
     return int.from_bytes(b"".join(planes), "little")
 
 
-def _table(bits: int, width: int, entries: int) -> tuple[int, ...] | None:
+def _table(bits: int, width: int, entries: int) -> tuple[int, ...]:
     """The table of ``entries`` entries of ``width`` bits whose
-    :func:`_vector` is the low bits of ``bits``, None when it is all zero
-    (the normal form of :func:`_times_step`)."""
+    :func:`_vector` is ``bits``."""
     planes = (width + 7) // 8
-    bits &= (1 << 8 * planes * entries) - 1
-    if not bits:
-        return None
     data = bits.to_bytes(planes * entries, "little")
     if planes == 1:
         return tuple(data)
@@ -156,10 +147,32 @@ def _fields(pipeline: PipelineSpec) -> list[tuple[int, int, int]]:
     return fields
 
 
-def _tables(pipeline: PipelineSpec, element: int) -> tuple:
-    """The tables T_1..T_n of a packed element, in the normal form of
-    :func:`word_tableau`."""
-    return tuple(_table(element >> position, width, entries) for position, width, entries in _fields(pipeline))
+class _Steps:
+    """Left multiplication of packed elements by the lifted steps of one
+    pipeline.  Step i rewrites only T_{i+1}, by an XOR that depends on T_i
+    alone, so step i times e is ``e ^ delta(i, e & masks[i])``, with
+    masks[i] the bits of T_i (none for step 0).  ``deltas[i]`` caches
+    delta(i, .) by key: a miss unpacks the key's T_i and packs the term
+    :func:`_term` gives for it, and no element is unpacked."""
+
+    def __init__(self, pipeline: PipelineSpec):
+        self.steps = [_step(pipeline, i) for i in range(pipeline.n_steps)]
+        self.fields = _fields(pipeline)
+        # mask_i spans T_i: from its position up to that of T_{i+1}
+        self.masks = [0] + [(1 << high[0]) - (1 << low[0]) for low, high in zip(self.fields, self.fields[1:])]
+        self.deltas: list[dict[int, int]] = [{} for _ in self.steps]
+
+    def delta(self, i: int, key: int) -> int:
+        """The XOR that step i makes into an element whose T_i bits are key."""
+        d = self.deltas[i].get(key)
+        if d is None:
+            lower = None
+            if key:
+                position, width, entries = self.fields[i - 1]
+                lower = _table(key >> position, width, entries)
+            position, width, _ = self.fields[i]
+            d = self.deltas[i][key] = _vector(_term(self.steps[i], lower), width) << position
+        return d
 
 
 def closure(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> GroupClosure:
@@ -169,36 +182,18 @@ def closure(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> G
     Starting from the identity, each frontier element is multiplied on the
     left by every step (steps in order, frontier in discovery order), which
     makes the discovery order deterministic and yields shortest,
-    lexicographically smallest words.  An element is its tables packed
-    into one int (:func:`_fields`), so the identity is 0, and elements are
-    indexed by that int.  Step i rewrites only T_{i+1}, by an XOR that
-    depends on T_i alone, so the product is ``e ^ delta_i[e & mask_i]``,
-    with mask_i the bits of T_i (none for step 0).  Each ``delta_i`` entry
-    is filled on its first miss: the missed T_i is unpacked, and the table
-    :func:`_times_step` writes from it is packed.  No element is unpacked.
-    Raises :class:`ClosureCapExceeded` when the group has more than
-    ``element_cap`` elements, and :class:`involift.lifting.LiftingCheckFailed`
-    when its order is not a power of two: every lifted group is a 2-group,
-    an iterated semidirect product of F2-spaces (:func:`layer_dimensions`).
+    lexicographically smallest words.  Elements are packed ints, indexed
+    by their value, and each product is one cached delta lookup
+    (:class:`_Steps`).  Raises :class:`ClosureCapExceeded` when the group
+    has more than ``element_cap`` elements, and
+    :class:`involift.lifting.LiftingCheckFailed` when its order is not a
+    power of two: every lifted group is a 2-group, an iterated semidirect
+    product of F2-spaces (:func:`layer_dimensions`).
     """
     if element_cap < 1:
         raise ValueError("element_cap must be >= 1")
     n = pipeline.n_steps
-    steps = [_step(pipeline, i) for i in range(n)]
-    fields = _fields(pipeline)
-
-    def delta(i: int, key: int) -> int:
-        # the XOR that step i makes into T_{i+1} of an element whose T_i is key's
-        tables = [None] * n
-        if i:
-            position, width, entries = fields[i - 1]
-            tables[i - 1] = _table(key >> position, width, entries)
-        t = _times_step(tuple(tables), i, steps[i])[i]
-        return 0 if t is None else _vector(t, fields[i][1]) << fields[i][0]
-
-    # mask_i spans T_i: from its position up to that of T_{i+1}
-    masks = [0] + [(1 << high[0]) - (1 << low[0]) for low, high in zip(fields, fields[1:])]
-    deltas: list[dict[int, int]] = [{} for _ in range(n)]
+    steps = _Steps(pipeline)
     elements = [0]
     words: list[tuple[int, ...]] = [()]
     parents = [0]
@@ -208,13 +203,13 @@ def closure(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> G
     frontier = range(1)
     while frontier:
         for gi in range(n):
-            row, cache, mask = left[gi], deltas[gi], masks[gi]
+            row, cache, mask = left[gi], steps.deltas[gi], steps.masks[gi]
             for ei in frontier:
                 e = elements[ei]
                 key = e & mask
                 d = cache.get(key)
                 if d is None:
-                    d = cache[key] = delta(gi, key)
+                    d = steps.delta(gi, key)
                 product = e ^ d
                 k = index.get(product)
                 if k is None:
@@ -231,16 +226,19 @@ def closure(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> G
     return GroupClosure(tuple(elements), tuple(words), tuple(map(tuple, left)), tuple(parents))
 
 
-def word_tableau(pipeline: PipelineSpec, word: Sequence[int]) -> tuple:
-    """The tables of a word of step indices, leftmost symbol
-    outermost (the rightmost acts first): the word is walked right to left
-    from the identity, each symbol one left multiplication by its step
-    (:func:`_times_step`)."""
-    steps = {symbol: _step(pipeline, symbol) for symbol in set(word)}
-    tables = (None,) * pipeline.n_steps
-    for symbol in reversed(word):
-        tables = _times_step(tables, symbol, steps[symbol])
-    return tables
+def word_elements(pipeline: PipelineSpec, words: Iterable[Sequence[int]]) -> list[int]:
+    """The packed element of each word of step indices, leftmost symbol
+    outermost (the rightmost acts first): each word is walked right to left
+    from the identity 0, one left multiplication by a step per symbol, and
+    the words share one delta cache (:class:`_Steps`)."""
+    steps = _Steps(pipeline)
+    elements = []
+    for word in words:
+        e = 0
+        for i in reversed(word):
+            e ^= steps.delta(i, e & steps.masks[i])
+        elements.append(e)
+    return elements
 
 
 def _walk(group: GroupClosure, word: Sequence[int], start: int = 0) -> int:

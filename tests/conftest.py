@@ -3,14 +3,14 @@ oracle that builds permutations straight from register-tuple rules,
 reference permutation algebra (identity, lifted steps, composition, order,
 word evaluation, identity test, the closure of arbitrary permutations, its
 Cayley table by composition, element orders by walking words, and the
-tableau of a permutation), HLT coset enumeration (the oracle for the orders
-of finite Coxeter groups), the nondegeneracy test of a pipeline read from
-its tables, the identity test of a truth table, the norm of a state, seeded
-random states, the per-shot measurement loop, identity and constant-zero
-steps and pipeline documents.
+tables of a permutation, of a packed element and of a word), HLT coset
+enumeration (the oracle for the orders of finite Coxeter groups), the
+nondegeneracy test of a pipeline read from its tables, the identity test
+of a truth table, the norm of a state, seeded random states, the per-shot
+measurement loop, identity and constant-zero steps and pipeline documents.
 
-The package builds no permutation: its group elements are tableaux, packed
-into ints by the closure.  The permutations here are the reference they are
+The package builds no permutation: its group elements are tableaux, each
+packed into one int.  The permutations here are the reference they are
 checked against, kept to small state spaces (W <= 12)."""
 
 import json
@@ -22,7 +22,8 @@ import pytest
 from involift.boolfn import BoolFunc
 from involift.cli import FORMAT_VERSION
 from involift.lifting import Perm, PipelineSpec, product_orders, random_pipeline
-from involift.permgroup import GroupClosure
+from involift import permgroup
+from involift.permgroup import GroupClosure, word_elements
 from involift.quantum import PRUNE_THRESHOLD, QState, marginal_distribution
 from involift.rng import SplitMix64
 
@@ -198,6 +199,23 @@ def perm_tables(perm: Perm, pipeline: PipelineSpec) -> tuple:
         table = tuple((perm(x) >> offsets[j]) & mask for x in range(1 << offsets[j]))
         tables.append(table if any(table) else None)
     return tuple(tables)
+
+
+def element_tables(pipeline: PipelineSpec, element: int) -> tuple:
+    """T_1..T_n of a packed element, unpacked from its fields, in the form
+    of :func:`perm_tables` (None for an all-zero table)."""
+    tables = []
+    for position, width, entries in permgroup._fields(pipeline):
+        bits = (element >> position) & ((1 << 8 * ((width + 7) // 8) * entries) - 1)
+        table = permgroup._table(bits, width, entries)
+        tables.append(table if any(table) else None)
+    return tuple(tables)
+
+
+def word_tables(pipeline: PipelineSpec, word) -> tuple:
+    """T_1..T_n of a word of step indices, evaluated by the package
+    (:func:`involift.permgroup.word_elements`) and unpacked."""
+    return element_tables(pipeline, word_elements(pipeline, [word])[0])
 
 
 class _CosetBoundExceeded(Exception):

@@ -28,11 +28,12 @@ from involift.lifting import (
     word_action,
 )
 from involift.cli import main
-from involift.permgroup import _tables, closure
+from involift.permgroup import closure
 from involift.quantum import AMPLITUDE_TOLERANCE, apply_steps, basis_state, measure, uniform_superposition
 
 from conftest import (
     cayley_table,
+    element_tables,
     emit_pipeline,
     evaluate_word,
     identity_fn,
@@ -167,7 +168,8 @@ def test_two_step_group_is_dihedral_8(pipeline_suite, tmp_path):
         rotation = perm_compose(s1, s2)
         assert perm_order(rotation) == 4
         group = closure(pipeline)
-        assert _tables(pipeline, group.elements[group.left[0][group.left[1][0]]]) == perm_tables(rotation, pipeline)
+        rotated = group.elements[group.left[0][group.left[1][0]]]
+        assert element_tables(pipeline, rotated) == perm_tables(rotation, pipeline)
         assert time.perf_counter() - started < 1.0
         checked += 1
     assert checked >= 30, f"suite produced only {checked} nondegenerate pipelines"

@@ -785,6 +785,39 @@ def test_unwritable_report_exit_1(tmp_path, capsys, target):
     assert "Traceback" not in err
 
 
+def test_failed_write_leaves_no_partial_report(tmp_path):
+    # the 4-step identity Cayley report runs to megabytes; with the file size
+    # limited to 1 MiB (and SIGXFSZ ignored) the write fails with EFBIG, and
+    # the truncated report is removed
+    pytest.importorskip("resource")
+    doc = {"format_version": 1, "registers": [1] * 5, "functions": [{"table": ["0", "1"]}] * 4}
+    report_path = tmp_path / "report.json"
+    script = (
+        "import resource, signal, sys\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, ({1 << 20}, {1 << 20}))\n"
+        "from involift.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["group", _write(tmp_path, doc), "--cayley", "--json", str(report_path)]
+    result = subprocess.run([sys.executable, "-c", script, *argv], env=_child_env(), capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stderr == f"error: cannot write {report_path}: [Errno 27] File too large\n"
+    assert not report_path.exists()
+
+
+def test_report_that_cannot_be_opened_is_left_intact(tmp_path, capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    report_path = tmp_path / "report.json"
+    report_path.write_text("kept\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "open", refused, raising=False)
+    assert main(["lift", _write(tmp_path, P1_DOC), "--json", str(report_path)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {report_path}: [Errno 13] Permission denied\n"
+    assert report_path.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_deeply_nested_document_exit_1(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")

@@ -10,7 +10,7 @@ from involift.lifting import (
     run_classical,
     word_action,
 )
-from involift.permgroup import word_tableau
+from involift.permgroup import word_elements
 
 from conftest import (
     ID1,
@@ -19,8 +19,10 @@ from conftest import (
     identity_fn,
     perm_compose,
     perm_is_identity,
+    perm_tables,
     step_perm,
     step_perms,
+    word_tables,
     zero_fn,
 )
 
@@ -63,14 +65,16 @@ def test_layout_pack_unpack():
 def test_lift_identity_mapping():
     # y flips exactly when x = 1; states packed with x least significant
     one_step = PipelineSpec((1, 1), (ID1,))
-    assert word_tableau(one_step, (0,)) == ((0, 1),)
+    reference = perm_tables(evaluate_word(step_perms(one_step), (0,)), one_step)
+    assert word_tables(one_step, (0,)) == reference == ((0, 1),)
     assert word_action(one_step, (0,))(range(4)) == [0, 3, 2, 1]
     assert step_perm(one_step, 0).mapping == (0, 3, 2, 1)
 
 
 def test_lift_constant_zero_is_identity():
     zero_step = PipelineSpec((1, 1), (zero_fn(1, 1),))
-    assert word_tableau(zero_step, (0,)) == (None,)
+    assert word_elements(zero_step, [(0,)]) == [0]
+    assert perm_tables(evaluate_word(step_perms(zero_step), (0,)), zero_step) == (None,)
     assert word_action(zero_step, (0,))(range(4)) == [0, 1, 2, 3]
 
 
@@ -78,7 +82,8 @@ def test_lift_constant_zero_is_identity():
 @settings(max_examples=100)
 def test_lift_is_involution(a, b, seed):
     one_step = PipelineSpec((a, b), (random_fn(a, b, seed),))
-    assert not any(word_tableau(one_step, (0, 0)))
+    assert word_elements(one_step, [(0, 0)]) == [0]
+    assert perm_is_identity(evaluate_word(step_perms(one_step), (0, 0)))
     assert word_action(one_step, (0, 0))(range(1 << (a + b))) == list(range(1 << (a + b)))
 
 
@@ -119,8 +124,9 @@ def test_step_involution_touches_only_its_registers(seed, step):
 @settings(max_examples=100)
 def test_step_involutions_square_to_identity(seed):
     pipeline = random_pipeline(seed, steps=2, max_width=3)
+    assert word_elements(pipeline, [(0, 0), (1, 1)]) == [0, 0]
     for i in (0, 1):
-        assert word_tableau(pipeline, (i, i)) == (None, None)
+        assert perm_tables(evaluate_word(step_perms(pipeline), (i, i)), pipeline) == (None, None)
         states = range(1 << pipeline.total_width)
         assert word_action(pipeline, (i, i))(states) == list(states)
 

@@ -1,6 +1,7 @@
 import json
 from collections import Counter
 from itertools import combinations
+from operator import xor
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,17 +20,17 @@ from involift.lifting import (
 )
 from involift.permgroup import (
     ClosureCapExceeded,
-    _tables,
     closure,
     element_order_histogram,
     layer_dimensions,
-    word_tableau,
+    word_elements,
 )
 from involift.rng import SplitMix64
 
 from conftest import (
     ID1,
     cayley_table,
+    element_tables,
     emit_pipeline,
     evaluate_word,
     is_nondegenerate,
@@ -43,6 +44,7 @@ from conftest import (
     step_perm,
     step_perms,
     walked_orders,
+    word_tables,
     zero_fn,
 )
 
@@ -139,7 +141,7 @@ def test_closure_degenerate_two_elements(two_step_zero_first):
     s1, s2 = _two_step_gens(two_step_zero_first)
     grp = closure(two_step_zero_first)
     assert len(grp) == 2
-    assert {_tables(two_step_zero_first, e) for e in grp.elements} == {
+    assert {element_tables(two_step_zero_first, e) for e in grp.elements} == {
         perm_tables(perm_identity(3), two_step_zero_first),
         perm_tables(s2, two_step_zero_first),
     }
@@ -169,9 +171,9 @@ def _tableau_mapping(tableau, pipeline):
     return [_tableau_image(tableau, pipeline, s) for s in range(1 << pipeline.total_width)]
 
 
-def test_word_action_matches_word_tableau():
+def test_word_action_matches_word_elements():
     # the package's two evaluators of a word, the per-state action and the
-    # tableau, agree on seeded states, up to the 20-bit width cap (the
+    # packed element, agree on seeded states, up to the 20-bit width cap (the
     # reference permutations stop at W <= 12)
     pipelines = [random_pipeline(700 + k, steps=2 + k % 4, max_width=3) for k in range(6)]
     for k, widths in enumerate(((4, 4, 4, 8), (2, 3, 5, 10), (1, 2, 3, 14), (5, 5, 10), (6, 6, 6, 2))):
@@ -183,7 +185,7 @@ def test_word_action_matches_word_tableau():
         for _ in range(3):
             word = [rng.next_u64() % pipeline.n_steps for _ in range(rng.next_u64() % 9)]
             act = word_action(pipeline, word)
-            tableau = word_tableau(pipeline, word)
+            tableau = word_tables(pipeline, word)
             states = [rng.next_bits(pipeline.total_width) for _ in range(200)]
             assert act(states) == [_tableau_image(tableau, pipeline, x) for x in states]
 
@@ -198,8 +200,8 @@ def test_closure_elements_pass_perm_validation(seed, steps):
     grp = closure(pipeline)
     reference = reference_closure(step_perms(pipeline))
     for element, expected in zip(grp.elements, reference.elements, strict=True):
-        assert Perm(width, _tableau_mapping(_tables(pipeline, element), pipeline)) == expected
-    collapsed = _tableau_mapping(_tables(pipeline, grp.elements[-1]), pipeline)
+        assert Perm(width, _tableau_mapping(element_tables(pipeline, element), pipeline)) == expected
+    collapsed = _tableau_mapping(element_tables(pipeline, grp.elements[-1]), pipeline)
     collapsed[0] = collapsed[1]
     with pytest.raises(ValueError, match="not a bijection"):
         Perm(width, collapsed)
@@ -230,7 +232,8 @@ def test_words_are_minimal_and_evaluate_back(two_step_id):
     lengths = [len(w) for w in grp.words]
     assert lengths == sorted(lengths)  # BFS discovery order
     for e in range(len(grp)):
-        assert perm_tables(evaluate_word(gens, grp.words[e]), two_step_id) == _tables(two_step_id, grp.elements[e])
+        expected = perm_tables(evaluate_word(gens, grp.words[e]), two_step_id)
+        assert element_tables(two_step_id, grp.elements[e]) == expected
 
 
 def test_words_match_brute_force_enumeration(three_step_id):
@@ -250,7 +253,7 @@ def test_words_match_brute_force_enumeration(three_step_id):
                     expected[tables] = word
             length += 1
         for e, element in enumerate(grp.elements):
-            assert grp.words[e] == expected[_tables(pipeline, element)]
+            assert grp.words[e] == expected[element_tables(pipeline, element)]
 
 
 def test_shortest_word_tie_break(two_step_id):
@@ -259,7 +262,7 @@ def test_shortest_word_tie_break(two_step_id):
     s21 = perm_compose(s2, s1)
     s21_sq = perm_tables(perm_compose(s21, s21), two_step_id)
     # (f2 f1)^2 equals (f1 f2)^2; the lexicographically smaller word wins
-    tables = [_tables(two_step_id, e) for e in grp.elements]
+    tables = [element_tables(two_step_id, e) for e in grp.elements]
     assert grp.words[tables.index(s21_sq)] == (0, 1, 0, 1)
     assert grp.words[0] == ()
 
@@ -341,7 +344,7 @@ def test_two_step_closure_matches_closed_forms(rule_perm):
             continue
         grp = closure(pipeline)
         expected = {perm_tables(rule_perm(pipeline, rule), pipeline) for rule in make_rules()}
-        assert {_tables(pipeline, e) for e in grp.elements} == expected
+        assert {element_tables(pipeline, e) for e in grp.elements} == expected
         checked += 1
     assert checked >= 10
 
@@ -454,7 +457,8 @@ def test_closure_matches_reference(seed, steps, kinds):
     # composing every pair of permutations is kept to the smaller groups
     assert cayley_table(group) == (reference_cayley(reference) if len(group) <= 64 else cayley_table(reference))
     assert len(group.left) == steps
-    assert [_tables(pipeline, e) for e in group.elements] == [perm_tables(p, pipeline) for p in reference.elements]
+    expected = [perm_tables(p, pipeline) for p in reference.elements]
+    assert [element_tables(pipeline, e) for e in group.elements] == expected
 
 
 @given(
@@ -479,19 +483,32 @@ def test_tableau_order_matches_closure(seed, steps, kinds, data):
     fixing = [sum(all(e(x) & ((1 << bound) - 1) == x for x in range(1 << bound)) for e in elements) for bound in bounds]
     assert [fixing[j] // fixing[j + 1] for j in range(steps)] == [1 << d for d in layers]
     # the tables of words agree with the permutations they stand for
-    assert [word_tableau(pipeline, (s,)) for s in range(steps)] == [perm_tables(g, pipeline) for g in gens]
+    assert [word_tables(pipeline, (s,)) for s in range(steps)] == [perm_tables(g, pipeline) for g in gens]
     words = st.lists(st.integers(0, steps - 1), min_size=1, max_size=10)
     left, right = ([0], list(range(steps))) if data is None else (data.draw(words), data.draw(words))
-    assert word_tableau(pipeline, left + right) == perm_tables(evaluate_word(gens, left + right), pipeline)
+    assert word_tables(pipeline, left + right) == perm_tables(evaluate_word(gens, left + right), pipeline)
     # the generators are involutions, so the reversed word is the inverse
-    assert word_tableau(pipeline, right[::-1]) == perm_tables(evaluate_word(gens, right[::-1]), pipeline)
-    assert any(word_tableau(pipeline, right)) != perm_is_identity(evaluate_word(gens, right))
+    assert word_tables(pipeline, right[::-1]) == perm_tables(evaluate_word(gens, right[::-1]), pipeline)
+    assert (word_elements(pipeline, [right]) == [0]) == perm_is_identity(evaluate_word(gens, right))
+
+
+def _times_step(tables, i, step):
+    """The tables of step i, ``step`` as ``permgroup._step`` gives it,
+    after the element with these tables, in the tuple form that holds an
+    all-zero table as None: only T_{i+1} changes, by the XOR of
+    f[(x >> offset_i) ^ T_i[x mod 2^offset_i]]."""
+    f, t = step
+    if i and (lower := tables[i - 1]) is not None:
+        t = [f[y ^ u] for y in range(len(f)) for u in lower]
+    if tables[i] is not None:
+        t = map(xor, tables[i], t)
+    t = tuple(t)
+    return (*tables[:i], t if any(t) else None, *tables[i + 1 :])
 
 
 def _tuple_closure(pipeline):
-    """The closure's breadth-first search over tuples of tables in normal
-    form, one :func:`permgroup._times_step` per product: elements, words,
-    left and parents."""
+    """The closure's breadth-first search over tuples of tables, one
+    :func:`_times_step` per product: elements, words, left and parents."""
     steps = [permgroup._step(pipeline, i) for i in range(pipeline.n_steps)]
     identity = (None,) * len(steps)
     elements, words, parents, index = [identity], [()], [0], {identity: 0}
@@ -500,7 +517,7 @@ def _tuple_closure(pipeline):
     while frontier:
         for gi, step in enumerate(steps):
             for ei in frontier:
-                product = permgroup._times_step(elements[ei], gi, step)
+                product = _times_step(elements[ei], gi, step)
                 k = index.get(product)
                 if k is None:
                     k = index[product] = len(elements)
@@ -526,7 +543,7 @@ def test_packed_closure_matches_tuple_closure():
     for pipeline in pipelines:
         group = closure(pipeline)
         elements, words, left, parents = _tuple_closure(pipeline)
-        assert [_tables(pipeline, e) for e in group.elements] == elements
+        assert [element_tables(pipeline, e) for e in group.elements] == elements
         assert (group.words, group.left, group.parents) == (words, left, parents)
 
 
@@ -624,12 +641,6 @@ def test_tableau_order_with_registers_wider_than_a_byte(widths, high_only):
     assert 1 << sum(layer_dimensions(pipeline)) == len(closure(pipeline))
 
 
-def _in_normal_form(tableau):
-    """Every table None or nonzero: the form that makes equal elements have
-    equal tables."""
-    return all(t is None or any(t) for t in tableau)
-
-
 @given(
     seed=seeds,
     steps=st.integers(1, 4),
@@ -640,18 +651,18 @@ def _in_normal_form(tableau):
 @example(seed=8, steps=2, kinds=["constant", "constant", "random", "random"], data=None)
 @example(seed=9, steps=4, kinds=["random", "sparse", "random", "zero"], data=None)
 @settings(max_examples=60, deadline=None)
-def test_every_operation_keeps_the_normal_form(seed, steps, kinds, data):
+def test_words_are_equal_exactly_when_their_permutations_are(seed, steps, kinds, data):
     pipeline = _kinded_pipeline(seed, steps, kinds)
-    group = closure(pipeline)
-    assert all(_in_normal_form(_tables(pipeline, e)) for e in group.elements)
-    # a word and its reverse multiply to the identity, so a table written
-    # back to zero by the XOR must come out None
+    gens = step_perms(pipeline)
+    # a word times its reverse is the identity 0, and so is every step squared
     words = st.lists(st.integers(0, steps - 1), max_size=12)
     u, v = (list(range(steps)), [steps - 1, 0] * 3) if data is None else (data.draw(words), data.draw(words))
-    assert all(t is None for t in word_tableau(pipeline, u + u[::-1]))
-    for word in (u, v, u + v, v + u[::-1], *([s] for s in range(steps))):
-        assert _in_normal_form(word_tableau(pipeline, word))
-    assert all(t is None for s in range(steps) for t in word_tableau(pipeline, (s, s)))
+    assert word_elements(pipeline, [u + u[::-1], *((s, s) for s in range(steps))]) == [0] * (steps + 1)
+    candidates = [[], u, v, u + v, v + u[::-1], u[::-1] + v, *([s] for s in range(steps))]
+    elements = word_elements(pipeline, candidates)
+    mappings = [evaluate_word(gens, word).mapping for word in candidates]
+    for (a, p), (b, q) in combinations(zip(elements, mappings), 2):
+        assert (a == b) == (p == q)
 
 
 def _reference_is_dihedral_8(reference):
