@@ -15,7 +15,6 @@ from .boolfn import (
     random_fn,
 )
 from .lifting import (
-    DEFAULT_WIDTH_CAP,
     LiftingCheckFailed,
     PipelineSpec,
     product_orders,

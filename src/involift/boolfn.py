@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .rng import SplitMix64
 
-# Truth tables are materialized in full, so input arity is capped to keep
-# them desk-scale (at most 2^16 entries).
+# Truth tables are materialized in full, so both arities are capped: a table
+# has at most 2^16 entries, and a register, some table's input or output, 16 bits.
 MAX_FN_ARITY = 16
 
 
@@ -33,8 +33,9 @@ class BoolFunc:
     def __post_init__(self) -> None:
         if self.arity_in < 1 or self.arity_out < 1:
             raise ValueError("zero-width functions are rejected: arities must be >= 1")
-        if self.arity_in > MAX_FN_ARITY:
-            raise ValueError(f"arity_in {self.arity_in} exceeds the cap of {MAX_FN_ARITY}")
+        for name, arity in (("arity_in", self.arity_in), ("arity_out", self.arity_out)):
+            if arity > MAX_FN_ARITY:
+                raise ValueError(f"{name} {arity} exceeds the cap of {MAX_FN_ARITY}")
         object.__setattr__(self, "table", tuple(self.table))
         expected = 1 << self.arity_in
         if len(self.table) != expected:

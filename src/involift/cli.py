@@ -8,12 +8,9 @@ case-insensitive hex truth tables; reports are exactly
 piece by piece by :func:`_json_chunks` without ``json``'s pure-Python
 encoder, so identical invocations produce byte-identical files.  Exit
 status: 0 on success, 1 on validation or usage errors or a failed internal
-check, 2 when a computation hit the group element cap or ran out of
-memory.
-
-:func:`main` can be called repeatedly in one process: the first call builds
-the argument parser (about 1 ms) and later calls only parse their
-arguments (0.04-0.08 ms); the parser is never built at import.
+check, 2 when a computation hit the group element cap or the byte budget
+of :mod:`involift.permgroup`, or ran out of memory.  :func:`main` can be
+called repeatedly in one process (:func:`_build_parser`).
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from . import __version__
 from .boolfn import BoolFunc
 from .coxeter import CoxeterMatrix, claimed_coxeter_matrix, verify_pipeline
 from .lifting import (
-    DEFAULT_WIDTH_CAP,
     LiftingCheckFailed,
     PipelineSpec,
     product_orders,
@@ -110,13 +106,6 @@ def pipeline_from_document(document: object) -> PipelineSpec:
         raise PipelineFormatError(
             f"{len(registers)} registers need {len(registers) - 1} functions, got {len(functions)}"
         )
-    # PipelineSpec caps the total width only after the truth tables are built,
-    # and a table's entry bound is 2^arity_out: a register over the cap fails first
-    if max(registers) > DEFAULT_WIDTH_CAP:
-        total = sum(registers)
-        if total > DEFAULT_WIDTH_CAP:
-            raise PipelineFormatError(f"total width {total} exceeds the cap of {DEFAULT_WIDTH_CAP}")
-        raise PipelineFormatError(f"register width {max(registers)} exceeds the cap of {DEFAULT_WIDTH_CAP}")
     steps = []
     for i, obj in enumerate(functions):
         if not isinstance(obj, dict):
@@ -254,6 +243,8 @@ def _cmd_lift(args, pipeline: PipelineSpec):
 
 def _cmd_group(args, pipeline: PipelineSpec):
     group = closure(pipeline, element_cap=args.element_cap)
+    # the table's size is checked here, before anything is printed
+    cayley = group.cayley_rows(map(str, range(len(group)))) if args.cayley else None
     histogram = element_order_histogram(group)
     # nondegenerate: pairwise-distinct involutions whose neighbours have products of order 4
     orders = product_orders(pipeline)
@@ -284,7 +275,7 @@ def _cmd_group(args, pipeline: PipelineSpec):
         "dihedral_8": dihedral,
     }
     if args.cayley:
-        results["cayley"] = _TextRows(group.cayley_rows(map(str, range(len(group)))))
+        results["cayley"] = _TextRows(cayley)
         symbols = [f'"f{i}"' for i in range(1, pipeline.n_steps + 1)]
         results["words"] = _TextRows([symbols[s] for s in w] for w in group.words)
     return 0, results
@@ -450,11 +441,8 @@ def _json_chunks(value: object, indent: str = ""):
     other dict is written inline.  A :class:`_TextRows` (the Cayley table
     and the words) skips the encoder, which formats each int on its own:
     each row is one join of the texts it holds.  The pieces go straight to
-    the report file, one row at most, so no report is held whole in memory:
-    the 13.7 MB ``--cayley`` report of the 4-step identity pipeline costs no
-    13.7 MB strings, its table is never held whole either, and peak memory
-    does not depend on where the allocator left those of an earlier
-    report."""
+    the report file, one row at most, so neither a report nor its Cayley
+    table is ever held whole in memory."""
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:

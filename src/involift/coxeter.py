@@ -11,10 +11,7 @@ concrete order comes from the modules spun from the step tables
 as a packed element (:func:`involift.permgroup.word_elements`), which is
 the identity exactly when it is 0, and the abstract order is a theorem
 about the claimed matrix, which depends on n alone: 2 for one step, 8 for
-two, infinite from three steps on (the matrix contains affine C~2).  A
-step whose truth table is all zero lifts to the identity, which makes the
-generators degenerate; the empirical matrix is read from the truth tables
-(:func:`involift.lifting.product_orders`) by the command line, and no
+two, infinite from three steps on (the matrix contains affine C~2).  No
 permutation is built.  The verifier returns only when every relator
 holds, so its report carries only what can vary: the verdict, the layer
 dimensions and the abstract order."""
@@ -149,9 +146,8 @@ def verify_pipeline(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_C
     the claimed group from its closed form (2, 8, or infinite from three
     steps on), and classifies the outcome (see :class:`VerificationReport`).
     No element is listed and no 2^W permutation is built.  A group of more
-    than ``element_cap`` elements propagates as
-    :class:`involift.permgroup.ClosureCapExceeded`, raised as soon as the
-    spun layers prove the order too large.
+    than ``element_cap`` elements, or a spin past the byte budget,
+    propagates as :class:`involift.permgroup.ClosureCapExceeded`.
     """
     n = pipeline.n_steps
     layers = layer_dimensions(pipeline, element_cap)

@@ -9,15 +9,14 @@ Steps are numbered from 0 throughout the package, so step i reads register
 i and writes register i + 1, and a word is a sequence of step indices
 whose rightmost symbol acts first; only the command line names the steps
 f1..fn.  :class:`PipelineSpec` is the one description of the registers:
-their widths, their bit offsets in a packed state, and packing.
+their widths, their bit offsets in a packed state, and packing.  A
+register has at most 16 bits, as its truth tables do; the summed width W
+is not bounded, as nothing here builds a table indexed by several of them.
 
-Each lifted step is an involution of the packed state space (repeating the
-XOR cancels it), and composing the steps in order computes the whole
-pipeline while keeping every intermediate value around.  The facts the
-Coxeter claim is made of follow from the truth tables alone: a step is the
-identity exactly when its table is all zero (``BoolFunc.is_constant_zero``),
-two steps coincide only when both are, and :func:`product_orders` reads the
-order of each pairwise product; none is read from a permutation.
+Each lifted step is an involution of the packed state space, and composing
+the steps in order computes the whole pipeline while keeping every
+intermediate value.  The generator facts of the Coxeter claim are read from
+the truth tables (``BoolFunc.is_constant_zero``, :func:`product_orders`).
 """
 
 from __future__ import annotations
@@ -28,10 +27,6 @@ from typing import Callable, Iterable, Sequence
 
 from .boolfn import BoolFunc, random_fn
 from .rng import SplitMix64
-
-# The summed register width W is capped: it bounds the size of a group
-# element, whose tables have sum_j 2^offset_j < 2^W entries.
-DEFAULT_WIDTH_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -69,8 +64,8 @@ class PipelineSpec:
     map w_i bits to w_{i+1} bits.  Register i sits at bit ``offsets[i]`` of
     a packed state, the earliest register least significant; the offsets
     are derived once, on construction, and take no part in equality.  The
-    summed width W is capped at ``DEFAULT_WIDTH_CAP``, which bounds the
-    size of a group element: tables of fewer than 2^W entries in all.
+    truth tables cap each width at 16 bits; the summed width W is not
+    capped.
     """
 
     widths: tuple[int, ...]
@@ -93,9 +88,6 @@ class PipelineSpec:
                     f"step {i} maps {f.arity_in}->{f.arity_out} bits, "
                     f"expected {self.widths[i]}->{self.widths[i + 1]}"
                 )
-        total = sum(self.widths)
-        if total > DEFAULT_WIDTH_CAP:
-            raise ValueError(f"total width {total} exceeds the cap of {DEFAULT_WIDTH_CAP}")
         object.__setattr__(self, "offsets", tuple(accumulate(self.widths[:-1], initial=0)))
 
     @property
@@ -139,8 +131,9 @@ def product_orders(pipeline: PipelineSpec) -> tuple[tuple[int, ...], ...]:
     registers, so they commute and their product otherwise has order 2.
     For neighbours a: y ^= F(x) and b: z ^= G(y), (ab)^2 XORs
     G(y) ^ G(y ^ F(x)) into z, so ab has order 2 when G(y) = G(y ^ v) for
-    every y and every v in the image of F, and order 4 otherwise; that takes
-    at most 2^(w_{i-1} + w_i) table lookups.
+    every y and every v in the image of F, and order 4 otherwise; it suffices
+    that v runs over a basis of their span, so for y of w bits that takes at
+    most w * 2^w lookups.
     """
     steps = pipeline.steps
     zero = [f.is_constant_zero for f in steps]
@@ -150,8 +143,13 @@ def product_orders(pipeline: PipelineSpec) -> tuple[tuple[int, ...], ...]:
             continue
         k = 2
         if j == i + 1:
-            g = steps[j].table
-            if any(g[y] != g[y ^ v] for v in set(steps[i].table) for y in range(len(g))):
+            g, pivots = steps[j].table, {}
+            for v in set(steps[i].table):  # a basis of the span of im F, highest bit as pivot
+                while v and (p := v.bit_length() - 1) in pivots:
+                    v ^= pivots[p]
+                if v:
+                    pivots[p] = v
+            if any(g[y] != g[y ^ b] for b in pivots.values() for y in range(len(g))):
                 k = 4
         orders[i][j] = orders[j][i] = k
     return tuple(map(tuple, orders))

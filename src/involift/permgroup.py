@@ -30,14 +30,24 @@ from typing import Iterable, Iterator, Sequence
 from .lifting import LiftingCheckFailed, PipelineSpec
 
 DEFAULT_ELEMENT_CAP = 1_000_000
+BYTE_BUDGET = 1 << 28  # bytes the closure, the spin or the Cayley table may hold
 
 
 class ClosureCapExceeded(RuntimeError):
-    """Closure enumeration would exceed the element cap."""
+    """A group computation would pass the element cap or the byte budget."""
 
-    def __init__(self, element_cap: int):
-        super().__init__(f"group closure exceeds the cap of {element_cap} elements")
-        self.element_cap = element_cap
+
+def _charge(held: int, what: str) -> None:
+    """Stop ``what`` when it would hold more than ``BYTE_BUDGET`` bytes."""
+    if held > BYTE_BUDGET:
+        raise ClosureCapExceeded(f"{what} exceeds the budget of {BYTE_BUDGET} bytes")
+
+
+def _charge_tables(pipeline: PipelineSpec, what: str) -> int:
+    """Charge ``what`` the step tables T_1..T_n, 8 bytes an entry; return that."""
+    held = 8 * sum(1 << offset for offset in pipeline.offsets[1:])
+    _charge(held, what)
+    return held
 
 
 @dataclass(frozen=True)
@@ -71,8 +81,12 @@ class GroupClosure:
         ``itemgetter`` per generator, applied to the mapped row, so the
         images are never looked up by index.  r has a shorter word, so its
         row came earlier; a row is kept only until the last row that reads
-        it."""
-        images = tuple(images)
+        it.  Its |G|^2 entries are charged to the byte budget on this call,
+        before any row is made."""
+        _charge(8 * len(self) ** 2, "Cayley table")
+        return self._rows(tuple(images))
+
+    def _rows(self, images: tuple) -> Iterator[tuple]:
         yield images
         n, words, left = len(self), self.words, self.left
         gathers = [itemgetter(*row) for row in left]
@@ -185,7 +199,8 @@ def closure(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> G
     lexicographically smallest words.  Elements are packed ints, indexed
     by their value, and each product is one cached delta lookup
     (:class:`_Steps`).  Raises :class:`ClosureCapExceeded` when the group
-    has more than ``element_cap`` elements, and
+    has more than ``element_cap`` elements or its step tables and elements
+    would take more than ``BYTE_BUDGET`` bytes, and
     :class:`involift.lifting.LiftingCheckFailed` when its order is not a
     power of two: every lifted group is a 2-group, an iterated semidirect
     product of F2-spaces (:func:`layer_dimensions`).
@@ -193,6 +208,12 @@ def closure(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> G
     if element_cap < 1:
         raise ValueError("element_cap must be >= 1")
     n = pipeline.n_steps
+    position, width, entries = _fields(pipeline)[-1]
+    # an element: its packed tables, n action-table slots, and its word, index entry
+    # and parent, which take 430-530 bytes at |G| >= 2^15 (CPython 3.11, 64-bit)
+    size = position // 8 + (width + 7) // 8 * entries + 8 * n + 512
+    held = _charge_tables(pipeline, "group closure")
+    limit = min(element_cap, (BYTE_BUDGET - held) // size)
     steps = _Steps(pipeline)
     elements = [0]
     words: list[tuple[int, ...]] = [()]
@@ -213,8 +234,10 @@ def closure(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> G
                 product = e ^ d
                 k = index.get(product)
                 if k is None:
-                    if len(elements) >= element_cap:
-                        raise ClosureCapExceeded(element_cap)
+                    if len(elements) >= limit:
+                        if limit == element_cap:
+                            raise ClosureCapExceeded(f"group closure exceeds the cap of {element_cap} elements")
+                        _charge(held + (limit + 1) * size, "group closure")  # raises: the budget set the limit
                     k = index[product] = len(elements)
                     words.append((gi,) + words[ei])
                     parents.append(ei)
@@ -297,10 +320,12 @@ def layer_dimensions(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_
     kept only when its vector stays nonzero after Gaussian elimination on
     the highest set bit.  No group element is formed.  Raises
     :class:`ClosureCapExceeded` as soon as 2^(dimensions so far) exceeds
-    ``element_cap``, which bounds the basis held.
+    ``element_cap``, or the step tables (``verify`` walks its relators on
+    them too) and a layer's basis would take more than ``BYTE_BUDGET``.
     """
     if element_cap < 1:
         raise ValueError("element_cap must be >= 1")
+    held = _charge_tables(pipeline, "module spin")
     dimensions: list[int] = []
     moves: list[tuple[int, tuple[int, ...]]] = []  # (offset_{i+1}, T_{i+1}) of each nonzero step i < j
     for j, f in enumerate(pipeline.steps):
@@ -316,7 +341,8 @@ def layer_dimensions(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_
                 pivots[p] = v
                 basis.append(table)
                 if 1 << (sum(dimensions) + len(basis)) > element_cap:
-                    raise ClosureCapExceeded(element_cap)
+                    raise ClosureCapExceeded(f"group closure exceeds the cap of {element_cap} elements")
+                _charge(held + 8 * len(table) * (len(basis) - 1), "module spin")
 
         keep(phi)
         for b in basis:  # the basis grows while it is walked

@@ -5,16 +5,10 @@ on the 2^W-dimensional state space, and applying a word of steps just
 reroutes amplitudes: states are kept as sparse index -> amplitude maps,
 :func:`apply_steps` routes each amplitude through the word, and norms are
 preserved exactly.  Measurement samples a register's exact Born
-distribution with a seeded generator and never collapses the state (every
-shot is an independent preparation); :func:`measure` draws its shots a
-block of SplitMix64 words at a time and returns the distribution with the
-counts.  It forms no float per shot: each running sum of the distribution
-becomes the least word whose scaled draw reaches it, which is exact
-because the scaled draw never decreases as the word grows, and with up
-to 64 values the top byte of a word alone gives its value except in the
-few byte ranges a threshold falls inside.  States that
-:func:`apply_steps` and :func:`uniform_superposition` build are
-normalized by construction and skip the checks of :class:`QState`.
+distribution with a seeded generator, a block of words at a time and with
+no float per shot (:func:`measure`), and never collapses the state.
+States that :func:`apply_steps` and :func:`uniform_superposition` build
+are normalized by construction and skip the checks of :class:`QState`.
 """
 
 from __future__ import annotations
@@ -167,19 +161,17 @@ def measure(
     equal seeds give identical counts on any platform.  A marginal with one
     value gets every shot without a word drawn.
 
-    No float is formed per shot.  fl(m * scale) never decreases as m grows,
-    so u reaches a bound b exactly when m reaches the least m <= 2^53 with
-    fl(m * scale) >= b (:func:`_thresholds`), that is when the word reaches
-    that m shifted left by 11: the value index of a word is the number of
-    these word thresholds at or below it.  Words are counted a block at a
-    time from :meth:`SplitMix64.blocks`, so memory is bounded by the block
-    size, not by ``shots``.  Up to :data:`_CLASSIFY_MAX_VALUES` values, the
-    top byte of a word fixes its value unless a threshold falls inside that
-    byte's range of words: a 256-entry table maps each top byte to its value
-    index, or to 255 for such a straddling byte, so a block is counted by
-    one ``bytes.translate`` and one ``bytes.count`` per value, and only the
-    straddling words are bisected.  With more values every word is bisected
-    against the thresholds.
+    No float is formed per shot: the value index of a word is the number of
+    word thresholds (:func:`_thresholds`) at or below it.  Words are counted
+    a block at a time from :meth:`SplitMix64.blocks`, so memory is bounded
+    by the block size, not by ``shots``.  Up to
+    :data:`_CLASSIFY_MAX_VALUES` values, the top byte of a word fixes its
+    value unless a threshold falls inside that byte's range of words: a
+    256-entry table maps each top byte to its value index, or to 255 for
+    such a straddling byte, so a block is counted by one ``bytes.translate``
+    and one ``bytes.count`` per value, and only the straddling words are
+    bisected.  With more values every word is bisected against the
+    thresholds.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")

@@ -386,6 +386,85 @@ def test_run_and_qrun_build_no_permutation_at_width_cap(tmp_path, capsys, monkey
     assert results["matches_claimed"]
 
 
+def _wide_document(tmp_path, widths, seed):
+    fns = tuple(random_fn(a, b, seed + i) for i, (a, b) in enumerate(zip(widths, widths[1:])))
+    path = tmp_path / "wide.json"
+    path.write_text(emit_pipeline(PipelineSpec(widths, fns)), encoding="utf-8")
+    return str(path), fns
+
+
+def test_lift_coxeter_run_qrun_past_20_bits(tmp_path):
+    # W = 48: none of these commands builds a table indexed by several
+    # registers, so each is linear in the truth tables (qrun adds 2^12
+    # amplitudes for the superposed register)
+    path, (f, g, h) = _wide_document(tmp_path, (12, 12, 12, 12), 4800)
+    report_path = tmp_path / "report.json"
+
+    def results(command, *options):
+        assert main([command, path, *options, "--json", str(report_path)]) == 0
+        return json.loads(report_path.read_text())["results"]
+
+    lifted = results("lift")
+    assert lifted["layout"] == {"widths": [12] * 4, "offsets": [0, 12, 24, 36], "total_width": 48}
+    assert [(step["order"], step["is_identity"]) for step in lifted["steps"]] == [(2, False)] * 3
+    x = 0xA5C
+    run = results("run", "--input", "a5c")
+    assert run["trace"] == [format(v, "x") for v in (x, f(x), g(f(x)), h(g(f(x))))]
+    assert run["restoration_ok"] and run["restored"] == ["a5c", "0", "0", "0"]
+    qrun = results("qrun", "--word", "f3", "f2", "f1", "--input", "0", "0", "0", "0",
+                   "--superpose", "0", "--measure", "3", "--shots", "100")
+    outputs = Counter(h(g(f(v))) for v in range(1 << 12))
+    assert qrun["distribution"] == {format(v, "x"): c / 4096 for v, c in sorted(outputs.items())}
+    assert sum(qrun["counts"].values()) == 100 and qrun["counts"].keys() <= qrun["distribution"].keys()
+    # a neighbour pair has order 4 exactly when G(y) != G(y ^ v) for some y
+    # and some v in the image of F, here read from every image value
+    expected = [[1, 2, 2], [2, 1, 2], [2, 2, 1]]
+    for i, (F, G) in enumerate(((f, g), (g, h))):
+        if any(G(y) != G(y ^ v) for v in set(F.table) for y in range(1 << 12)):
+            expected[i][i + 1] = expected[i + 1][i] = 4
+    assert results("coxeter")["empirical_matrix"] == expected
+
+
+@pytest.mark.parametrize("command", ["group", "verify"])
+@pytest.mark.parametrize(
+    "widths, message",
+    [
+        ((12, 12, 12, 12), {"group": "group closure", "verify": "module spin"}),
+        ((4, 4, 4, 4, 4), {"group": "group closure", "verify": None}),
+        ((16, 12, 1), {"group": "group closure", "verify": "module spin"}),
+    ],
+    ids=["w48", "w20", "wide_t2"],
+)
+def test_byte_budget_stops_wide_groups(tmp_path, command, widths, message):
+    # group and verify hold tables indexed by several registers (T_3 of the
+    # W = 48 pipeline has 2^36 entries, T_2 of (16, 12, 1) 2^28, and a
+    # (4, 4, 4, 4, 4) element takes 69,904 bytes, of 2^23): each exits 2
+    # within 1 s in a child limited to 1 GB of address space, by the byte
+    # budget, or, for verify on (4, 4, 4, 4, 4), by the element cap
+    pytest.importorskip("resource")
+    path, _ = _wide_document(tmp_path, widths, 4900)
+    report_path = tmp_path / "report.json"
+    script = (
+        "import resource, sys, time\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({1 << 30}, {1 << 30}))\n"
+        "from involift.cli import main\n"
+        "start = time.perf_counter()\n"
+        "code = main(sys.argv[1:])\n"
+        "print(time.perf_counter() - start, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    argv = [command, path, "--json", str(report_path)]
+    result = subprocess.run([sys.executable, "-c", script, *argv], env=_child_env(), capture_output=True,
+                            text=True, timeout=120)
+    error, elapsed = result.stderr.splitlines()
+    what = message[command]
+    expected = f"{what} exceeds the budget of {permgroup.BYTE_BUDGET} bytes" if what else (
+        f"group closure exceeds the cap of {permgroup.DEFAULT_ELEMENT_CAP} elements")
+    assert (result.returncode, result.stdout, error) == (2, "", f"error: {expected}")
+    assert float(elapsed) < 1.0
+    assert not report_path.exists()
+
+
 @pytest.mark.parametrize(
     "widths, fns, cap, layers",
     [
@@ -785,6 +864,35 @@ def test_unwritable_report_exit_1(tmp_path, capsys, target):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("budget", [1 << 23, (1 << 23) - 1])
+def test_cayley_byte_budget_boundary(tmp_path, capsys, monkeypatch, budget):
+    # the 4-step identity table has 1024^2 entries at 8 bytes: 2^23 bytes,
+    # checked before anything is printed or the report is opened (its
+    # closure takes 588,016 bytes)
+    monkeypatch.setattr(permgroup, "BYTE_BUDGET", budget)
+    doc = {"format_version": 1, "registers": [1] * 5, "functions": [{"table": ["0", "1"]}] * 4}
+    report_path = tmp_path / "report.json"
+    code = main(["group", _write(tmp_path, doc), "--cayley", "--json", str(report_path)])
+    captured = capsys.readouterr()
+    if budget < 1 << 23:
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: Cayley table exceeds the budget of {budget} bytes\n"
+        assert not report_path.exists()
+    else:
+        assert (code, captured.err) == (0, "") and captured.out.startswith("closure order: 1024\n")
+        assert len(json.loads(report_path.read_text())["results"]["cayley"]) == 1024
+
+
+def test_cayley_table_of_the_five_step_identity_group_exit_2(tmp_path, capsys):
+    # |G| = 32768 is within the default element cap, but its table would be
+    # 2^30 entries, some 14 GB of report
+    doc = {"format_version": 1, "registers": [1] * 6, "functions": [{"table": ["0", "1"]}] * 5}
+    report_path = tmp_path / "report.json"
+    assert main(["group", _write(tmp_path, doc), "--cayley", "--json", str(report_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: Cayley table exceeds the budget of {1 << 28} bytes\n")
+    assert not report_path.exists()
+
+
 def test_failed_write_leaves_no_partial_report(tmp_path):
     # the 4-step identity Cayley report runs to megabytes; with the file size
     # limited to 1 MiB (and SIGXFSZ ignored) the write fails with EFBIG, and
@@ -828,13 +936,15 @@ def test_deeply_nested_document_exit_1(tmp_path, capsys):
 @pytest.mark.parametrize(
     "registers, message",
     [
-        ([1, 10**18], f"total width {10**18 + 1} exceeds the cap of 20"),
-        ([1, 10**18, 1 - 10**18], f"register width {10**18} exceeds the cap of 20"),
+        ([1, 10**18], f"functions[0]: arity_out {10**18} exceeds the cap of 16"),
+        ([1, 10**18, 1 - 10**18], f"functions[0]: arity_out {10**18} exceeds the cap of 16"),
+        ([1, 2**70], f"functions[0]: arity_out {2**70} exceeds the cap of 16"),
+        ([1, 17], "functions[0]: arity_out 17 exceeds the cap of 16"),
     ],
-    ids=["total", "beside_negative"],
+    ids=["total", "beside_negative", "huge", "last_register"],
 )
 def test_oversized_register_exit_1(tmp_path, capsys, registers, message):
-    # rejected before any truth table is built: a table's entry bound is 2^width
+    # rejected before a table's entry bound 2^width is computed
     doc = {"format_version": 1, "registers": registers, "functions": [{"table": ["0", "0"]}] * (len(registers) - 1)}
     assert main(["lift", _write(tmp_path, doc)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

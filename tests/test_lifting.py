@@ -3,9 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from involift.boolfn import BoolFunc, random_fn
 from involift.lifting import (
-    DEFAULT_WIDTH_CAP,
     Perm,
     PipelineSpec,
+    product_orders,
     random_pipeline,
     run_classical,
     word_action,
@@ -88,8 +88,16 @@ def test_lift_is_involution(a, b, seed):
 
 
 def test_lift_width_cap():
-    with pytest.raises(ValueError, match="cap"):
-        PipelineSpec((16, 5), (BoolFunc(16, 5, (0,) * (1 << 16)),))
+    # each register is capped at 16 bits by the tables that read and write
+    # it, checked before any 2^width is computed; the summed width is not
+    wide = PipelineSpec((16, 5), (BoolFunc(16, 5, (0,) * (1 << 16)),))
+    assert wide.total_width == 21 and wide.offsets == (0, 16)
+    with pytest.raises(ValueError, match="^arity_out 17 exceeds the cap of 16$"):
+        BoolFunc(1, 17, (0, 0))
+    with pytest.raises(ValueError, match="^arity_in 17 exceeds the cap of 16$"):
+        BoolFunc(17, 1, ())
+    with pytest.raises(ValueError, match=f"^arity_out {2**70} exceeds the cap of 16$"):
+        BoolFunc(1, 2**70, (0, 0))
 
 
 def test_step_involution_mappings(two_step_id):
@@ -278,10 +286,73 @@ def test_pipeline_spec_validation():
 
 
 def test_pipeline_width_cap():
-    wide = identity_fn(11)
-    with pytest.raises(ValueError, match="cap"):
-        PipelineSpec((11, 11), (wide,))
-    assert DEFAULT_WIDTH_CAP == 20
+    # no cap on the summed width: a 4-register chain of 16-bit identities
+    # has W = 64, and it runs and packs like any other
+    pipeline = PipelineSpec((16,) * 4, (identity_fn(16),) * 3)
+    assert pipeline.total_width == 64 and pipeline.offsets == (0, 16, 32, 48)
+    assert run_classical(pipeline, 0xBEEF) == (0xBEEF,) * 4
+    state = pipeline.pack_registers((1, 2, 3, 0xFFFF))
+    assert state == 1 | 2 << 16 | 3 << 32 | 0xFFFF << 48
+    assert pipeline.unpack_registers(state) == (1, 2, 3, 0xFFFF)
+    assert word_action(pipeline, (2, 1, 0))([0xBEEF]) == [0xBEEF * (1 + (1 << 16) + (1 << 32) + (1 << 48))]
+
+
+def _reference_product_orders(pipeline):
+    """The rule product_orders used before it reduced the image to a basis:
+    every value of the image of F against every y."""
+    steps = pipeline.steps
+    zero = [f.is_constant_zero for f in steps]
+    orders = [[1] * len(steps) for _ in steps]
+    for i in range(len(steps)):
+        for j in range(i + 1, len(steps)):
+            if zero[i] and zero[j]:
+                continue
+            k = 2
+            if j == i + 1:
+                g = steps[j].table
+                if any(g[y] != g[y ^ v] for v in set(steps[i].table) for y in range(len(g))):
+                    k = 4
+            orders[i][j] = orders[j][i] = k
+    return tuple(map(tuple, orders))
+
+
+@pytest.mark.parametrize(
+    "f, g, order",
+    [
+        # im f = {1, 2, 3} spans {1, 2}; g reads only bit 2 of y
+        ((1, 2, 3, 1), (0, 0, 0, 0, 1, 1, 1, 1), 2),
+        # im f = {3}: g(y) = g(y ^ 3) but g(y) != g(y ^ 1)
+        ((3, 3, 0, 3), (0, 1, 1, 0, 1, 0, 0, 1), 2),
+        ((3, 3, 0, 3), (0, 1, 0, 1, 0, 1, 0, 1), 4),
+        # im f = {5, 6} spans {3, 5, 6}: g is invariant under 6, not under 5
+        ((5, 6, 5, 6), (0, 0, 1, 1, 1, 1, 0, 0), 4),
+        ((5, 6, 5, 6), (0, 0, 0, 0, 0, 0, 0, 0), 2),
+    ],
+)
+def test_product_orders_on_a_basis_of_the_image(f, g, order):
+    pipeline = PipelineSpec((2, 3, 1), (BoolFunc(2, 3, f), BoolFunc(3, 1, g)))
+    assert product_orders(pipeline) == _reference_product_orders(pipeline) == ((1, order), (order, 1))
+
+
+def test_product_orders_of_wide_registers():
+    # f the 16-bit identity, g constant: the image of f spans all 2^16 values
+    # from 16 basis vectors, so g is read 16 * 2^16 times, not 2^32
+    pipeline = PipelineSpec((16, 16, 16), (identity_fn(16), BoolFunc(16, 16, (1,) * (1 << 16))))
+    assert product_orders(pipeline) == ((1, 2), (2, 1))
+
+
+@given(seed=seeds, steps=st.sampled_from([2, 3, 4]), sparse=st.booleans())
+@settings(max_examples=200)
+def test_product_orders_match_every_image_value(seed, steps, sparse):
+    # a pipeline whose last table is a function of fewer bits of y, so that
+    # order 2 turns up beside order 4
+    pipeline = random_pipeline(seed, steps=steps, max_width=4)
+    if sparse:
+        widths, fns = pipeline.widths, list(pipeline.steps)
+        keep = random_fn(1, 1, seed).table[0] + 1
+        fns[-1] = BoolFunc(widths[-2], widths[-1], tuple(fns[-1].table[y & keep] for y in range(1 << widths[-2])))
+        pipeline = PipelineSpec(widths, tuple(fns))
+    assert product_orders(pipeline) == _reference_product_orders(pipeline)
 
 
 def test_random_pipeline_deterministic():

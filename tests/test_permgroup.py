@@ -10,7 +10,6 @@ from involift import cli, permgroup
 from involift.boolfn import BoolFunc, random_fn
 from involift.cli import main
 from involift.lifting import (
-    DEFAULT_WIDTH_CAP,
     LiftingCheckFailed,
     Perm,
     PipelineSpec,
@@ -173,13 +172,13 @@ def _tableau_mapping(tableau, pipeline):
 
 def test_word_action_matches_word_elements():
     # the package's two evaluators of a word, the per-state action and the
-    # packed element, agree on seeded states, up to the 20-bit width cap (the
-    # reference permutations stop at W <= 12)
+    # packed element, agree on seeded states, past 20 bits of summed width
+    # (the reference permutations stop at W <= 12)
     pipelines = [random_pipeline(700 + k, steps=2 + k % 4, max_width=3) for k in range(6)]
-    for k, widths in enumerate(((4, 4, 4, 8), (2, 3, 5, 10), (1, 2, 3, 14), (5, 5, 10), (6, 6, 6, 2))):
+    for k, widths in enumerate(((4, 4, 4, 8), (2, 3, 5, 10), (1, 2, 3, 14), (5, 5, 10), (6, 6, 6, 2), (4, 4, 4, 12))):
         steps = tuple(random_fn(a, b, 800 + 10 * k + i) for i, (a, b) in enumerate(zip(widths, widths[1:])))
         pipelines.append(PipelineSpec(widths, steps))
-    assert max(p.total_width for p in pipelines) == DEFAULT_WIDTH_CAP
+    assert max(p.total_width for p in pipelines) == 24
     rng = SplitMix64(900)
     for pipeline in pipelines:
         for _ in range(3):
@@ -624,6 +623,56 @@ def test_polycyclic_cap_is_the_order(cap, raises):
         assert layer_dimensions(pipeline, element_cap=cap) == (1, 2, 3)
     with pytest.raises(ValueError, match="element_cap must be >= 1"):
         layer_dimensions(pipeline, element_cap=0)
+
+
+@pytest.mark.parametrize("budget", [35312, 35311])
+def test_closure_byte_budget_boundary(monkeypatch, budget):
+    # the 3-step identity closure holds its step tables T_1..T_3, 2 + 4 + 8
+    # entries at 8 bytes, and 64 elements, each of 2 + 4 + 8 one-byte
+    # entries and 8 * 3 + 512 bytes of bookkeeping: 112 + 64 * 550 = 35312
+    pipeline = PipelineSpec((1,) * 4, (ID1,) * 3)
+    monkeypatch.setattr(permgroup, "BYTE_BUDGET", budget)
+    if budget < 35312:
+        with pytest.raises(ClosureCapExceeded, match=f"^group closure exceeds the budget of {budget} bytes$"):
+            closure(pipeline)
+    else:
+        assert len(closure(pipeline)) == 64
+    # the element cap still fails exactly above |G|
+    with pytest.raises(ClosureCapExceeded, match="^group closure exceeds the cap of 63 elements$"):
+        closure(pipeline, element_cap=63)
+
+
+def test_byte_budget_is_charged_before_the_tables_are_built(monkeypatch):
+    # (16, 12, 1): T_2 alone has 2^28 entries, and neither the closure nor
+    # the spin builds a step table before it has charged them all
+    def refuse(*args):
+        raise AssertionError("a step table was built")
+
+    monkeypatch.setattr(permgroup, "_step", refuse)
+    pipeline = PipelineSpec((16, 12, 1), (BoolFunc(16, 12, (1,) * (1 << 16)), BoolFunc(12, 1, (1,) * (1 << 12))))
+    message = f"exceeds the budget of {1 << 28} bytes$"
+    with pytest.raises(ClosureCapExceeded, match="^group closure " + message):
+        closure(pipeline)
+    with pytest.raises(ClosureCapExceeded, match="^module spin " + message):
+        layer_dimensions(pipeline)
+    # the 3-step identity pipeline's tables take 112 bytes
+    monkeypatch.setattr(permgroup, "BYTE_BUDGET", 111)
+    with pytest.raises(ClosureCapExceeded, match="^module spin exceeds the budget of 111 bytes$"):
+        layer_dimensions(PipelineSpec((1,) * 4, (ID1,) * 3))
+
+
+@pytest.mark.parametrize("budget", [240, 239])
+def test_spin_byte_budget_boundary(monkeypatch, budget):
+    # the 3-step identity spin holds the step tables (112 bytes) and, beyond
+    # phi_j, one more 4-entry basis table in layer 1 and two more 8-entry ones
+    # in layer 2: at most 112 + 2 * 64 = 240 bytes
+    pipeline = PipelineSpec((1,) * 4, (ID1,) * 3)
+    monkeypatch.setattr(permgroup, "BYTE_BUDGET", budget)
+    if budget < 240:
+        with pytest.raises(ClosureCapExceeded, match=f"^module spin exceeds the budget of {budget} bytes$"):
+            layer_dimensions(pipeline)
+    else:
+        assert layer_dimensions(pipeline) == (1, 2, 3)
 
 
 @pytest.mark.parametrize("high_only", [False, True])

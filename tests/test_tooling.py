@@ -119,7 +119,7 @@ def _public_methods(path: Path) -> dict[str, str]:
 def test_every_export_is_used_outside_the_tests():
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     exported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert len(exported) >= 32
+    assert len(exported) >= 31
     sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
     methods = {}
     for path in sources:
