@@ -3,12 +3,11 @@
 Everything downstream shares one bit-packing convention: the first
 component of a bit tuple is the least significant bit of the packed
 integer, and register tuples concatenate with the earliest register in
-the least significant bits.
+the least significant bits.  The package's value types share one base,
+:class:`Frozen`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .rng import SplitMix64
 
@@ -17,18 +16,54 @@ from .rng import SplitMix64
 MAX_FN_ARITY = 16
 
 
-@dataclass(frozen=True)
-class BoolFunc:
+class Frozen:
+    """Base of the package's value types, immutable after construction.
+
+    A subclass names its fields in ``__slots__``, and its ``__init__``
+    stores them with ``object.__setattr__`` and validates them; assigning
+    or deleting an attribute afterwards raises AttributeError.  Two
+    instances are equal when they are of the same class and their
+    :meth:`_key` tuples are equal, and an instance hashes as its key, so
+    one holding a dict is unhashable.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        """The fields that take part in ``==`` and ``hash``: all of them."""
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BoolFunc(Frozen):
     """Truth table of a total function from ``arity_in`` to ``arity_out`` bits.
 
     ``table[x]`` is the packed output word for packed input ``x``.  Instances
-    are validated on construction and immutable afterwards, so they are safe
-    to share and to use as dict keys.
+    are validated on construction (:meth:`__post_init__`, the hook the
+    benchmark's tracer wraps) and immutable afterwards, so they are safe to
+    share and to use as dict keys.
     """
 
-    arity_in: int
-    arity_out: int
-    table: tuple[int, ...]
+    __slots__ = ("arity_in", "arity_out", "table")
+
+    def __init__(self, arity_in: int, arity_out: int, table: tuple[int, ...]) -> None:
+        object.__setattr__(self, "arity_in", arity_in)
+        object.__setattr__(self, "arity_out", arity_out)
+        object.__setattr__(self, "table", table)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.arity_in < 1 or self.arity_out < 1:

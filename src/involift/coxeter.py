@@ -18,9 +18,9 @@ dimensions and the abstract order."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
+from .boolfn import Frozen
 from .lifting import LiftingCheckFailed, PipelineSpec
 from .permgroup import DEFAULT_ELEMENT_CAP, layer_dimensions, word_elements
 
@@ -29,14 +29,13 @@ PROPER_QUOTIENT = "PROPER_QUOTIENT"
 DEGENERATE = "DEGENERATE"
 
 
-@dataclass(frozen=True)
-class CoxeterMatrix:
+class CoxeterMatrix(Frozen):
     """Symmetric matrix of pairwise product orders with 1 on the diagonal."""
 
-    orders: tuple[tuple[int, ...], ...]
+    __slots__ = ("orders",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "orders", tuple(tuple(row) for row in self.orders))
+    def __init__(self, orders: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "orders", tuple(tuple(row) for row in orders))
         n = len(self.orders)
         for i, row in enumerate(self.orders):
             if len(row) != n:
@@ -89,8 +88,7 @@ def check_relations(pipeline: PipelineSpec, relators) -> tuple[bool, ...]:
     return tuple(e == 0 for e in word_elements(pipeline, relators))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Frozen):
     """Outcome of comparing a concrete lifted group with the Coxeter group
     of its claimed matrix.
 
@@ -110,11 +108,12 @@ class VerificationReport:
     None when it is infinite.
     """
 
-    verdict: str
-    layer_dimensions: tuple[int, ...]
-    abstract_order: int | None
+    __slots__ = ("verdict", "layer_dimensions", "abstract_order")
 
-    def __post_init__(self) -> None:
+    def __init__(self, verdict: str, layer_dimensions: tuple[int, ...], abstract_order: int | None) -> None:
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "layer_dimensions", layer_dimensions)
+        object.__setattr__(self, "abstract_order", abstract_order)
         if self.verdict == CONFIRMED and self.abstract_order != self.concrete_order:
             raise ValueError("CONFIRMED requires matching orders")
         if self.verdict == PROPER_QUOTIENT and not (

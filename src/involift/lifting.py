@@ -21,24 +21,27 @@ the truth tables (``BoolFunc.is_constant_zero``, :func:`product_orders`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate, combinations
 from typing import Callable, Iterable, Sequence
 
-from .boolfn import BoolFunc, random_fn
+from .boolfn import BoolFunc, Frozen, random_fn
 from .rng import SplitMix64
 
 
-@dataclass(frozen=True)
-class Perm:
+class Perm(Frozen):
     """A bijection of {0, ..., 2^total_width - 1}, stored as a mapping array
     and checked on construction.  The package builds none: a group element
     is its tables packed into one int (:mod:`involift.permgroup`).  The
     class stays as the reference form those tables are tested against, and
-    as the construction hook the benchmark's tracer counts."""
+    as the construction hook (:meth:`__post_init__`) the benchmark's tracer
+    counts."""
 
-    total_width: int
-    mapping: tuple[int, ...]
+    __slots__ = ("total_width", "mapping")
+
+    def __init__(self, total_width: int, mapping: tuple[int, ...]) -> None:
+        object.__setattr__(self, "total_width", total_width)
+        object.__setattr__(self, "mapping", mapping)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mapping", tuple(self.mapping))
@@ -55,8 +58,7 @@ class Perm:
         return self.mapping[state]
 
 
-@dataclass(frozen=True)
-class PipelineSpec:
+class PipelineSpec(Frozen):
     """Register widths w_0..w_n and step functions, and the one description
     of the register space.
 
@@ -68,13 +70,11 @@ class PipelineSpec:
     capped.
     """
 
-    widths: tuple[int, ...]
-    steps: tuple[BoolFunc, ...]
-    offsets: tuple[int, ...] = field(init=False, compare=False)
+    __slots__ = ("widths", "steps", "offsets")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "widths", tuple(self.widths))
-        object.__setattr__(self, "steps", tuple(self.steps))
+    def __init__(self, widths: tuple[int, ...], steps: tuple[BoolFunc, ...]) -> None:
+        object.__setattr__(self, "widths", tuple(widths))
+        object.__setattr__(self, "steps", tuple(steps))
         if len(self.steps) < 1:
             raise ValueError("a pipeline needs at least one step")
         if len(self.widths) != len(self.steps) + 1:
@@ -89,6 +89,9 @@ class PipelineSpec:
                     f"expected {self.widths[i]}->{self.widths[i + 1]}"
                 )
         object.__setattr__(self, "offsets", tuple(accumulate(self.widths[:-1], initial=0)))
+
+    def _key(self) -> tuple:
+        return self.widths, self.steps
 
     @property
     def n_steps(self) -> int:

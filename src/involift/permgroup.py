@@ -22,11 +22,11 @@ tables (:func:`layer_dimensions`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
+from .boolfn import Frozen
 from .lifting import LiftingCheckFailed, PipelineSpec
 
 DEFAULT_ELEMENT_CAP = 1_000_000
@@ -50,8 +50,7 @@ def _charge_tables(pipeline: PipelineSpec, what: str) -> int:
     return held
 
 
-@dataclass(frozen=True)
-class GroupClosure:
+class GroupClosure(Frozen):
     """The fully enumerated group of the lifted steps.
 
     elements[0] is the identity, and every element is its tables packed
@@ -63,10 +62,19 @@ class GroupClosure:
     (parents[0] is 0).
     """
 
-    elements: tuple[int, ...]
-    words: tuple[tuple[int, ...], ...]
-    left: tuple[tuple[int, ...], ...]
-    parents: tuple[int, ...]
+    __slots__ = ("elements", "words", "left", "parents")
+
+    def __init__(
+        self,
+        elements: tuple[int, ...],
+        words: tuple[tuple[int, ...], ...],
+        left: tuple[tuple[int, ...], ...],
+        parents: tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "parents", parents)
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -17,10 +17,10 @@ import math
 import sys
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
 from typing import Sequence
 
+from .boolfn import Frozen
 from .lifting import PipelineSpec, word_action
 from .rng import SplitMix64
 
@@ -28,20 +28,19 @@ AMPLITUDE_TOLERANCE = 1e-12  # slack for normalization arithmetic only
 PRUNE_THRESHOLD = 1e-15  # amplitudes below this magnitude must be dropped
 
 
-@dataclass(frozen=True)
-class QState:
+class QState(Frozen):
     """Normalized state over 2^total_width basis indices, stored sparsely.
 
     The amplitude dict is owned by the instance and must not be mutated;
     every operation returns a fresh state.
     """
 
-    total_width: int
-    amplitudes: dict[int, complex]
+    __slots__ = ("total_width", "amplitudes")
 
-    def __post_init__(self) -> None:
-        size = 1 << self.total_width
-        amplitudes = self.amplitudes
+    def __init__(self, total_width: int, amplitudes: dict[int, complex]) -> None:
+        object.__setattr__(self, "total_width", total_width)
+        object.__setattr__(self, "amplitudes", amplitudes)
+        size = 1 << total_width
         magnitudes = [a.real * a.real + a.imag * a.imag for a in amplitudes.values()]
         if amplitudes and (
             min(amplitudes) < 0
@@ -51,7 +50,7 @@ class QState:
             # word the first failing entry
             for index, mag2 in zip(amplitudes, magnitudes):
                 if not 0 <= index < size:
-                    raise ValueError(f"basis index {index} out of range for width {self.total_width}")
+                    raise ValueError(f"basis index {index} out of range for width {total_width}")
                 if mag2 < PRUNE_THRESHOLD * PRUNE_THRESHOLD:
                     raise ValueError("amplitudes below the pruning threshold must be dropped")
         squared = sum(magnitudes, 0.0)
@@ -131,14 +130,16 @@ def marginal_distribution(state: QState, pipeline: PipelineSpec, register: int) 
     return probabilities
 
 
-@dataclass(frozen=True)
-class MeasurementResult:
+class MeasurementResult(Frozen):
     """Counts of ``shots`` draws of one register, and the exact marginal
     (register value -> Born probability) they were drawn from."""
 
-    counts: dict[int, int]
-    shots: int
-    distribution: dict[int, float]
+    __slots__ = ("counts", "shots", "distribution")
+
+    def __init__(self, counts: dict[int, int], shots: int, distribution: dict[int, float]) -> None:
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "shots", shots)
+        object.__setattr__(self, "distribution", distribution)
 
 
 # Up to this many register values a block is counted by the top byte of its

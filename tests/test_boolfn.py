@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from involift.boolfn import BoolFunc, MAX_FN_ARITY, random_fn
-from involift.lifting import PipelineSpec
+from involift.coxeter import DEGENERATE, PROPER_QUOTIENT, CoxeterMatrix, VerificationReport
+from involift.lifting import Perm, PipelineSpec
+from involift.permgroup import GroupClosure
+from involift.quantum import MeasurementResult, QState
 
-from conftest import ID1, fn_is_identity, identity_fn, zero_fn
+from conftest import ID1, NOT1, fn_is_identity, identity_fn, zero_fn
 
 seeds = st.integers(0, 2**64 - 1)
 
@@ -15,6 +18,62 @@ def _bits(width):
     # a bit tuple packs as the registers of a pipeline of 1-bit registers
     # (a pipeline has at least two)
     return PipelineSpec((1,) * width, (ID1,) * (width - 1))
+
+
+# Each value type with its attributes (the constructor's parameters first,
+# then what is derived), the arguments of one instance, and variants of
+# them that each differ in one field where validation allows it.
+VALUE_TYPES = [
+    (BoolFunc, ("arity_in", "arity_out", "table"), (1, 1, (0, 1)), [(1, 1, (1, 0)), (1, 2, (0, 1))]),
+    (Perm, ("total_width", "mapping"), (1, (0, 1)), [(1, (1, 0))]),
+    (PipelineSpec, ("widths", "steps", "offsets"), ((1, 1), (ID1,)), [((1, 1), (NOT1,))]),
+    (
+        GroupClosure,
+        ("elements", "words", "left", "parents"),
+        ((0, 1), ((), (0,)), ((1, 0),), (0, 0)),
+        [
+            ((0, 2), ((), (0,)), ((1, 0),), (0, 0)),
+            ((0, 1), ((), (1,)), ((1, 0),), (0, 0)),
+            ((0, 1), ((), (0,)), ((0, 1),), (0, 0)),
+            ((0, 1), ((), (0,)), ((1, 0),), (0, 1)),
+        ],
+    ),
+    (CoxeterMatrix, ("orders",), (((1, 4), (4, 1)),), [(((1, 2), (2, 1)),)]),
+    (
+        VerificationReport,
+        ("verdict", "layer_dimensions", "abstract_order"),
+        (PROPER_QUOTIENT, (1, 2), None),
+        [(DEGENERATE, (1, 2), None), (PROPER_QUOTIENT, (1, 3), None), (PROPER_QUOTIENT, (1, 2), 16)],
+    ),
+    (QState, ("total_width", "amplitudes"), (1, {0: 1 + 0j}), [(2, {0: 1 + 0j}), (1, {1: 1 + 0j})]),
+    (
+        MeasurementResult,
+        ("counts", "shots", "distribution"),
+        ({0: 3}, 3, {0: 1.0}),
+        [({0: 2, 1: 1}, 3, {0: 1.0}), ({0: 3}, 4, {0: 1.0}), ({0: 3}, 3, {0: 0.5, 1: 0.5})],
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, attributes, args, variants", VALUE_TYPES, ids=[row[0].__name__ for row in VALUE_TYPES])
+def test_value_types_compare_by_field_and_are_immutable(cls, attributes, args, variants):
+    value = cls(*args)
+    same = cls(**dict(zip(attributes, args)))
+    assert value == same and not value != same
+    if any(isinstance(arg, dict) for arg in args):
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(same)
+    for variant in variants:
+        assert cls(*variant) != value
+    assert value != args
+    for name in attributes + ("unknown",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == same
 
 
 def test_pack_bits_examples():

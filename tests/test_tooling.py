@@ -5,9 +5,11 @@ has one report writer (no ``json.dumps(..., indent=...)`` beside
 tableaux), no module imports a private name of another, and every name it
 exports and every public method or property of its classes is used by the
 package itself or by a script (a method only when read as an attribute),
-so no public API exists only for the tests."""
+so no public API exists only for the tests, and importing the CLI loads
+neither ``dataclasses`` nor the introspection modules it pulls in."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -106,7 +108,7 @@ def _uses(path: Path) -> tuple[set[str], set[str]]:
 def _public_methods(path: Path) -> dict[str, str]:
     """Methods and properties of the module's public classes whose names do
     not start with an underscore (dunders and private helpers are skipped;
-    dataclass fields are annotations, not functions), as name -> Class.name."""
+    fields are slots, not functions), as name -> Class.name."""
     methods = {}
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
         if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
@@ -131,3 +133,15 @@ def test_every_export_is_used_outside_the_tests():
     assert not exported - used, sorted(exported - used)
     # a parameter or local of the same name is no use of a method
     assert not methods.keys() - attributes, sorted(methods[name] for name in methods.keys() - attributes)
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # every CLI call pays for its imports; dataclasses alone, with inspect,
+    # ast, dis and tokenize, costs several ms of it.  -S keeps out the
+    # modules that site's .pth files import.
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import involift.cli; print(*sys.modules)"
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(ROOT / "src")], capture_output=True, text=True, check=True
+    )
+    loaded = {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(child.stdout.split())
+    assert not loaded, sorted(loaded)
