@@ -1,11 +1,12 @@
 """Lift pipelines of non-invertible Boolean functions to involutions on a
 shared register space, enumerate the group those involutions generate,
 each element a tableau packed into one int, test it against its claimed
-Coxeter matrix, and apply the induced unitaries to sparse qubit-register
-states.  The test reads the concrete order from modules spun from the step
-tables and checks that every claimed relator evaluates to the packed
-identity; the abstract order is read from the claimed matrix in closed
-form."""
+Coxeter matrix, and apply the induced unitaries, which permute basis
+states, to qubit-register states held as their support, so a measured
+register's marginal is an exact count over 2^w.  The test reads the
+concrete order from modules spun from the step tables and checks that
+every claimed relator evaluates to the packed identity; the abstract order
+is read from the claimed matrix in closed form."""
 
 __version__ = "0.1.0"
 
@@ -41,7 +42,6 @@ from .coxeter import (
     verify_pipeline,
 )
 from .quantum import (
-    AMPLITUDE_TOLERANCE,
     MeasurementResult,
     QState,
     apply_steps,

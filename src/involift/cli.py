@@ -20,10 +20,10 @@ import hashlib
 import json
 import re
 import sys
+from collections.abc import Sequence
 from functools import cache
 from itertools import combinations, repeat
 from pathlib import Path
-from typing import Sequence
 
 from . import __version__
 from .boolfn import BoolFunc

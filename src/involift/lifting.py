@@ -21,8 +21,8 @@ the truth tables (``BoolFunc.is_constant_zero``, :func:`product_orders`).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from itertools import accumulate, combinations
-from typing import Callable, Iterable, Sequence
 
 from .boolfn import BoolFunc, Frozen, random_fn
 from .rng import SplitMix64

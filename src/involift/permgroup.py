@@ -22,9 +22,9 @@ tables (:func:`layer_dimensions`).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
 
 from .boolfn import Frozen
 from .lifting import LiftingCheckFailed, PipelineSpec

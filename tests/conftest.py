@@ -6,8 +6,8 @@ Cayley table by composition, element orders by walking words, and the
 tables of a permutation, of a packed element and of a word), HLT coset
 enumeration (the oracle for the orders of finite Coxeter groups), the
 nondegeneracy test of a pipeline read from its tables, the identity test
-of a truth table, the norm of a state, seeded random states, the per-shot
-measurement loop, identity and constant-zero steps and pipeline documents.
+of a truth table, seeded random states, the per-shot integer measurement
+oracle, identity and constant-zero steps and pipeline documents.
 
 The package builds no permutation: its group elements are tableaux, each
 packed into one int.  The permutations here are the reference they are
@@ -24,7 +24,7 @@ from involift.cli import FORMAT_VERSION
 from involift.lifting import Perm, PipelineSpec, product_orders, random_pipeline
 from involift import permgroup
 from involift.permgroup import GroupClosure, word_elements
-from involift.quantum import PRUNE_THRESHOLD, QState, marginal_distribution
+from involift.quantum import QState
 from involift.rng import SplitMix64
 
 
@@ -83,10 +83,6 @@ def step_perms(pipeline: PipelineSpec) -> tuple[Perm, ...]:
 
 def perm_is_identity(p: Perm) -> bool:
     return all(v == i for i, v in enumerate(p.mapping))
-
-
-def state_norm(state: QState) -> float:
-    return math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in state.amplitudes.values()))
 
 
 def perm_compose(p: Perm, q: Perm) -> Perm:
@@ -388,57 +384,40 @@ def rule_perm():
     return build
 
 
-def _signed_unit(rng: SplitMix64) -> float:
-    """Uniform double in [-1, 1) from the top 53 bits of the next word."""
-    return (rng.next_u64() >> 11) * 2.0**-52 - 1.0
-
-
-def random_state(width: int, seed: int, support: int = 8) -> QState:
-    """Seeded random state on at most ``support`` basis indices.
-
-    Indices come from masked SplitMix64 words (repeats rejected); real and
-    imaginary parts are uniform on [-1, 1); the vector is then normalized
-    and pruned.
-    """
-    if support < 1:
-        raise ValueError("support must be >= 1")
-    size = 1 << width
-    k = min(support, size)
+def random_state(width: int, seed: int, size: int = 8) -> QState:
+    """Seeded random state on ``size`` basis indices of ``width`` bits (size
+    a power of two, at most 2^width): indices are masked SplitMix64 words,
+    repeats rejected."""
+    if size > 1 << width:
+        raise ValueError(f"{size} indices do not fit in width {width}")
     rng = SplitMix64(seed)
-    indices: list[int] = []
-    seen: set[int] = set()
-    while len(indices) < k:
-        index = rng.next_bits(width)
-        if index not in seen:
-            seen.add(index)
-            indices.append(index)
-    raw = {i: complex(_signed_unit(rng), _signed_unit(rng)) for i in indices}
-    norm = math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in raw.values()))
-    if norm < 1e-9:  # vanishing draw; keep the state well-defined
-        raw = {indices[0]: 1.0 + 0j}
-        norm = 1.0
-    amplitudes = {i: a / norm for i, a in raw.items() if abs(a / norm) >= PRUNE_THRESHOLD}
-    return QState(width, amplitudes)
+    support: set[int] = set()
+    while len(support) < size:
+        support.add(rng.next_bits(width))
+    return QState(width, support)
 
 
 def reference_measure(state: QState, pipeline: PipelineSpec, register: int, seed: int, shots: int) -> dict[int, int]:
-    """Reference counts of ``quantum.measure``: one SplitMix64 word per shot,
-    u = (m * 2^-53) * total from its top 53 bits m, inverted by
-    ``bisect_right`` on the cumulative distribution (values ascending), a k
-    past the last value clamped to it."""
-    probabilities = marginal_distribution(state, pipeline, register)
-    values = sorted(probabilities)
-    cumulative = []
-    total = 0.0
+    """Reference counts of ``quantum.measure``, in integers and one shot at a
+    time: the register values are counted over the N indices of the support,
+    and a shot whose SplitMix64 word has top 53 bits m counts for the first
+    value k (ascending) whose running count C_{k+1} has m * N < C_{k+1} * 2^53.
+    The last running count is N, so every shot finds its value."""
+    offset, mask = pipeline.offsets[register], (1 << pipeline.widths[register]) - 1
+    held: dict[int, int] = {}
+    for index in state.support:
+        value = (index >> offset) & mask
+        held[value] = held.get(value, 0) + 1
+    values = sorted(held)
+    bounds, total = [], 0  # C_{k+1} * 2^53 for each value k
     for v in values:
-        total += probabilities[v]
-        cumulative.append(total)
+        total += held[v]
+        bounds.append(total << 53)
+    n = len(state.support)
     rng = SplitMix64(seed)
     counts: dict[int, int] = {}
     for _ in range(shots):
-        u = (rng.next_u64() >> 11) * 2.0**-53 * total
-        k = bisect_right(cumulative, u)
-        if k == len(values):
-            k -= 1
+        # the first bound above m * N is the first with m * N < C_{k+1} * 2^53
+        k = bisect_right(bounds, (rng.next_u64() >> 11) * n)
         counts[values[k]] = counts.get(values[k], 0) + 1
     return counts

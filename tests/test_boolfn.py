@@ -45,7 +45,7 @@ VALUE_TYPES = [
         (PROPER_QUOTIENT, (1, 2), None),
         [(DEGENERATE, (1, 2), None), (PROPER_QUOTIENT, (1, 3), None), (PROPER_QUOTIENT, (1, 2), 16)],
     ),
-    (QState, ("total_width", "amplitudes"), (1, {0: 1 + 0j}), [(2, {0: 1 + 0j}), (1, {1: 1 + 0j})]),
+    (QState, ("total_width", "support"), (1, (0,)), [(2, (0,)), (1, (1,))]),
     (
         MeasurementResult,
         ("counts", "shots", "distribution"),

@@ -293,6 +293,18 @@ def test_qrun_superpose(tmp_path, capsys):
     assert "0x0:" in out and "0x1:" in out
 
 
+@pytest.mark.parametrize(
+    "stem, distribution", [("two_step_degenerate", {"0": 1.0}), ("two_step_identity", {"0": 0.5, "1": 0.5})]
+)
+def test_qrun_distribution_is_exact(tmp_path, stem, distribution):
+    # a superposed 1-bit register once gave 1.0000000000000002 and 0.5000000000000001
+    report = tmp_path / "report.json"
+    argv = ["qrun", str(PIPELINES / f"{stem}.json"), "--word", "f2", "f1", "--input", "0", "0", "0",
+            "--superpose", "0", "--measure", "2", "--shots", "10", "--json", str(report)]
+    assert main(argv) == 0
+    assert json.loads(report.read_text())["results"]["distribution"] == distribution
+
+
 def test_qrun_rejects_bad_symbol(tmp_path, capsys):
     path = _write(tmp_path, P1_DOC)
     assert main(["qrun", path, "--word", "q", "--input", "0", "0", "0", "--measure", "2"]) == 1

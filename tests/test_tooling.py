@@ -6,7 +6,8 @@ tableaux), no module imports a private name of another, and every name it
 exports and every public method or property of its classes is used by the
 package itself or by a script (a method only when read as an attribute),
 so no public API exists only for the tests, and importing the CLI loads
-neither ``dataclasses`` nor the introspection modules it pulls in."""
+neither ``dataclasses`` nor the introspection modules it pulls in, nor
+``typing``."""
 
 import ast
 import subprocess
@@ -121,7 +122,7 @@ def _public_methods(path: Path) -> dict[str, str]:
 def test_every_export_is_used_outside_the_tests():
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     exported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert len(exported) >= 31
+    assert len(exported) >= 30
     sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
     methods = {}
     for path in sources:
@@ -137,11 +138,12 @@ def test_every_export_is_used_outside_the_tests():
 
 def test_cli_import_loads_no_introspection_modules():
     # every CLI call pays for its imports; dataclasses alone, with inspect,
-    # ast, dis and tokenize, costs several ms of it.  -S keeps out the
-    # modules that site's .pth files import.
+    # ast, dis and tokenize, costs several ms of it, and typing, which the
+    # annotations never need, about 4 ms.  -S keeps out the modules that
+    # site's .pth files import.
     code = "import sys; sys.path.insert(0, sys.argv[1]); import involift.cli; print(*sys.modules)"
     child = subprocess.run(
         [sys.executable, "-S", "-c", code, str(ROOT / "src")], capture_output=True, text=True, check=True
     )
-    loaded = {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(child.stdout.split())
+    loaded = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"} & set(child.stdout.split())
     assert not loaded, sorted(loaded)
