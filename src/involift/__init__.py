@@ -1,12 +1,13 @@
 """Lift pipelines of non-invertible Boolean functions to involutions on a
 shared register space, enumerate the group those involutions generate,
-each element a tableau packed into one int, test it against its claimed
-Coxeter matrix, and apply the induced unitaries, which permute basis
-states, to qubit-register states held as their support, so a measured
-register's marginal is an exact count over 2^w.  The test reads the
-concrete order from modules spun from the step tables and checks that
-every claimed relator evaluates to the packed identity; the abstract order
-is read from the claimed matrix in closed form."""
+each element held as its layer coordinates over modules spun once from
+the step tables, test it against its claimed Coxeter matrix, and apply
+the induced unitaries, which permute basis states, to qubit-register
+states held as their support, so a measured register's marginal is an
+exact count over 2^w.  The test reads the concrete order from the spun
+modules and checks that every claimed relator maps the identity's
+coordinates, 0, back to 0; the abstract order is read from the claimed
+matrix in closed form."""
 
 __version__ = "0.1.0"
 
@@ -29,7 +30,7 @@ from .permgroup import (
     GroupClosure,
     closure,
     element_order_histogram,
-    layer_dimensions,
+    spin,
 )
 from .coxeter import (
     CONFIRMED,

@@ -6,10 +6,10 @@ system whose matrix has 1 on the diagonal, 4 between neighbouring steps,
 and 2 everywhere else; that matrix is the whole claim, and its relators
 are read from it.  Whether the concrete group IS that Coxeter group
 (rather than a proper quotient of it) is checked, never assumed: the
-concrete order comes from the modules spun from the step tables
-(:func:`involift.permgroup.layer_dimensions`), every relator is evaluated
-as a packed element (:func:`involift.permgroup.word_elements`), which is
-the identity exactly when it is 0, and the abstract order is a theorem
+concrete order comes from the modules spun once from the step tables
+(:func:`involift.permgroup.spin`), every relator is walked on the layer
+coordinates that spin gives each element, where it is the identity
+exactly when it ends at 0, and the abstract order is a theorem
 about the claimed matrix, which depends on n alone: 2 for one step, 8 for
 two, infinite from three steps on (the matrix contains affine C~2).  No
 permutation is built.  The verifier returns only when every relator
@@ -22,7 +22,7 @@ from itertools import combinations
 
 from .boolfn import Frozen
 from .lifting import LiftingCheckFailed, PipelineSpec
-from .permgroup import DEFAULT_ELEMENT_CAP, layer_dimensions, word_elements
+from .permgroup import DEFAULT_ELEMENT_CAP, spin
 
 CONFIRMED = "CONFIRMED"
 PROPER_QUOTIENT = "PROPER_QUOTIENT"
@@ -80,12 +80,26 @@ def claimed_coxeter_matrix(n: int) -> CoxeterMatrix:
     )
 
 
-def check_relations(pipeline: PipelineSpec, relators) -> tuple[bool, ...]:
+def check_relations(pipeline: PipelineSpec, relators, spun: tuple | None = None) -> tuple[bool, ...]:
     """Whether each relator holds on the lifted steps, in the order given:
-    its word, leftmost symbol outermost, evaluates to the packed identity 0
-    (:func:`involift.permgroup.word_elements`, one delta cache for all
-    the relators); no 2^W permutation is built."""
-    return tuple(e == 0 for e in word_elements(pipeline, relators))
+    its word, leftmost symbol outermost, walked right to left from the
+    identity's layer coordinates, 0, one affine map per symbol, ends at 0.
+    ``spun`` is the pipeline's :func:`involift.permgroup.spin` when the
+    caller holds it; otherwise the pipeline is spun here, within the
+    default element cap.  No 2^W permutation is built."""
+    _, steps = spun or spin(pipeline)
+    holds = []
+    for word in relators:
+        c = 0
+        for i in reversed(word):
+            base, images, unit = steps[i]
+            high, c = c >> base, c & ((1 << base) - 1) ^ unit
+            while high:
+                bit = high & -high
+                c ^= images[bit.bit_length() - 1]
+                high ^= bit
+        holds.append(c == 0)
+    return tuple(holds)
 
 
 class VerificationReport(Frozen):
@@ -139,9 +153,10 @@ def verify_pipeline(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_C
     """Lift the pipeline and test the claim that its group is the Coxeter
     group of ``claimed_coxeter_matrix(n)``.
 
-    Reads the concrete order from the layer dimensions spun from the step
-    tables, walks every claimed relator on the step tables (a failing one
-    raises :class:`involift.lifting.LiftingCheckFailed`), takes the order of
+    Spins the step tables once (:func:`involift.permgroup.spin`), reads
+    the concrete order from the layer dimensions, walks every claimed
+    relator on the layer coordinates (a failing one raises
+    :class:`involift.lifting.LiftingCheckFailed`), takes the order of
     the claimed group from its closed form (2, 8, or infinite from three
     steps on), and classifies the outcome (see :class:`VerificationReport`).
     No element is listed and no 2^W permutation is built.  A group of more
@@ -149,9 +164,9 @@ def verify_pipeline(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_C
     propagates as :class:`involift.permgroup.ClosureCapExceeded`.
     """
     n = pipeline.n_steps
-    layers = layer_dimensions(pipeline, element_cap)
-    relators = claimed_coxeter_matrix(n).relators
-    if not all(check_relations(pipeline, relators)):
+    spun = spin(pipeline, element_cap)
+    layers = spun[0]
+    if not all(check_relations(pipeline, claimed_coxeter_matrix(n).relators, spun)):
         raise LiftingCheckFailed("a claimed relation failed on lifted involutions; lifting is broken")
     # The claimed Coxeter graph is a path with every edge labelled 4: n = 1 is
     # A1, of order 2, and n = 2 is B2 = I2(4), the dihedral group of order 8

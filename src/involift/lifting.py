@@ -31,8 +31,8 @@ from .rng import SplitMix64
 class Perm(Frozen):
     """A bijection of {0, ..., 2^total_width - 1}, stored as a mapping array
     and checked on construction.  The package builds none: a group element
-    is its tables packed into one int (:mod:`involift.permgroup`).  The
-    class stays as the reference form those tables are tested against, and
+    is its layer coordinates, one int (:mod:`involift.permgroup`).  The
+    class stays as the reference form those elements are tested against, and
     as the construction hook (:meth:`__post_init__`) the benchmark's tracer
     counts."""
 

@@ -1,29 +1,26 @@
-"""The group generated by lifted steps: closure, orders, words, the
-Cayley table, and the order of the group from modules spun out of the step
-tables.
+"""The group generated by lifted steps: its order and layer coordinates
+from modules spun out of the step tables, and from them the closure,
+orders, words and the Cayley table.
 
-Every element is of Kaloujnine's tableau form: every lifted step maps
-register j to x_j ^ h(x_0..x_{j-1}), and products of such maps keep that
-form, so an element is given by its tables T_1..T_n.  T_j is indexed by the
-packed registers 0..j-1 (x < 2^offset_j), and the element maps register j
-to x_j ^ T_j[x]; no 2^W permutation is built.  An element is held as one
-int, its tables packed side by side as F2 vectors (:func:`_fields`), so
-two elements are equal exactly when their ints are, and the identity is 0.
-There is one composition rule, the term a step XORs into the one table it
-writes (:func:`_term`), and one left multiplication built on it, cached
-per pipeline (:class:`_Steps`): the closure (behind ``group``) and the
-evaluation of words (:func:`word_elements`, behind
-:mod:`involift.coxeter`'s relators) both go through it.  Element orders
-walk generator words through the closure's action table ``left``, and the
-Cayley table is gathered through it.  ``verify`` lists no element: it
-reads the order from the dimensions of the modules spun from the step
-tables (:func:`layer_dimensions`).
+G_j, generated by steps 0..j-1, acts on registers 0..j and fixes register
+j + 1; its conjugates of step j form an F2-space V_j, and G is
+V_{n-1} ⋊ ... ⋊ V_0, so |G| = 2^D with D the sum of the dimensions.
+:func:`spin` spins every V_j once from the step tables and keeps each
+step as the affine map it makes on an element's D-bit layer coordinates.
+That is the package's one element form: an element is its coordinates,
+the identity 0, and no table of an element or 2^W permutation is built.
+The closure (behind ``group``) is a breadth-first search over
+coordinates, and ``verify`` reads the order from the dimensions and walks
+the claimed relators on coordinates
+(:func:`involift.coxeter.check_relations`).  Element orders walk
+generator words through the closure's action table ``left``, and the
+Cayley table is gathered through it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 
 from .boolfn import Frozen
@@ -53,8 +50,8 @@ def _charge_tables(pipeline: PipelineSpec, what: str) -> int:
 class GroupClosure(Frozen):
     """The fully enumerated group of the lifted steps.
 
-    elements[0] is the identity, and every element is its tables packed
-    into one int (:func:`closure`; the identity is 0); words[e] is a
+    elements[0] is the identity, and every element is its layer
+    coordinates, a D-bit int (:func:`spin`; the identity is 0); words[e] is a
     minimal-length generator word evaluating to elements[e] (ties broken
     toward the lexicographically smallest word); left[g][e] is
     the index of step g composed with elements[e]; parents[e] is the
@@ -116,27 +113,10 @@ class GroupClosure(Frozen):
             yield row
 
 
-def _step(pipeline: PipelineSpec, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Lifted step i as (f, T): its truth table, and the table of the
-    register it writes, T_{i+1}[x] = f[x >> offset_i] over x < 2^offset_{i+1}."""
-    f = pipeline.steps[i].table
-    return f, tuple(chain.from_iterable(repeat(v, 1 << pipeline.offsets[i]) for v in f))
-
-
-def _term(step: tuple[tuple[int, ...], tuple[int, ...]], lower: tuple[int, ...] | None) -> Sequence[int]:
-    """What step i, ``step`` as :func:`_step` gives it, XORs into T_{i+1}
-    of an element whose T_i is ``lower`` (None when all zero, and for step
-    0, which reads no table):
-
-        T_{i+1}[x] ^= f[(x >> offset_i) ^ T_i[x mod 2^offset_i]]
-
-    where f reads register i of the element's image of x; with T_i zero the
-    term is the step's own table.  That costs 2^offset_{i+1} lookups, and
-    no action array is built."""
-    f, t = step
-    if lower is None:
-        return t
-    return [f[y ^ u] for y in range(len(f)) for u in lower]
+def _step(pipeline: PipelineSpec, i: int) -> tuple[int, ...]:
+    """T_{i+1} of lifted step i, the table of the register it writes:
+    T_{i+1}[x] = f_i[x >> offset_i] over x < 2^offset_{i+1}."""
+    return tuple(chain.from_iterable(map(repeat, pipeline.steps[i].table, repeat(1 << pipeline.offsets[i]))))
 
 
 def _vector(table: Sequence[int], width: int) -> int:
@@ -148,128 +128,151 @@ def _vector(table: Sequence[int], width: int) -> int:
     return int.from_bytes(b"".join(planes), "little")
 
 
-def _table(bits: int, width: int, entries: int) -> tuple[int, ...]:
-    """The table of ``entries`` entries of ``width`` bits whose
-    :func:`_vector` is ``bits``."""
-    planes = (width + 7) // 8
-    data = bits.to_bytes(planes * entries, "little")
-    if planes == 1:
-        return tuple(data)
-    return tuple(sum(data[s * entries + x] << 8 * s for s in range(planes)) for x in range(entries))
+def spin(
+    pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP, what: str = "module spin"
+) -> tuple[tuple[int, ...], list[tuple]]:
+    """The layer dimensions, and every step as the affine map it makes on
+    the layer coordinates of the group's elements.
 
+    G_j, generated by steps 0..j-1, acts on registers 0..j and fixes
+    register j + 1, and its conjugates of step j commute and square to 1.
+    They form an F2-space V_j, and G_{j+1} is V_j ⋊ G_j.  V_j is the cyclic
+    F2[G_j]-module spun from phi_j = T_{j+1} (the MeatAxe spin: Parker 1984;
+    Holt, Eick & O'Brien 2005): each basis table b is moved by every
+    step i < j whose table is not all zero, as the gather
+    b[x ^ (T_{i+1}[x mod 2^offset_{i+1}] << offset_{i+1})] (one
+    ``itemgetter`` per layer and step), and an image is kept only when its
+    vector stays nonzero after Gaussian elimination on the highest set bit.
+    Each pivot keeps the basis vectors it sums, so every image b∘s_i comes
+    out with its coordinates: column k of step i's matrix on V_j.
 
-def _fields(pipeline: PipelineSpec) -> list[tuple[int, int, int]]:
-    """(bit position, entry width, entries) of each table T_1..T_n in a
-    packed element: T_j is its :func:`_vector` shifted to its position,
-    and the tables follow one another from bit 0."""
-    fields, position = [], 0
-    for width, offset in zip(pipeline.widths[1:], pipeline.offsets[1:]):
-        fields.append((position, width, 1 << offset))
-        position += 8 * ((width + 7) // 8) << offset
-    return fields
+    An element of G is v_{n-1}...v_0 with v_j in V_j, one way only, and is
+    held as a D-bit int, D the sum of the dimensions: layer j's
+    coordinates at bits D_j.., D_j the dimensions below it, phi_j the
+    lowest.  Step i times it is (s_i v_{n-1} s_i)...(s_i v_{i+1} s_i)
+    (s_i v_i) v_{i-1}...v_0: each layer k > i goes through the matrix of
+    b -> b∘s_i (conjugation by s_i), layer i gets phi_i's unit vector
+    XORed in (V_i is abelian), and the lower layers stay.  Step i's map
+    is (base, images, unit): base = D_{i+1}, images[b] the image of bit
+    base + b, and unit phi_i's bit (0 for a zero step, the identity).
 
+    Raises ValueError when ``element_cap`` < 1, and
+    :class:`ClosureCapExceeded` as soon as 2^(dimensions so far) exceeds
+    ``element_cap``, or the step tables and a layer's basis would take
+    more than ``BYTE_BUDGET``, which ``what`` names.  No group element is
+    formed.
+    """
+    if element_cap < 1:
+        raise ValueError("element_cap must be >= 1")
+    held = _charge_tables(pipeline, what)
+    dimensions: list[int] = []
+    layers = []  # layers[j][i]: the columns of step i's matrix on V_j
+    moves: list[tuple[int, int, tuple[int, ...]]] = []  # (i, offset_{i+1}, T_{i+1}) of each nonzero step i < j
+    for j in range(pipeline.n_steps):
+        width, phi = pipeline.widths[j + 1], _step(pipeline, j)
+        basis: list[Sequence[int]] = []
+        pivots: dict[int, tuple[int, int]] = {}  # highest bit -> (vector, the basis vectors it sums)
 
-class _Steps:
-    """Left multiplication of packed elements by the lifted steps of one
-    pipeline.  Step i rewrites only T_{i+1}, by an XOR that depends on T_i
-    alone, so step i times e is ``e ^ delta(i, e & masks[i])``, with
-    masks[i] the bits of T_i (none for step 0).  ``deltas[i]`` caches
-    delta(i, .) by key: a miss unpacks the key's T_i and packs the term
-    :func:`_term` gives for it, and no element is unpacked."""
+        def keep(table: Sequence[int]) -> int:
+            """The coordinates of ``table``, which joins the basis when independent."""
+            v, c = _vector(table, width), 0
+            while v and (p := v.bit_length() - 1) in pivots:
+                u, d = pivots[p]
+                v, c = v ^ u, c ^ d
+            if not v:
+                return c
+            unit = 1 << len(basis)
+            pivots[p] = v, c ^ unit
+            basis.append(table)
+            if 1 << (sum(dimensions) + len(basis)) > element_cap:
+                raise ClosureCapExceeded(f"group closure exceeds the cap of {element_cap} elements")
+            _charge(held + 8 * len(table) * (len(basis) - 1), what)
+            return unit
 
-    def __init__(self, pipeline: PipelineSpec):
-        self.steps = [_step(pipeline, i) for i in range(pipeline.n_steps)]
-        self.fields = _fields(pipeline)
-        # mask_i spans T_i: from its position up to that of T_{i+1}
-        self.masks = [0] + [(1 << high[0]) - (1 << low[0]) for low, high in zip(self.fields, self.fields[1:])]
-        self.deltas: list[dict[int, int]] = [{} for _ in self.steps]
-
-    def delta(self, i: int, key: int) -> int:
-        """The XOR that step i makes into an element whose T_i bits are key."""
-        d = self.deltas[i].get(key)
-        if d is None:
-            lower = None
-            if key:
-                position, width, entries = self.fields[i - 1]
-                lower = _table(key >> position, width, entries)
-            position, width, _ = self.fields[i]
-            d = self.deltas[i][key] = _vector(_term(self.steps[i], lower), width) << position
-        return d
+        keep(phi)
+        columns: dict[int, list[int]] = {}
+        if basis:  # phi is not all zero
+            gathers = []
+            for i, offset, t in moves:
+                # T_{i+1} read at x mod 2^offset_{i+1} is T_{i+1} repeated
+                moved = [x ^ v << offset for x, v in enumerate(t * (len(phi) >> offset))]
+                gathers.append((columns.setdefault(i, []), itemgetter(*moved)))
+            for b in basis:  # the basis grows while it is walked
+                for column, gather in gathers:
+                    column.append(keep(gather(b)))
+            moves.append((j, pipeline.offsets[j + 1], phi))
+        units = [1 << k for k in range(len(basis))]  # a zero step moves nothing
+        layers.append([columns.get(i, units) for i in range(j)])
+        dimensions.append(len(basis))
+    starts = list(accumulate(dimensions, initial=0))
+    steps = [
+        (
+            starts[i + 1],
+            [c << starts[k] for k in range(i + 1, len(layers)) for c in layers[k][i]],
+            1 << starts[i] if dimensions[i] else 0,
+        )
+        for i in range(len(layers))
+    ]
+    return tuple(dimensions), steps
 
 
 def closure(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> GroupClosure:
     """Enumerate the group of the lifted steps by breadth-first left
-    multiplication.
+    multiplication on layer coordinates.
 
-    Starting from the identity, each frontier element is multiplied on the
-    left by every step (steps in order, frontier in discovery order), which
-    makes the discovery order deterministic and yields shortest,
-    lexicographically smallest words.  Elements are packed ints, indexed
-    by their value, and each product is one cached delta lookup
-    (:class:`_Steps`).  Raises :class:`ClosureCapExceeded` when the group
-    has more than ``element_cap`` elements or its step tables and elements
-    would take more than ``BYTE_BUDGET`` bytes, and
-    :class:`involift.lifting.LiftingCheckFailed` when its order is not a
-    power of two: every lifted group is a 2-group, an iterated semidirect
-    product of F2-spaces (:func:`layer_dimensions`).
+    The spin (:func:`spin`) gives |G| = 2^D and each step's affine map
+    first.  Starting from the identity 0, each frontier element is then
+    multiplied on the left by every step (steps in order, frontier in
+    discovery order), which makes the discovery order deterministic and
+    yields shortest, lexicographically smallest words.  A product is one
+    lookup: step i's table, built by doubling over its images, maps the
+    coordinates above its base, and those below pass through.  Elements
+    are indexed by a list over the coordinates.  Raises
+    :class:`ClosureCapExceeded` when the group has more than
+    ``element_cap`` elements, or its spin, or its elements and step tables
+    (8 bytes a slot), would take more than ``BYTE_BUDGET`` bytes, all
+    before any element is listed; and
+    :class:`involift.lifting.LiftingCheckFailed` when the search does not
+    list exactly the 2^D elements the spin counts.
     """
-    if element_cap < 1:
-        raise ValueError("element_cap must be >= 1")
-    n = pipeline.n_steps
-    position, width, entries = _fields(pipeline)[-1]
-    # an element: its packed tables, n action-table slots, and its word, index entry
-    # and parent, which take 430-530 bytes at |G| >= 2^15 (CPython 3.11, 64-bit)
-    size = position // 8 + (width + 7) // 8 * entries + 8 * n + 512
-    held = _charge_tables(pipeline, "group closure")
-    limit = min(element_cap, (BYTE_BUDGET - held) // size)
-    steps = _Steps(pipeline)
+    dimensions, steps = spin(pipeline, element_cap, "group closure")
+    order = 1 << sum(dimensions)
+    n = len(steps)
+    # an element fills a slot in each of elements, words, parents, the index
+    # and the n action-table rows; step i's table has 2^(D - D_{i+1}) entries
+    _charge(8 * ((n + 4) * order + sum(1 << len(images) for _, images, _ in steps)), "group closure")
+    tables = []
+    for base, images, unit in steps:
+        table = [unit]
+        for image in images:
+            table += [x ^ image for x in table]
+        tables.append((base, table))
     elements = [0]
     words: list[tuple[int, ...]] = [()]
     parents = [0]
     left: list[list[int]] = [[] for _ in range(n)]
-    index = {0: 0}
+    # the maps act on the coordinates below the last step's base: 2^D of them
+    # when they agree with the spin's dimensions
+    index = [0] + [-1] * ((1 << steps[-1][0]) - 1)
     # frontiers are contiguous index ranges, so each left[g] fills in index order
     frontier = range(1)
     while frontier:
-        for gi in range(n):
-            row, cache, mask = left[gi], steps.deltas[gi], steps.masks[gi]
+        for gi, (base, table) in enumerate(tables):
+            row, low = left[gi], (1 << base) - 1
             for ei in frontier:
-                e = elements[ei]
-                key = e & mask
-                d = cache.get(key)
-                if d is None:
-                    d = steps.delta(gi, key)
-                product = e ^ d
-                k = index.get(product)
-                if k is None:
-                    if len(elements) >= limit:
-                        if limit == element_cap:
-                            raise ClosureCapExceeded(f"group closure exceeds the cap of {element_cap} elements")
-                        _charge(held + (limit + 1) * size, "group closure")  # raises: the budget set the limit
+                c = elements[ei]
+                product = table[c >> base] ^ c & low
+                k = index[product]
+                if k < 0:
                     k = index[product] = len(elements)
                     words.append((gi,) + words[ei])
                     parents.append(ei)
                     elements.append(product)
                 row.append(k)
         frontier = range(frontier.stop, len(elements))
-    if len(elements) & (len(elements) - 1):
-        raise LiftingCheckFailed(f"the lifted group has order {len(elements)}, not a power of two")
+    if len(elements) != order:
+        raise LiftingCheckFailed(f"the closure lists {len(elements)} elements where the spin counts {order}")
     return GroupClosure(tuple(elements), tuple(words), tuple(map(tuple, left)), tuple(parents))
-
-
-def word_elements(pipeline: PipelineSpec, words: Iterable[Sequence[int]]) -> list[int]:
-    """The packed element of each word of step indices, leftmost symbol
-    outermost (the rightmost acts first): each word is walked right to left
-    from the identity 0, one left multiplication by a step per symbol, and
-    the words share one delta cache (:class:`_Steps`)."""
-    steps = _Steps(pipeline)
-    elements = []
-    for word in words:
-        e = 0
-        for i in reversed(word):
-            e ^= steps.delta(i, e & steps.masks[i])
-        elements.append(e)
-    return elements
 
 
 def _walk(group: GroupClosure, word: Sequence[int], start: int = 0) -> int:
@@ -308,56 +311,3 @@ def element_order_histogram(group: GroupClosure) -> dict[int, int]:
     for k in _element_orders(group):
         histogram[k] = histogram.get(k, 0) + 1
     return dict(sorted(histogram.items()))
-
-
-# ---------------------------------------------------------------------------
-# The order of the group without listing it
-
-
-def layer_dimensions(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> tuple[int, ...]:
-    """Dimensions of the layers of the group generated by the lifted steps,
-    one per register 1..n; |G| is 2 to the power of their sum.
-
-    G_j, generated by steps 0..j-1, acts on registers 0..j and fixes
-    register j + 1, and its conjugates of step j commute and square to 1.
-    They form an F2-space V_j, and G_{j+1} is V_j ⋊ G_j.  V_j is the cyclic
-    F2[G_j]-module spun from phi_j = T_{j+1} (the MeatAxe spin: Parker 1984;
-    Holt, Eick & O'Brien 2005): each basis table b is moved by every
-    step i < j whose table is not all zero, as the gather
-    b[x ^ (T_{i+1}[x mod 2^offset_{i+1}] << offset_{i+1})], and an image is
-    kept only when its vector stays nonzero after Gaussian elimination on
-    the highest set bit.  No group element is formed.  Raises
-    :class:`ClosureCapExceeded` as soon as 2^(dimensions so far) exceeds
-    ``element_cap``, or the step tables (``verify`` walks its relators on
-    them too) and a layer's basis would take more than ``BYTE_BUDGET``.
-    """
-    if element_cap < 1:
-        raise ValueError("element_cap must be >= 1")
-    held = _charge_tables(pipeline, "module spin")
-    dimensions: list[int] = []
-    moves: list[tuple[int, tuple[int, ...]]] = []  # (offset_{i+1}, T_{i+1}) of each nonzero step i < j
-    for j, f in enumerate(pipeline.steps):
-        width, phi = pipeline.widths[j + 1], _step(pipeline, j)[1]
-        basis: list[Sequence[int]] = []
-        pivots: dict[int, int] = {}
-
-        def keep(table: Sequence[int]) -> None:
-            v = _vector(table, width)
-            while v and (p := v.bit_length() - 1) in pivots:
-                v ^= pivots[p]
-            if v:
-                pivots[p] = v
-                basis.append(table)
-                if 1 << (sum(dimensions) + len(basis)) > element_cap:
-                    raise ClosureCapExceeded(f"group closure exceeds the cap of {element_cap} elements")
-                _charge(held + 8 * len(table) * (len(basis) - 1), "module spin")
-
-        keep(phi)
-        for b in basis:  # the basis grows while it is walked
-            for offset, t in moves:
-                mask = len(t) - 1
-                keep([b[x ^ (t[x & mask] << offset)] for x in range(len(b))])
-        dimensions.append(len(basis))
-        if not f.is_constant_zero:
-            moves.append((pipeline.offsets[j + 1], phi))
-    return tuple(dimensions)

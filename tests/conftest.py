@@ -3,15 +3,18 @@ oracle that builds permutations straight from register-tuple rules,
 reference permutation algebra (identity, lifted steps, composition, order,
 word evaluation, identity test, the closure of arbitrary permutations, its
 Cayley table by composition, element orders by walking words, and the
-tables of a permutation, of a packed element and of a word), HLT coset
-enumeration (the oracle for the orders of finite Coxeter groups), the
+tables of a permutation), a second element form (tables packed into one
+int, with one cached left multiplication by a step, the walk of a word
+and the tables of a word), HLT coset enumeration (the oracle for the
+orders of finite Coxeter groups), the layer dimensions of a spin, the
 nondegeneracy test of a pipeline read from its tables, the identity test
 of a truth table, seeded random states, the per-shot integer measurement
 oracle, identity and constant-zero steps and pipeline documents.
 
-The package builds no permutation: its group elements are tableaux, each
-packed into one int.  The permutations here are the reference they are
-checked against, kept to small state spaces (W <= 12)."""
+The package builds no permutation and no table of an element: its group
+elements are layer coordinates over the spun modules.  The permutations
+and packed tables here are the independent references they are checked
+against, the permutations kept to small state spaces (W <= 12)."""
 
 import json
 import math
@@ -22,8 +25,7 @@ import pytest
 from involift.boolfn import BoolFunc
 from involift.cli import FORMAT_VERSION
 from involift.lifting import Perm, PipelineSpec, product_orders, random_pipeline
-from involift import permgroup
-from involift.permgroup import GroupClosure, word_elements
+from involift.permgroup import DEFAULT_ELEMENT_CAP, GroupClosure, _step, _vector, spin
 from involift.quantum import QState
 from involift.rng import SplitMix64
 
@@ -197,21 +199,106 @@ def perm_tables(perm: Perm, pipeline: PipelineSpec) -> tuple:
     return tuple(tables)
 
 
+def _term(step, lower):
+    """What step i, ``step`` = (f_i, T_{i+1}), XORs into T_{i+1} of an
+    element whose T_i is ``lower`` (None when all zero, and for step 0,
+    which reads no table):
+
+        T_{i+1}[x] ^= f[(x >> offset_i) ^ T_i[x mod 2^offset_i]]
+
+    where f reads register i of the element's image of x; with T_i zero the
+    term is the step's own table."""
+    f, t = step
+    if lower is None:
+        return t
+    return [f[y ^ u] for y in range(len(f)) for u in lower]
+
+
+def _table(bits: int, width: int, entries: int) -> tuple[int, ...]:
+    """The table of ``entries`` entries of ``width`` bits whose
+    ``permgroup._vector`` is ``bits``."""
+    planes = (width + 7) // 8
+    data = bits.to_bytes(planes * entries, "little")
+    if planes == 1:
+        return tuple(data)
+    return tuple(sum(data[s * entries + x] << 8 * s for s in range(planes)) for x in range(entries))
+
+
+def _fields(pipeline: PipelineSpec) -> list[tuple[int, int, int]]:
+    """(bit position, entry width, entries) of each table T_1..T_n in a
+    packed element: T_j is its vector shifted to its position, and the
+    tables follow one another from bit 0."""
+    fields, position = [], 0
+    for width, offset in zip(pipeline.widths[1:], pipeline.offsets[1:]):
+        fields.append((position, width, 1 << offset))
+        position += 8 * ((width + 7) // 8) << offset
+    return fields
+
+
+class _Steps:
+    """Left multiplication of packed elements by the lifted steps of one
+    pipeline, an element form independent of the package's coordinates:
+    an element is its tables T_1..T_n packed side by side into one int
+    (:func:`_fields`), the identity 0.  Step i rewrites only T_{i+1}, by an
+    XOR that depends on T_i alone, so step i times e is
+    ``e ^ delta(i, e & masks[i])``, with masks[i] the bits of T_i (none for
+    step 0); ``deltas[i]`` caches delta(i, .) by key."""
+
+    def __init__(self, pipeline: PipelineSpec):
+        self.steps = [(f.table, _step(pipeline, i)) for i, f in enumerate(pipeline.steps)]
+        self.fields = _fields(pipeline)
+        # mask_i spans T_i: from its position up to that of T_{i+1}
+        self.masks = [0] + [(1 << high[0]) - (1 << low[0]) for low, high in zip(self.fields, self.fields[1:])]
+        self.deltas: list[dict[int, int]] = [{} for _ in self.steps]
+
+    def delta(self, i: int, key: int) -> int:
+        """The XOR that step i makes into an element whose T_i bits are key."""
+        d = self.deltas[i].get(key)
+        if d is None:
+            lower = None
+            if key:
+                position, width, entries = self.fields[i - 1]
+                lower = _table(key >> position, width, entries)
+            position, width, _ = self.fields[i]
+            d = self.deltas[i][key] = _vector(_term(self.steps[i], lower), width) << position
+        return d
+
+
+def word_elements(pipeline: PipelineSpec, words) -> list[int]:
+    """The packed element of each word of step indices, leftmost symbol
+    outermost (the rightmost acts first): each word is walked right to left
+    from the identity 0, one left multiplication by a step per symbol, and
+    the words share one delta cache (:class:`_Steps`)."""
+    steps = _Steps(pipeline)
+    elements = []
+    for word in words:
+        e = 0
+        for i in reversed(word):
+            e ^= steps.delta(i, e & steps.masks[i])
+        elements.append(e)
+    return elements
+
+
 def element_tables(pipeline: PipelineSpec, element: int) -> tuple:
     """T_1..T_n of a packed element, unpacked from its fields, in the form
     of :func:`perm_tables` (None for an all-zero table)."""
     tables = []
-    for position, width, entries in permgroup._fields(pipeline):
+    for position, width, entries in _fields(pipeline):
         bits = (element >> position) & ((1 << 8 * ((width + 7) // 8) * entries) - 1)
-        table = permgroup._table(bits, width, entries)
+        table = _table(bits, width, entries)
         tables.append(table if any(table) else None)
     return tuple(tables)
 
 
 def word_tables(pipeline: PipelineSpec, word) -> tuple:
-    """T_1..T_n of a word of step indices, evaluated by the package
-    (:func:`involift.permgroup.word_elements`) and unpacked."""
+    """T_1..T_n of a word of step indices, evaluated as a packed element
+    (:func:`word_elements`) and unpacked."""
     return element_tables(pipeline, word_elements(pipeline, [word])[0])
+
+
+def layer_dimensions(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> tuple[int, ...]:
+    """The layer dimensions of the pipeline's spin, one per register 1..n."""
+    return spin(pipeline, element_cap)[0]
 
 
 class _CosetBoundExceeded(Exception):

@@ -33,7 +33,6 @@ from involift.quantum import apply_steps, basis_state, marginal_distribution, me
 
 from conftest import (
     cayley_table,
-    element_tables,
     emit_pipeline,
     evaluate_word,
     identity_fn,
@@ -48,6 +47,7 @@ from conftest import (
     step_perm,
     step_perms,
     todd_coxeter,
+    word_tables,
     zero_fn,
 )
 
@@ -163,12 +163,12 @@ def test_two_step_group_is_dihedral_8(pipeline_suite, tmp_path):
         started = time.perf_counter()
         results = _group_results(pipeline, tmp_path)
         assert results["order"] == 8 and results["dihedral_8"] is True
-        # the rotation f1 f2 has order 4, and the closure holds it in table form
+        # the rotation f1 f2 has order 4, and the closure holds it: its word's tables are the rotation's
         rotation = perm_compose(s1, s2)
         assert perm_order(rotation) == 4
         group = closure(pipeline)
-        rotated = group.elements[group.left[0][group.left[1][0]]]
-        assert element_tables(pipeline, rotated) == perm_tables(rotation, pipeline)
+        rotated = group.words[group.left[0][group.left[1][0]]]
+        assert word_tables(pipeline, rotated) == perm_tables(rotation, pipeline)
         assert time.perf_counter() - started < 1.0
         checked += 1
     assert checked >= 30, f"suite produced only {checked} nondegenerate pipelines"

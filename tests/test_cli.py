@@ -352,7 +352,7 @@ def test_qrun_rejects_bad_seed_or_shots_before_drawing(tmp_path, capsys, monkeyp
     "argv, target, broken",
     [
         (["run", "--input", "1"], lifting, ("word_action", lambda pipeline, word: lambda states: [s ^ 1 for s in states])),
-        (["verify"], coxeter, ("check_relations", lambda pipeline, relators: (False,))),
+        (["verify"], coxeter, ("check_relations", lambda pipeline, relators, spun: (False,))),
     ],
     ids=["run", "verify"],
 )
@@ -442,17 +442,17 @@ def test_lift_coxeter_run_qrun_past_20_bits(tmp_path):
     "widths, message",
     [
         ((12, 12, 12, 12), {"group": "group closure", "verify": "module spin"}),
-        ((4, 4, 4, 4, 4), {"group": "group closure", "verify": None}),
+        ((4, 4, 4, 4, 4), {"group": None, "verify": None}),
         ((16, 12, 1), {"group": "group closure", "verify": "module spin"}),
     ],
     ids=["w48", "w20", "wide_t2"],
 )
 def test_byte_budget_stops_wide_groups(tmp_path, command, widths, message):
     # group and verify hold tables indexed by several registers (T_3 of the
-    # W = 48 pipeline has 2^36 entries, T_2 of (16, 12, 1) 2^28, and a
-    # (4, 4, 4, 4, 4) element takes 69,904 bytes, of 2^23): each exits 2
-    # within 1 s in a child limited to 1 GB of address space, by the byte
-    # budget, or, for verify on (4, 4, 4, 4, 4), by the element cap
+    # W = 48 pipeline has 2^36 entries, T_2 of (16, 12, 1) 2^28): each exits
+    # 2 within 1 s in a child limited to 1 GB of address space, by the byte
+    # budget, or, on (4, 4, 4, 4, 4), by the element cap, which the spin
+    # finds before group lists any element
     pytest.importorskip("resource")
     path, _ = _wide_document(tmp_path, widths, 4900)
     report_path = tmp_path / "report.json"
@@ -487,7 +487,7 @@ def test_byte_budget_stops_wide_groups(tmp_path, command, widths, message):
     ids=["identity5", "identity6", "wide"],
 )
 def test_verify_builds_no_permutation(tmp_path, capsys, monkeypatch, widths, fns, cap, layers):
-    # the order comes from the spun layers, the relators from word tables
+    # the order comes from the spun layers, the relators from layer coordinates
     def refuse(*args, **kwargs):
         raise AssertionError("a 2^W permutation or the closure was built")
 
@@ -515,8 +515,8 @@ def test_verify_builds_no_permutation(tmp_path, capsys, monkeypatch, widths, fns
     ids=["identity5", "wide"],
 )
 def test_group_builds_no_permutation(tmp_path, capsys, monkeypatch, widths, fns):
-    # the closure lists tableaux: the (8, 4, 4, 4) group of 128 elements
-    # would otherwise hold 128 mappings of 2^20 entries
+    # the closure lists layer coordinates: the (8, 4, 4, 4) group of 128
+    # elements would otherwise hold 128 mappings of 2^20 entries
     def refuse(self):
         raise AssertionError("a 2^W permutation was built")
 

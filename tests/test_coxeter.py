@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,8 @@ from involift.lifting import (
     product_orders,
     random_pipeline,
 )
-from involift.permgroup import closure
+from involift.permgroup import closure, spin
+from involift.rng import SplitMix64
 
 from conftest import (
     ID1,
@@ -30,6 +32,7 @@ from conftest import (
     reference_closure,
     step_perms,
     todd_coxeter,
+    word_elements,
     zero_fn,
 )
 
@@ -320,6 +323,40 @@ def test_check_relations_matches_evaluate_word(seed, steps, data):
     assert checks == tuple(perm_is_identity(evaluate_word(gens, w)) for w in words)
     assert checks[1]
     assert checks[3] == (len(group) == 1)
+
+
+def test_coordinate_walk_agrees_with_the_packed_oracle():
+    # check_relations walks words on the spin's layer coordinates; the packed
+    # tables of tests/conftest.py are an independent element form.  A word
+    # is 0 in one exactly when it is 0 in the other, over seeded 1-5-step
+    # pipelines (zero steps among them) and words that are the identity
+    # (a word and its reverse, conjugated squares of adjacent products,
+    # conjugated claimed relators) or need not be
+    rng = SplitMix64(2900)
+    seen = Counter()
+    for k in range(120):
+        steps = 1 + k % 5
+        pipeline = random_pipeline(2900 + k, steps=steps, max_width=3 if steps <= 3 else 2)
+        if k % 7 == 3:
+            zeroed = list(pipeline.steps)
+            zeroed[k % steps] = zero_fn(zeroed[k % steps].arity_in, zeroed[k % steps].arity_out)
+            pipeline = PipelineSpec(pipeline.widths, tuple(zeroed))
+        relators = claimed_coxeter_matrix(steps).relators
+
+        def draw(length):
+            return [rng.next_u64() % steps for _ in range(rng.next_u64() % length)]
+
+        words = []
+        for _ in range(6):
+            u, v = draw(9), draw(13)
+            r = relators[rng.next_u64() % len(relators)]
+            i = rng.next_u64() % steps
+            square = [i, min(i + 1, steps - 1)] * 2
+            words += [v, u + v, u + v[::-1] + v + u[::-1], u + list(r) + u[::-1], u + square + u[::-1]]
+        checks = check_relations(pipeline, words, spin(pipeline, 1 << 4096))
+        assert checks == tuple(e == 0 for e in word_elements(pipeline, words))
+        seen.update(checks)
+    assert seen[True] > 500 and seen[False] > 500, seen
 
 
 def test_check_relations_length_twelve_relator(three_step_id):

@@ -10,7 +10,6 @@ from involift.lifting import (
     run_classical,
     word_action,
 )
-from involift.permgroup import word_elements
 
 from conftest import (
     ID1,
@@ -22,6 +21,7 @@ from conftest import (
     perm_tables,
     step_perm,
     step_perms,
+    word_elements,
     word_tables,
     zero_fn,
 )

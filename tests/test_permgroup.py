@@ -21,18 +21,16 @@ from involift.permgroup import (
     ClosureCapExceeded,
     closure,
     element_order_histogram,
-    layer_dimensions,
-    word_elements,
 )
 from involift.rng import SplitMix64
 
 from conftest import (
     ID1,
     cayley_table,
-    element_tables,
     emit_pipeline,
     evaluate_word,
     is_nondegenerate,
+    layer_dimensions,
     perm_compose,
     perm_identity,
     perm_is_identity,
@@ -43,6 +41,7 @@ from conftest import (
     step_perm,
     step_perms,
     walked_orders,
+    word_elements,
     word_tables,
     zero_fn,
 )
@@ -140,7 +139,7 @@ def test_closure_degenerate_two_elements(two_step_zero_first):
     s1, s2 = _two_step_gens(two_step_zero_first)
     grp = closure(two_step_zero_first)
     assert len(grp) == 2
-    assert {element_tables(two_step_zero_first, e) for e in grp.elements} == {
+    assert {word_tables(two_step_zero_first, w) for w in grp.words} == {
         perm_tables(perm_identity(3), two_step_zero_first),
         perm_tables(s2, two_step_zero_first),
     }
@@ -171,9 +170,9 @@ def _tableau_mapping(tableau, pipeline):
 
 
 def test_word_action_matches_word_elements():
-    # the package's two evaluators of a word, the per-state action and the
-    # packed element, agree on seeded states, past 20 bits of summed width
-    # (the reference permutations stop at W <= 12)
+    # the package's per-state action of a word and the tables of its packed
+    # element in tests/conftest.py agree on seeded states, past 20 bits of
+    # summed width (the reference permutations stop at W <= 12)
     pipelines = [random_pipeline(700 + k, steps=2 + k % 4, max_width=3) for k in range(6)]
     for k, widths in enumerate(((4, 4, 4, 8), (2, 3, 5, 10), (1, 2, 3, 14), (5, 5, 10), (6, 6, 6, 2), (4, 4, 4, 12))):
         steps = tuple(random_fn(a, b, 800 + 10 * k + i) for i, (a, b) in enumerate(zip(widths, widths[1:])))
@@ -192,15 +191,15 @@ def test_word_action_matches_word_elements():
 @given(seed=seeds, steps=st.sampled_from([2, 3]))
 @settings(max_examples=40)
 def test_closure_elements_pass_perm_validation(seed, steps):
-    # every tableau the closure lists expands to a bijection, the reference element
+    # the tables of every word the closure lists expand to a bijection, the reference element
     pipeline = random_pipeline(seed, steps=steps, max_width=3 if steps == 2 else 2)
     width = pipeline.total_width
     assert width <= 9
     grp = closure(pipeline)
     reference = reference_closure(step_perms(pipeline))
-    for element, expected in zip(grp.elements, reference.elements, strict=True):
-        assert Perm(width, _tableau_mapping(element_tables(pipeline, element), pipeline)) == expected
-    collapsed = _tableau_mapping(element_tables(pipeline, grp.elements[-1]), pipeline)
+    for word, expected in zip(grp.words, reference.elements, strict=True):
+        assert Perm(width, _tableau_mapping(word_tables(pipeline, word), pipeline)) == expected
+    collapsed = _tableau_mapping(word_tables(pipeline, grp.words[-1]), pipeline)
     collapsed[0] = collapsed[1]
     with pytest.raises(ValueError, match="not a bijection"):
         Perm(width, collapsed)
@@ -232,7 +231,7 @@ def test_words_are_minimal_and_evaluate_back(two_step_id):
     assert lengths == sorted(lengths)  # BFS discovery order
     for e in range(len(grp)):
         expected = perm_tables(evaluate_word(gens, grp.words[e]), two_step_id)
-        assert element_tables(two_step_id, grp.elements[e]) == expected
+        assert word_tables(two_step_id, grp.words[e]) == expected
 
 
 def test_words_match_brute_force_enumeration(three_step_id):
@@ -251,8 +250,8 @@ def test_words_match_brute_force_enumeration(three_step_id):
                 if tables not in expected:
                     expected[tables] = word
             length += 1
-        for e, element in enumerate(grp.elements):
-            assert grp.words[e] == expected[element_tables(pipeline, element)]
+        for word in grp.words:
+            assert word == expected[word_tables(pipeline, word)]
 
 
 def test_shortest_word_tie_break(two_step_id):
@@ -261,7 +260,7 @@ def test_shortest_word_tie_break(two_step_id):
     s21 = perm_compose(s2, s1)
     s21_sq = perm_tables(perm_compose(s21, s21), two_step_id)
     # (f2 f1)^2 equals (f1 f2)^2; the lexicographically smaller word wins
-    tables = [element_tables(two_step_id, e) for e in grp.elements]
+    tables = [word_tables(two_step_id, w) for w in grp.words]
     assert grp.words[tables.index(s21_sq)] == (0, 1, 0, 1)
     assert grp.words[0] == ()
 
@@ -343,7 +342,7 @@ def test_two_step_closure_matches_closed_forms(rule_perm):
             continue
         grp = closure(pipeline)
         expected = {perm_tables(rule_perm(pipeline, rule), pipeline) for rule in make_rules()}
-        assert {element_tables(pipeline, e) for e in grp.elements} == expected
+        assert {word_tables(pipeline, w) for w in grp.words} == expected
         checked += 1
     assert checked >= 10
 
@@ -445,7 +444,7 @@ def test_table_rules_match_permutations(seed, steps, kinds):
 @example(seed=10, steps=1, kinds=["zero", "random", "random", "random"])
 @settings(max_examples=60, deadline=None)
 def test_closure_matches_reference(seed, steps, kinds):
-    # the tableau closure lists the group exactly as the permutation BFS does
+    # the coordinate closure lists the group exactly as the permutation BFS does
     pipeline = _kinded_pipeline(seed, steps, kinds)
     group = closure(pipeline)
     reference = reference_closure(step_perms(pipeline))
@@ -457,7 +456,7 @@ def test_closure_matches_reference(seed, steps, kinds):
     assert cayley_table(group) == (reference_cayley(reference) if len(group) <= 64 else cayley_table(reference))
     assert len(group.left) == steps
     expected = [perm_tables(p, pipeline) for p in reference.elements]
-    assert [element_tables(pipeline, e) for e in group.elements] == expected
+    assert [word_tables(pipeline, w) for w in group.words] == expected
 
 
 @given(
@@ -492,9 +491,9 @@ def test_tableau_order_matches_closure(seed, steps, kinds, data):
 
 
 def _times_step(tables, i, step):
-    """The tables of step i, ``step`` as ``permgroup._step`` gives it,
-    after the element with these tables, in the tuple form that holds an
-    all-zero table as None: only T_{i+1} changes, by the XOR of
+    """The tables of step i, ``step`` = (f_i, T_{i+1}), after the element
+    with these tables, in the tuple form that holds an all-zero table as
+    None: only T_{i+1} changes, by the XOR of
     f[(x >> offset_i) ^ T_i[x mod 2^offset_i]]."""
     f, t = step
     if i and (lower := tables[i - 1]) is not None:
@@ -508,7 +507,7 @@ def _times_step(tables, i, step):
 def _tuple_closure(pipeline):
     """The closure's breadth-first search over tuples of tables, one
     :func:`_times_step` per product: elements, words, left and parents."""
-    steps = [permgroup._step(pipeline, i) for i in range(pipeline.n_steps)]
+    steps = [(f.table, permgroup._step(pipeline, i)) for i, f in enumerate(pipeline.steps)]
     identity = (None,) * len(steps)
     elements, words, parents, index = [identity], [()], [0], {identity: 0}
     left = [[] for _ in steps]
@@ -529,9 +528,10 @@ def _tuple_closure(pipeline):
 
 
 def test_packed_closure_matches_tuple_closure():
-    # the packed elements unpack to the tuples that one left multiplication
-    # per product gives, in the same order, with the same words and tables,
-    # up to 12 bits and registers of more than 8
+    # the closure's words, evaluated as packed elements, give the tuples
+    # that one left multiplication per product gives, in the same order,
+    # with the same left and parents, up to 12 bits and registers of more
+    # than 8
     pipelines = [
         _kinded_pipeline(1000 + k, 1 + k % 4, [STEP_KINDS[(k + j) % 4 if k % 3 else 0] for j in range(4)])
         for k in range(48)
@@ -542,28 +542,56 @@ def test_packed_closure_matches_tuple_closure():
     for pipeline in pipelines:
         group = closure(pipeline)
         elements, words, left, parents = _tuple_closure(pipeline)
-        assert [element_tables(pipeline, e) for e in group.elements] == elements
+        assert [word_tables(pipeline, w) for w in group.words] == elements
         assert (group.words, group.left, group.parents) == (words, left, parents)
 
 
-def test_closure_order_must_be_a_power_of_two(tmp_path, capsys, monkeypatch):
-    # every lifted group is a 2-group.  With the places of T_1 and T_2
-    # swapped, step 2 reads the bits that step 1 writes and writes those it
-    # reads, which breaks the construction, and the closure reports it
-    fields = permgroup._fields
+def test_closure_must_list_the_spun_order(tmp_path, capsys, monkeypatch):
+    # a spin that under-reports a layer's dimension counts 2^5 elements of
+    # the 3-step identity group, while its step maps still reach all 2^6
+    # coordinates: the closure reports the mismatch as a failed internal
+    # check (exit 1), and group writes no report
+    spun = permgroup.spin
 
-    def swapped(pipeline):
-        (p1, w1, n1), (p2, w2, n2) = fields(pipeline)
-        return [(p2, w1, n1), (p1, w2, n2)]
+    def under_reported(pipeline, element_cap, what):
+        dimensions, steps = spun(pipeline, element_cap, what)
+        return dimensions[:1] + (dimensions[1] - 1,) + dimensions[2:], steps
 
-    monkeypatch.setattr(permgroup, "_fields", swapped)
-    pipeline = random_pipeline(7, steps=2, max_width=2)
-    with pytest.raises(LiftingCheckFailed, match="the lifted group has order 3, not a power of two"):
+    monkeypatch.setattr(permgroup, "spin", under_reported)
+    pipeline = PipelineSpec((1,) * 4, (ID1,) * 3)
+    message = "the closure lists 64 elements where the spin counts 32"
+    with pytest.raises(LiftingCheckFailed, match=f"^{message}$"):
         closure(pipeline)
-    path = tmp_path / "pipeline.json"
+    path, report_path = tmp_path / "pipeline.json", tmp_path / "report.json"
     path.write_text(emit_pipeline(pipeline), encoding="utf-8")
-    assert main(["group", str(path)]) == 1
-    assert capsys.readouterr().err == "error: internal check failed: the lifted group has order 3, not a power of two\n"
+    assert main(["group", str(path), "--json", str(report_path)]) == 1
+    assert capsys.readouterr() == ("", f"error: internal check failed: {message}\n")
+    assert not report_path.exists()
+
+
+def test_group_cap_stops_before_the_search(tmp_path, capsys, monkeypatch):
+    # |G| = 2^21 of the 6-step identity group exceeds the default cap of 10^6
+    # elements: the spin, which closure calls before its search, raises it,
+    # so group exits 2 without listing an element
+    raised = []
+    spun = permgroup.spin
+
+    def spy(*args):
+        try:
+            return spun(*args)
+        except ClosureCapExceeded as e:
+            raised.append((args[1:], str(e)))
+            raise
+
+    monkeypatch.setattr(permgroup, "spin", spy)
+    doc = {"format_version": 1, "registers": [1] * 7, "functions": [{"table": ["0", "1"]}] * 6}
+    path, report_path = tmp_path / "pipeline.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["group", str(path), "--json", str(report_path)]) == 2
+    message = "group closure exceeds the cap of 1000000 elements"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert raised == [((permgroup.DEFAULT_ELEMENT_CAP, "group closure"), message)]
+    assert not report_path.exists()
 
 
 def test_identity_pipeline_layers():
@@ -625,14 +653,15 @@ def test_polycyclic_cap_is_the_order(cap, raises):
         layer_dimensions(pipeline, element_cap=0)
 
 
-@pytest.mark.parametrize("budget", [35312, 35311])
+@pytest.mark.parametrize("budget", [3912, 3911])
 def test_closure_byte_budget_boundary(monkeypatch, budget):
-    # the 3-step identity closure holds its step tables T_1..T_3, 2 + 4 + 8
-    # entries at 8 bytes, and 64 elements, each of 2 + 4 + 8 one-byte
-    # entries and 8 * 3 + 512 bytes of bookkeeping: 112 + 64 * 550 = 35312
+    # the 3-step identity closure lists 64 elements, each filling a slot of
+    # elements, words, parents, the index and the 3 rows of left, and its
+    # steps' coordinate tables hold 2^5 + 2^3 + 2^0 entries (layers of
+    # dimensions 1, 2, 3): 8 * (7 * 64 + 41) = 3912 bytes
     pipeline = PipelineSpec((1,) * 4, (ID1,) * 3)
     monkeypatch.setattr(permgroup, "BYTE_BUDGET", budget)
-    if budget < 35312:
+    if budget < 3912:
         with pytest.raises(ClosureCapExceeded, match=f"^group closure exceeds the budget of {budget} bytes$"):
             closure(pipeline)
     else:

@@ -2,12 +2,12 @@
 absolute import in ``src/involift`` names a standard-library module), it
 has one report writer (no ``json.dumps(..., indent=...)`` beside
 ``cli._json_chunks``), it builds no 2^W permutation (group elements are
-tableaux), no module imports a private name of another, and every name it
-exports and every public method or property of its classes is used by the
-package itself or by a script (a method only when read as an attribute),
-so no public API exists only for the tests, and importing the CLI loads
-neither ``dataclasses`` nor the introspection modules it pulls in, nor
-``typing``."""
+layer coordinates), no module imports a private name of another, and
+every name it exports and every public method or property of its classes
+is used by the package itself or by a script (a method only when read as
+an attribute), so no public API exists only for the tests, and importing
+the CLI loads neither ``dataclasses`` nor the introspection modules it
+pulls in, nor ``typing``."""
 
 import ast
 import subprocess
