@@ -80,14 +80,13 @@ def claimed_coxeter_matrix(n: int) -> CoxeterMatrix:
     )
 
 
-def check_relations(pipeline: PipelineSpec, relators, spun: tuple | None = None) -> tuple[bool, ...]:
+def check_relations(spun: tuple, relators) -> tuple[bool, ...]:
     """Whether each relator holds on the lifted steps, in the order given:
     its word, leftmost symbol outermost, walked right to left from the
-    identity's layer coordinates, 0, one affine map per symbol, ends at 0.
-    ``spun`` is the pipeline's :func:`involift.permgroup.spin` when the
-    caller holds it; otherwise the pipeline is spun here, within the
-    default element cap.  No 2^W permutation is built."""
-    _, steps = spun or spin(pipeline)
+    identity's layer coordinates, 0, one affine map per symbol of
+    ``spun``, the pipeline's :func:`involift.permgroup.spin`, ends at 0.
+    No 2^W permutation is built."""
+    _, steps = spun
     holds = []
     for word in relators:
         c = 0
@@ -166,7 +165,7 @@ def verify_pipeline(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_C
     n = pipeline.n_steps
     spun = spin(pipeline, element_cap)
     layers = spun[0]
-    if not all(check_relations(pipeline, claimed_coxeter_matrix(n).relators, spun)):
+    if not all(check_relations(spun, claimed_coxeter_matrix(n).relators)):
         raise LiftingCheckFailed("a claimed relation failed on lifted involutions; lifting is broken")
     # The claimed Coxeter graph is a path with every edge labelled 4: n = 1 is
     # A1, of order 2, and n = 2 is B2 = I2(4), the dihedral group of order 8

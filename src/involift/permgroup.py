@@ -19,9 +19,10 @@ Cayley table is gathered through it.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, chain, repeat
-from operator import itemgetter
+from operator import itemgetter, lshift, xor
 
 from .boolfn import Frozen
 from .lifting import LiftingCheckFailed, PipelineSpec
@@ -141,7 +142,8 @@ def spin(
     Holt, Eick & O'Brien 2005): each basis table b is moved by every
     step i < j whose table is not all zero, as the gather
     b[x ^ (T_{i+1}[x mod 2^offset_{i+1}] << offset_{i+1})] (one
-    ``itemgetter`` per layer and step), and an image is kept only when its
+    ``itemgetter`` per layer and step, held when it fits the budget), and
+    an image is kept only when its
     vector stays nonzero after Gaussian elimination on the highest set bit.
     Each pivot keeps the basis vectors it sums, so every image b∘s_i comes
     out with its coordinates: column k of step i's matrix on V_j.
@@ -158,9 +160,10 @@ def spin(
 
     Raises ValueError when ``element_cap`` < 1, and
     :class:`ClosureCapExceeded` as soon as 2^(dimensions so far) exceeds
-    ``element_cap``, or the step tables and a layer's basis would take
-    more than ``BYTE_BUDGET``, which ``what`` names.  No group element is
-    formed.
+    ``element_cap``, or the step tables and a layer's basis would take more
+    than ``BYTE_BUDGET``, which ``what`` names (a layer holds its gathers
+    only when they fit beside the most basis tables it may keep).  No
+    group element is formed.
     """
     if element_cap < 1:
         raise ValueError("element_cap must be >= 1")
@@ -191,15 +194,30 @@ def spin(
 
         keep(phi)
         columns: dict[int, list[int]] = {}
-        if basis:  # phi is not all zero
-            gathers = []
+        if basis and moves:
+            # the gathers (an int below len(phi) and a slot an entry each) are
+            # held for the layer only when they fit the budget beside as many
+            # basis tables as the element cap and |G_j| leave room for, so
+            # they never take the spin past it; otherwise each image is
+            # gathered by a comprehension
+            size = len(phi)
+            room = min(element_cap.bit_length() - 1 - sum(dimensions), 1 << sum(dimensions))
+            hold = held + len(moves) * (8 + sys.getsizeof(size - 1)) * size + 8 * size * (room - 1) <= BYTE_BUDGET
+            moved = []
             for i, offset, t in moves:
-                # T_{i+1} read at x mod 2^offset_{i+1} is T_{i+1} repeated
-                moved = [x ^ v << offset for x, v in enumerate(t * (len(phi) >> offset))]
-                gathers.append((columns.setdefault(i, []), itemgetter(*moved)))
+                if hold:  # T_{i+1} read at x mod 2^offset_{i+1} is T_{i+1} repeated
+                    shifted = map(lshift, chain.from_iterable(repeat(t, size >> offset)), repeat(offset))
+                    gather = itemgetter(*map(xor, range(size), shifted))
+                else:
+
+                    def gather(b: Sequence[int], t: Sequence[int] = t, mask: int = len(t) - 1, offset: int = offset):
+                        return [b[x ^ t[x & mask] << offset] for x in range(size)]
+
+                moved.append((columns.setdefault(i, []), gather))
             for b in basis:  # the basis grows while it is walked
-                for column, gather in gathers:
+                for column, gather in moved:
                     column.append(keep(gather(b)))
+        if basis:  # phi is not all zero
             moves.append((j, pipeline.offsets[j + 1], phi))
         units = [1 << k for k in range(len(basis))]  # a zero step moves nothing
         layers.append([columns.get(i, units) for i in range(j)])
@@ -229,18 +247,27 @@ def closure(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> G
     coordinates above its base, and those below pass through.  Elements
     are indexed by a list over the coordinates.  Raises
     :class:`ClosureCapExceeded` when the group has more than
-    ``element_cap`` elements, or its spin, or its elements and step tables
-    (8 bytes a slot), would take more than ``BYTE_BUDGET`` bytes, all
-    before any element is listed; and
+    ``element_cap`` elements, or its spin would take more than
+    ``BYTE_BUDGET`` bytes, before any element is listed; or when what the
+    closure holds would: before the search, its step tables and what every
+    element holds but its word's symbols, and before each frontier is
+    multiplied, 8 bytes a symbol of the words found and to be found, none
+    shorter than the next frontier's.  Raises
     :class:`involift.lifting.LiftingCheckFailed` when the search does not
     list exactly the 2^D elements the spin counts.
     """
     dimensions, steps = spin(pipeline, element_cap, "group closure")
     order = 1 << sum(dimensions)
     n = len(steps)
-    # an element fills a slot in each of elements, words, parents, the index
-    # and the n action-table rows; step i's table has 2^(D - D_{i+1}) entries
-    _charge(8 * ((n + 4) * order + sum(1 << len(images) for _, images, _ in steps)), "group closure")
+    number = sys.getsizeof(order - 1)  # an int below 2^D
+    # an element holds three such ints (its coordinate, its index, which the
+    # rows of left share, and its parent's index), its word's tuple and a
+    # slot in each of elements, words, parents, the index and the n rows of
+    # left, and in the tuples the result copies all but the index into;
+    # step i's table holds 2^(D - D_{i+1}) ints, a slot apiece
+    held = (3 * number + sys.getsizeof(()) + 8 * (2 * n + 7)) * order
+    held += (number + 8) * sum(1 << len(images) for _, images, _ in steps)
+    _charge(held, "group closure")
     tables = []
     for base, images, unit in steps:
         table = [unit]
@@ -255,8 +282,10 @@ def closure(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> G
     # when they agree with the spin's dimensions
     index = [0] + [-1] * ((1 << steps[-1][0]) - 1)
     # frontiers are contiguous index ranges, so each left[g] fills in index order
-    frontier = range(1)
+    frontier, depth = range(1), 0
     while frontier:
+        depth += 1  # the symbols of a word the frontier finds
+        _charge(held + 8 * depth * (order - len(elements)), "group closure")
         for gi, (base, table) in enumerate(tables):
             row, low = left[gi], (1 << base) - 1
             for ei in frontier:
@@ -269,6 +298,7 @@ def closure(pipeline: PipelineSpec, element_cap: int = DEFAULT_ELEMENT_CAP) -> G
                     parents.append(ei)
                     elements.append(product)
                 row.append(k)
+        held += 8 * depth * (len(elements) - frontier.stop)
         frontier = range(frontier.stop, len(elements))
     if len(elements) != order:
         raise LiftingCheckFailed(f"the closure lists {len(elements)} elements where the spin counts {order}")

@@ -3,10 +3,12 @@ oracle that builds permutations straight from register-tuple rules,
 reference permutation algebra (identity, lifted steps, composition, order,
 word evaluation, identity test, the closure of arbitrary permutations, its
 Cayley table by composition, element orders by walking words, and the
-tables of a permutation), a second element form (tables packed into one
-int, with one cached left multiplication by a step, the walk of a word
-and the tables of a word), HLT coset enumeration (the oracle for the
-orders of finite Coxeter groups), the layer dimensions of a spin, the
+tables of a permutation), a second element form (the step tables read
+off the truth tables and packed side by side into one int, with one
+cached left multiplication by a step, the walk of a word and the tables
+of a word, sharing no code with the package's spin), HLT coset
+enumeration (the oracle for the orders of finite Coxeter groups), the
+layer dimensions of a spin, the
 nondegeneracy test of a pipeline read from its tables, the identity test
 of a truth table, seeded random states, the per-shot integer measurement
 oracle, identity and constant-zero steps and pipeline documents.
@@ -25,7 +27,7 @@ import pytest
 from involift.boolfn import BoolFunc
 from involift.cli import FORMAT_VERSION
 from involift.lifting import Perm, PipelineSpec, product_orders, random_pipeline
-from involift.permgroup import DEFAULT_ELEMENT_CAP, GroupClosure, _step, _vector, spin
+from involift.permgroup import DEFAULT_ELEMENT_CAP, GroupClosure, spin
 from involift.quantum import QState
 from involift.rng import SplitMix64
 
@@ -214,9 +216,24 @@ def _term(step, lower):
     return [f[y ^ u] for y in range(len(f)) for u in lower]
 
 
+def step_table(pipeline: PipelineSpec, i: int) -> tuple[int, ...]:
+    """T_{i+1} of lifted step i, read off its truth table:
+    T_{i+1}[x] = f_i[register i of x] over x < 2^offset_{i+1}."""
+    f, low = pipeline.steps[i], pipeline.offsets[i]
+    return tuple(f.table[(x >> low) & ((1 << f.arity_in) - 1)] for x in range(1 << pipeline.offsets[i + 1]))
+
+
+def _vector(table, width: int) -> int:
+    """A table packed into one int, the inverse of :func:`_table`: byte
+    plane s holds bits 8s..8s+7 of every entry, so that XOR of tables is
+    XOR of their packings."""
+    planes = (width + 7) // 8
+    return int.from_bytes(bytes((v >> 8 * s) & 255 for s in range(planes) for v in table), "little")
+
+
 def _table(bits: int, width: int, entries: int) -> tuple[int, ...]:
     """The table of ``entries`` entries of ``width`` bits whose
-    ``permgroup._vector`` is ``bits``."""
+    :func:`_vector` is ``bits``."""
     planes = (width + 7) // 8
     data = bits.to_bytes(planes * entries, "little")
     if planes == 1:
@@ -245,7 +262,7 @@ class _Steps:
     step 0); ``deltas[i]`` caches delta(i, .) by key."""
 
     def __init__(self, pipeline: PipelineSpec):
-        self.steps = [(f.table, _step(pipeline, i)) for i, f in enumerate(pipeline.steps)]
+        self.steps = [(f.table, step_table(pipeline, i)) for i, f in enumerate(pipeline.steps)]
         self.fields = _fields(pipeline)
         # mask_i spans T_i: from its position up to that of T_{i+1}
         self.masks = [0] + [(1 << high[0]) - (1 << low[0]) for low, high in zip(self.fields, self.fields[1:])]

@@ -352,7 +352,7 @@ def test_qrun_rejects_bad_seed_or_shots_before_drawing(tmp_path, capsys, monkeyp
     "argv, target, broken",
     [
         (["run", "--input", "1"], lifting, ("word_action", lambda pipeline, word: lambda states: [s ^ 1 for s in states])),
-        (["verify"], coxeter, ("check_relations", lambda pipeline, relators, spun: (False,))),
+        (["verify"], coxeter, ("check_relations", lambda spun, relators: (False,))),
     ],
     ids=["run", "verify"],
 )

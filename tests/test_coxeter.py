@@ -274,18 +274,18 @@ def test_pipeline_presentation_four_steps_counts():
 
 
 def test_check_relations_two_step(two_step_id):
-    checks = check_relations(two_step_id, claimed_coxeter_matrix(2).relators)
+    checks = check_relations(spin(two_step_id), claimed_coxeter_matrix(2).relators)
     assert checks == (True,) * 3
 
 
 def test_check_relations_three_step(three_step_id):
-    checks = check_relations(three_step_id, claimed_coxeter_matrix(3).relators)
+    checks = check_relations(spin(three_step_id), claimed_coxeter_matrix(3).relators)
     assert checks == (True,) * 6
 
 
 def test_check_relations_false_presentation(two_step_id):
     wrong = ((0, 0), (1, 1), (0, 1) * 2)
-    assert check_relations(two_step_id, wrong) == (True, True, False)
+    assert check_relations(spin(two_step_id), wrong) == (True, True, False)
     # witness: the square of the adjacent product moves packed state (1,0,0)
     g1, g2 = step_perms(two_step_id)
     s21 = perm_compose(g2, g1)
@@ -299,7 +299,7 @@ def test_squares_and_distant_commutators_always_hold(seed):
     pipeline = random_pipeline(seed, steps=3, max_width=2)
     gens = step_perms(pipeline)
     relators = claimed_coxeter_matrix(3).relators
-    for relator, holds in zip(relators, check_relations(pipeline, relators), strict=True):
+    for relator, holds in zip(relators, check_relations(spin(pipeline), relators), strict=True):
         if len(relator) == 2 or len(relator) == 4:
             # squares (the XOR cancels) and distant commutators (disjoint
             # register support) hold for every lifting, degenerate or not
@@ -319,7 +319,7 @@ def test_check_relations_matches_evaluate_word(seed, steps, data):
     # a word followed by its reverse is trivial (the generators are
     # involutions); the shortest word of the last element is not, unless |G| = 1
     words = (word, word + word[::-1], group.words[element], group.words[-1])
-    checks = check_relations(pipeline, words)
+    checks = check_relations(spin(pipeline), words)
     assert checks == tuple(perm_is_identity(evaluate_word(gens, w)) for w in words)
     assert checks[1]
     assert checks[3] == (len(group) == 1)
@@ -353,7 +353,7 @@ def test_coordinate_walk_agrees_with_the_packed_oracle():
             i = rng.next_u64() % steps
             square = [i, min(i + 1, steps - 1)] * 2
             words += [v, u + v, u + v[::-1] + v + u[::-1], u + list(r) + u[::-1], u + square + u[::-1]]
-        checks = check_relations(pipeline, words, spin(pipeline, 1 << 4096))
+        checks = check_relations(spin(pipeline, 1 << 4096), words)
         assert checks == tuple(e == 0 for e in word_elements(pipeline, words))
         seen.update(checks)
     assert seen[True] > 500 and seen[False] > 500, seen
@@ -364,7 +364,7 @@ def test_check_relations_length_twelve_relator(three_step_id):
     # while its first eleven symbols do not
     r = (0, 1, 2, 0, 1, 0, 2, 1, 0, 2, 1, 2)
     gens = step_perms(three_step_id)
-    checks = check_relations(three_step_id, (r, r[:-1]))
+    checks = check_relations(spin(three_step_id), (r, r[:-1]))
     assert checks == tuple(perm_is_identity(evaluate_word(gens, w)) for w in (r, r[:-1]))
     assert checks == (True, False)
 

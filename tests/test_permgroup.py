@@ -1,7 +1,8 @@
 import json
+import sys
 from collections import Counter
 from itertools import combinations
-from operator import xor
+from operator import itemgetter, xor
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -40,6 +41,7 @@ from conftest import (
     reference_closure,
     step_perm,
     step_perms,
+    step_table,
     walked_orders,
     word_elements,
     word_tables,
@@ -507,7 +509,7 @@ def _times_step(tables, i, step):
 def _tuple_closure(pipeline):
     """The closure's breadth-first search over tuples of tables, one
     :func:`_times_step` per product: elements, words, left and parents."""
-    steps = [(f.table, permgroup._step(pipeline, i)) for i, f in enumerate(pipeline.steps)]
+    steps = [(f.table, step_table(pipeline, i)) for i, f in enumerate(pipeline.steps)]
     identity = (None,) * len(steps)
     elements, words, parents, index = [identity], [()], [0], {identity: 0}
     left = [[] for _ in steps]
@@ -653,15 +655,19 @@ def test_polycyclic_cap_is_the_order(cap, raises):
         layer_dimensions(pipeline, element_cap=0)
 
 
-@pytest.mark.parametrize("budget", [3912, 3911])
-def test_closure_byte_budget_boundary(monkeypatch, budget):
-    # the 3-step identity closure lists 64 elements, each filling a slot of
-    # elements, words, parents, the index and the 3 rows of left, and its
-    # steps' coordinate tables hold 2^5 + 2^3 + 2^0 entries (layers of
-    # dimensions 1, 2, 3): 8 * (7 * 64 + 41) = 3912 bytes
+@pytest.mark.parametrize("short", [0, 1], ids=["at", "below"])
+def test_closure_byte_budget_boundary(monkeypatch, short):
+    # the 3-step identity closure lists 64 elements, each holding three ints
+    # below 64, its word's tuple, 8 bytes a symbol, and a slot in each of
+    # elements, words, parents, the index, the 3 rows of left and the 6
+    # tuples of the result; its steps' coordinate tables hold 2^5 + 2^3 +
+    # 2^0 ints and slots (layers of dimensions 1, 2, 3)
     pipeline = PipelineSpec((1,) * 4, (ID1,) * 3)
+    number, symbols = sys.getsizeof(63), sum(map(len, closure(pipeline).words))
+    charge = (3 * number + sys.getsizeof(()) + 8 * 13) * 64 + (number + 8) * 41 + 8 * symbols
+    budget = charge - short
     monkeypatch.setattr(permgroup, "BYTE_BUDGET", budget)
-    if budget < 3912:
+    if short:
         with pytest.raises(ClosureCapExceeded, match=f"^group closure exceeds the budget of {budget} bytes$"):
             closure(pipeline)
     else:
@@ -669,6 +675,18 @@ def test_closure_byte_budget_boundary(monkeypatch, budget):
     # the element cap still fails exactly above |G|
     with pytest.raises(ClosureCapExceeded, match="^group closure exceeds the cap of 63 elements$"):
         closure(pipeline, element_cap=63)
+
+
+def test_raised_cap_leaves_the_budget_to_stop_the_closure(tmp_path, capsys):
+    # the 6-step identity group (|G| = 2^21) under a raised element cap: its
+    # elements' ints, word tuples and slots pass the budget before the
+    # search, so group exits 2 and writes no report
+    path = tmp_path / "six.json"
+    path.write_text(emit_pipeline(PipelineSpec((1,) * 7, (ID1,) * 6)))
+    report = tmp_path / "report.json"
+    assert main(["group", str(path), "--element-cap", "3000000", "--json", str(report)]) == 2
+    assert capsys.readouterr() == ("", f"error: group closure exceeds the budget of {1 << 28} bytes\n")
+    assert not report.exists()
 
 
 def test_byte_budget_is_charged_before_the_tables_are_built(monkeypatch):
@@ -702,6 +720,35 @@ def test_spin_byte_budget_boundary(monkeypatch, budget):
             layer_dimensions(pipeline)
     else:
         assert layer_dimensions(pipeline) == (1, 2, 3)
+
+
+def test_spin_holds_its_gathers_only_within_the_budget(monkeypatch):
+    # a layer's gathers are held only when they fit the budget beside the
+    # basis tables the layer may still keep; otherwise each image reads its
+    # indices afresh.  So the least budget the spin fits is that of its step
+    # tables and largest basis, as without gathers, the widest layer reads
+    # afresh there, and the spin gives the same dimensions and step maps
+    built = []
+    monkeypatch.setattr(permgroup, "itemgetter", lambda *args: built.append(len(args)) or itemgetter(*args))
+    pipelines = [PipelineSpec((1,) * 5, (ID1,) * 4), random_pipeline(15, 4, 3),
+                 PipelineSpec((8, 4, 4, 4), (random_fn(8, 4, 101), random_fn(4, 4, 102), random_fn(4, 4, 103)))]
+    for pipeline in pipelines:
+        monkeypatch.setattr(permgroup, "BYTE_BUDGET", 1 << 28)
+        built.clear()
+        spun = permgroup.spin(pipeline)
+        widest = 1 << pipeline.offsets[-1]
+        assert widest in built
+        tables = [1 << offset for offset in pipeline.offsets[1:]]
+        least = 8 * sum(tables) + max(8 * size * (d - 1) for size, d in zip(tables, spun[0]))
+        for budget in (least, least - 1):
+            monkeypatch.setattr(permgroup, "BYTE_BUDGET", budget)
+            built.clear()
+            if budget < least:
+                with pytest.raises(ClosureCapExceeded, match=f"^module spin exceeds the budget of {budget} bytes$"):
+                    permgroup.spin(pipeline)
+            else:
+                assert permgroup.spin(pipeline) == spun
+                assert widest not in built
 
 
 @pytest.mark.parametrize("high_only", [False, True])
