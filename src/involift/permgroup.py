@@ -143,8 +143,8 @@ def spin(
     step i < j whose table is not all zero, as the gather
     b[x ^ (T_{i+1}[x mod 2^offset_{i+1}] << offset_{i+1})] (one
     ``itemgetter`` per layer and step, held when it fits the budget), and
-    an image is kept only when its
-    vector stays nonzero after Gaussian elimination on the highest set bit.
+    an image is kept only when its vector stays nonzero after Gaussian
+    elimination on the highest set bit.
     Each pivot keeps the basis vectors it sums, so every image b∘s_i comes
     out with its coordinates: column k of step i's matrix on V_j.
 
